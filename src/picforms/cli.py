@@ -321,16 +321,27 @@ def _dispatch(args):
             type(exc).__name__, exc)}}
 
 
+_PARSER = None
+
+
+def _parser():
+    """The process-wide parser, built on first use."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    return _PARSER
+
+
 def run_command(argv):
     """Parse argv, run the subcommand, and return (exit_code, payload)."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return _dispatch(args)
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse errors are input errors
         return 0 if exc.code in (0, None) else EXIT_INPUT
     code, payload = _dispatch(args)

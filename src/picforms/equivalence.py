@@ -4,21 +4,21 @@ Two triples on one curve represent equal divisor classes exactly when a
 proper orthogonal matrix carries one to the other.  The decision follows
 the constructive route: after a quick Gram comparison (equal or conjugate
 classes share the invariant exactly), the reduction move
-(u + a^2 v - 2 a w, v, w - a v) is searched over the requested domain,
-then the plain swap (v, u, -w); both are repeated against the conjugate
-of the target.  The verdict is one of
+(u + a^2 v - 2 a w, v, w - a v) is tried at the one parameter that can
+match, then the plain swap (v, u, -w); both are repeated against the
+conjugate of the target.  The verdict is one of
 
     equal | equal-and-self-conjugate | conjugate-only | distinct
 
 and each positive verdict carries an explicit proper witness matrix that
-is re-verified (orthogonality and exact action) before it is returned.
+is verified once (orthogonality and exact action) before it is returned.
 
-Over finite fields the reduction parameter ranges over the named
-extension of the triples' field, scanned in canonical element order so
-the reported witness is reproducible.  Over the rationals the matching
-conditions are polynomial constraints of degree <= 2 in the parameter;
-their gcd pins down the candidates, and an irreducible quadratic gcd
-moves the search into the corresponding quadratic extension.
+The matching conditions are polynomial constraints in the parameter.
+Their gcd has degree <= 1 (the lemma at :func:`_constraint_gcd`), so the
+one candidate parameter lies in the triples' own field, over QQ and
+GF(q) alike, and witnesses come out over that field.  The search domain
+named by ``same_class(..., extension=...)`` is reported with the verdict
+but cannot change it.
 
 ``orbit_oracle`` is the independent brute-force check: it exhausts the
 full enumerated proper group over a small field.
@@ -28,17 +28,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegenerateResult, DescriptorMismatch, SearchExhausted
-from .fields import Field, common_field, embed, rational_extension, unembed
+from .errors import DegenerateResult, SearchExhausted
+from .fields import Field, common_field, embed
 from .ortho import (
     OrthogonalMatrix,
+    classify,
     enumerate_special_orthogonal,
     reduction_matrix,
     swap_matrix,
 )
-from .poly import Polynomial, gcd as poly_gcd, roots_in_field
+from .poly import Polynomial, gcd as poly_gcd
 from .quadform import gram
-from .triples import act, canonicalize, canonicalize_with_matrix, conjugate
+from .triples import (
+    _canonical_forms,
+    _mix_forms,
+    act,
+    canonicalize,
+    canonicalize_with_matrix,
+    conjugate,
+)
 
 KIND_EQUAL = "equal"
 KIND_BOTH = "equal-and-self-conjugate"
@@ -69,7 +77,7 @@ def swap_step(t):
     return act(swap_matrix(t.field), t)
 
 
-# -- raw-form helpers (no validation; used inside the candidate scans) --------
+# -- the parameter solver -------------------------------------------------------
 
 def _reduced_u(u, v, w, a):
     a2 = a * a
@@ -81,70 +89,40 @@ def _reduced_forms(u, v, w, a):
     return (_reduced_u(u, v, w, a), v, tuple(wi - a * vi for vi, wi in zip(v, w)))
 
 
-def _canonical_forms(u, v, w):
-    """The scale-and-shift normal form of raw form tuples."""
-    top = len(u) - 1
-    while not u[top]:
-        top -= 1
-    c = u[top]
-    if c != c.field.one():
-        cinv = c.inverse()
-        u = tuple(cinv * x for x in u)
-        v = tuple(c * x for x in v)
-    b = w[top]
-    if b:
-        b2 = b * b
-        b_2 = b + b
-        v = tuple(vi + b2 * ui - b_2 * wi for ui, vi, wi in zip(u, v, w))
-        w = tuple(wi - b * ui for ui, wi in zip(u, w))
-    return (u, v, w)
-
-
-def _witness_from(move, t1, t2_canon_matrix, t2):
-    """Assemble B2^{-1} @ B' @ move and verify it maps t1 to t2 exactly."""
-    moved = act(move, t1)
-    _, b_move = canonicalize_with_matrix(moved)
-    witness = t2_canon_matrix.inverse() @ (b_move @ move)
-    assert witness.proper
-    assert act(witness, t1) == t2.embedded(witness.field)
+def _witness_from(move, t1, t2):
+    """Assemble B2^{-1} @ B' @ move and verify, once, that it is proper and
+    maps t1 to t2 exactly."""
+    _, b_move = canonicalize_with_matrix(act(move, t1))
+    _, b2 = canonicalize_with_matrix(t2)
+    witness = b2.inverse() @ (b_move @ move)
+    assert classify(witness.rows, witness.field) == "proper"
+    assert act(witness, t1) == t2
     return witness
 
 
-def _scan(t1, t2, candidates, domain):
-    """Try every reduction parameter, then the swap; return a witness or None."""
+def _search_equal(t1, t2):
+    """A proper witness carrying t1 onto t2's representation orbit, or None.
+
+    The only reduction parameter that can match is the root of the
+    constraint gcd, which has degree <= 1 (see :func:`_constraint_gcd`);
+    after it the plain swap is tried.
+    """
     u1, v1, w1 = t1.u, t1.v, t1.w
-    canon2, b2 = canonicalize_with_matrix(t2)
-    key2 = (canon2.u, canon2.v, canon2.w)
-    for a in candidates:
-        u2 = _reduced_u(u1, v1, w1, a)
-        if not any(u2):
-            continue
-        if _canonical_forms(*_reduced_forms(u1, v1, w1, a)) == key2:
-            return _witness_from(reduction_matrix(a), t1, b2, t2)
+    key2 = _canonical_forms(t2.u, t2.v, t2.w)[0]
+    g = _constraint_gcd(t1, t2)
+    if g.degree == 1:
+        a = -g[0] / g[1]
+        if _canonical_forms(*_reduced_forms(u1, v1, w1, a))[0] == key2:
+            return _witness_from(reduction_matrix(a), t1, t2)
     swapped = (v1, u1, tuple(-x for x in w1))
-    if _canonical_forms(*swapped) == key2:
-        return _witness_from(swap_matrix(domain), t1, b2, t2)
+    if _canonical_forms(*swapped)[0] == key2:
+        return _witness_from(swap_matrix(t1.field), t1, t2)
     return None
 
 
-def _search_equal(t1, t2, domain):
-    """A proper witness carrying t1 onto t2's representation orbit, or None."""
-    t1d = t1.embedded(domain)
-    t2d = t2.embedded(domain)
-    if domain.p is not None:
-        return _scan(t1d, t2d, domain.elements(), domain)
-    candidates = _rational_candidates(t1d, t2d)
-    if candidates is None:
-        witness = _search_equal_quadratic(t1d, t2d)
-        if witness is not None:
-            return witness
-        candidates = []
-    return _scan(t1d, t2d, candidates, domain)
-
-
 def _constraint_polys(t1, t2):
-    """Degree <= 2 polynomials in the reduction parameter whose common roots
-    are the only parameters that can match t2's representation orbit."""
+    """Polynomials in the reduction parameter whose common roots are the
+    only parameters that can match t2's representation orbit."""
     field = t1.field
     U1 = t1.u
     V1 = t1.v
@@ -169,9 +147,23 @@ def _constraint_polys(t1, t2):
 
 
 def _constraint_gcd(t1, t2):
+    """The gcd of the constraint polynomials; its degree is <= 1.
+
+    Lemma.  The gcd g has degree 2 only if every linear minor vanishes,
+    which gives V1 = lambda U2 and W1 - W2 = mu U2.  The a^2 term of the
+    quadratic minor (i, j) is then lambda (U2_i U2_j - U2_j U2_i) = 0, so
+    every quadratic minor has degree <= 1 and deg g <= 1.  If all minors
+    vanished, U1, V1 and W1 would all be multiples of U2 (the a-term of
+    the quadratic minors is -2 (W1_i U2_j - W1_j U2_i), and 2 is a unit in
+    odd characteristic), and F = W1^2 - U1 V1 would be a constant times
+    U2^2, which is not squarefree.  Hence the one possible parameter
+    a = -g_0 / g_1 lies in the triples' own field, and no search domain
+    beyond it can add a match.  (The reduced u never vanishes either: that
+    would make F = (w - a v)^2.)
+    """
     polys = _constraint_polys(t1, t2)
     if not polys:
-        # would force F to be a square; reported rather than guessed
+        # excluded by the lemma; reported rather than guessed
         raise SearchExhausted("constraint polynomials vanished identically")
     g = polys[0]
     for p in polys[1:]:
@@ -181,38 +173,6 @@ def _constraint_gcd(t1, t2):
     return g
 
 
-def _rational_candidates(t1, t2):
-    """Rational candidate parameters, or None when they live in a quadratic
-    extension (irreducible quadratic constraint gcd)."""
-    g = _constraint_gcd(t1, t2)
-    if g.degree == 0:
-        return []
-    roots = [r for r, _ in roots_in_field(g)]
-    if roots:
-        return roots
-    if g.degree == 2:
-        return None
-    return []
-
-
-def _search_equal_quadratic(t1, t2):
-    """Retry the reduction search inside QQ[T]/(constraint gcd)."""
-    g = _constraint_gcd(t1, t2).monic()
-    ext = rational_extension(tuple(c.value for c in g.coeffs))
-    root = ext.generator()
-    other = -root - embed(g[1], ext)
-    t1e, t2e = t1.embedded(ext), t2.embedded(ext)
-    canon2, b2 = canonicalize_with_matrix(t2e)
-    key2 = (canon2.u, canon2.v, canon2.w)
-    for a in sorted({root, other}, key=lambda e: e.sort_key()):
-        u2 = _reduced_u(t1e.u, t1e.v, t1e.w, a)
-        if not any(u2):
-            continue
-        if _canonical_forms(*_reduced_forms(t1e.u, t1e.v, t1e.w, a)) == key2:
-            return _witness_from(reduction_matrix(a), t1e, b2, t2e)
-    return None
-
-
 def search_domain_for(field, extension):
     """The field playing the role of the algebraic closure in a search."""
     if field.p is None:
@@ -220,24 +180,15 @@ def search_domain_for(field, extension):
     return field.extension(extension)
 
 
-def _descend_matrix(m, field):
-    """Report a witness over the triples' own field when its entries allow it."""
-    if m is None or m.field == field:
-        return m
-    try:
-        rows = tuple(tuple(unembed(x, field) for x in row) for row in m.rows)
-    except DescriptorMismatch:
-        return m
-    return OrthogonalMatrix._trusted(rows, field, m.proper)
-
-
 def same_class(t1, t2, extension=2):
     """The relation between the divisor classes of t1 and t2.
 
-    ``extension`` names the finite search domain (relative degree over the
-    triples' common field); verdicts are relative to that domain.  Over
-    the rationals the parameter search solves the coefficient constraints
-    instead, moving into a quadratic extension when they demand it.
+    ``extension`` names the search domain reported with the verdict (the
+    extension of that relative degree over the triples' common field, or
+    the rationals themselves).  Verdicts and witnesses do not depend on
+    it: the matching reduction parameter always lies in the triples' own
+    field (see :func:`_constraint_gcd`), so witnesses come out over that
+    field.
     """
     if t1.curve != t2.curve:
         raise ValueError("the triples live on different curves")
@@ -251,8 +202,8 @@ def same_class(t1, t2, extension=2):
     domain = search_domain_for(t1.field, extension)
     if gram(t1) != gram(t2):
         return ClassRelation(KIND_DISTINCT, search_domain=domain)
-    witness = _descend_matrix(_search_equal(t1, t2, domain), t1.field)
-    conj_witness = _descend_matrix(_search_equal(t1, conjugate(t2), domain), t1.field)
+    witness = _search_equal(t1, t2)
+    conj_witness = _search_equal(t1, conjugate(t2))
     if witness is not None and conj_witness is not None:
         kind = KIND_BOTH
     elif witness is not None:
@@ -280,24 +231,11 @@ def orbit_oracle(t1, t2):
     key2 = (c2.u, c2.v, c2.w)
     c2c = canonicalize(conjugate(t2))
     key2c = (c2c.u, c2c.v, c2c.w)
-    forms = (t1.u, t1.v, t1.w)
+    forms = t1.forms()
     equal = False
     conj = False
     for m in group:
-        rows = m.rows
-        moved = []
-        for i in range(3):
-            acc = None
-            for j in range(3):
-                c = rows[i][j]
-                if not c:
-                    continue
-                term = tuple(c * x for x in forms[j])
-                acc = term if acc is None else tuple(a + b for a, b in zip(acc, term))
-            if acc is None:
-                acc = (t1.field.zero(),) * len(forms[0])
-            moved.append(acc)
-        key = _canonical_forms(*moved)
+        key = _canonical_forms(*_mix_forms(m.rows, forms, t1.field))[0]
         if key == key2:
             equal = True
         if key == key2c:

@@ -11,7 +11,8 @@ A ``Field`` describes one coefficient domain:
   or a reduction parameter leaves the rationals.
 
 Fields are interned, so requesting the same parameters twice returns the
-same object and element equality never crosses descriptors silently.
+same object; fields compare by identity, and element equality never
+crosses descriptors silently.
 Elements are immutable and hashable; every operation is exact.  There is
 no floating point anywhere in this package.
 
@@ -38,18 +39,31 @@ from .errors import (
 )
 
 _SQRT_TABLE_LIMIT = 1 << 20
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def _is_prime(n):
+    """Deterministic Miller-Rabin; the first 13 prime bases are exact for
+    every n below 3.3 * 10^24."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -114,7 +128,8 @@ def _default_modulus(p, m):
 
 class Field:
     """One exact coefficient domain.  Use :func:`GF`, :data:`QQ` or
-    :func:`rational_extension` instead of calling the constructor directly."""
+    :func:`rational_extension` instead of calling the constructor directly;
+    they intern every field, so fields compare by identity."""
 
     __slots__ = (
         "p", "m", "modulus", "char", "order",
@@ -130,30 +145,21 @@ class Field:
         self._sqrt_table = None
         self._embed_cache = {}
         if m > 1:
-            # rows for T^k mod modulus, k = m .. 2m-2
-            top = [self._base_neg(c) for c in modulus[:-1]]
+            # rows for T^k mod modulus, k = m .. 2m-2, in base-field scalars
+            base = _make_field(p, 1, None)
+            top = [base._raw_neg(c) for c in modulus[:-1]]
             rows = [tuple(top)]
             for _ in range(m - 2):
                 prev = rows[-1]
-                shifted = [self._base_zero()] + list(prev[:-1])
+                shifted = [base._raw_zero()] + list(prev[:-1])
                 carry = prev[-1]
-                rows.append(tuple(self._base_add(shifted[i], self._base_mul(carry, top[i]))
+                rows.append(tuple(base._raw_add(shifted[i], base._raw_mul(carry, top[i]))
                                   for i in range(m)))
             self._red = rows
         else:
             self._red = None
         self._zero = FieldElement(self, self._raw_zero())
         self._one = FieldElement(self, self._raw_one())
-
-    # -- structural identity --------------------------------------------------
-
-    def __eq__(self, other):
-        return (isinstance(other, Field)
-                and self.p == other.p and self.m == other.m
-                and self.modulus == other.modulus)
-
-    def __hash__(self):
-        return hash((self.p, self.m, self.modulus))
 
     def __repr__(self):
         return self.label()
@@ -172,30 +178,12 @@ class Field:
         return self.p is None and self.m == 1
 
     @property
-    def is_finite(self):
-        return self.p is not None
-
-    @property
     def kind(self):
         if self.p is None and self.m == 1:
             return "rationals"
         if self.m == 1:
             return "prime-field"
         return "extension-field"
-
-    # -- base-scalar helpers (int mod p, or Fraction) -------------------------
-
-    def _base_zero(self):
-        return 0 if self.p else Fraction(0)
-
-    def _base_add(self, a, b):
-        return (a + b) % self.p if self.p else a + b
-
-    def _base_mul(self, a, b):
-        return (a * b) % self.p if self.p else a * b
-
-    def _base_neg(self, a):
-        return (-a) % self.p if self.p else -a
 
     # -- raw element values ----------------------------------------------------
 
@@ -291,7 +279,7 @@ class Field:
 
     def _raw_nonzero(self, a):
         if self.m == 1:
-            return a != self._base_zero() if self.p is None else a != 0
+            return a != 0
         return any(a)
 
     # -- element constructors --------------------------------------------------

@@ -100,9 +100,12 @@ def find_caveat_example(curve, ctx, budget, seed, rng_factory=None):
     Samples up to `budget` random triples over the ambient field with the
     seeded generator; the first hit (in enumeration order) is returned, so
     the outcome is a deterministic function of (curve, ambient, budget,
-    seed).  A miss is reported with the searched count.
+    seed).  A miss is reported with the searched count.  The budget must
+    be at least 1.
     """
     import random
+    if budget < 1:
+        raise ValueError("the search budget must be >= 1, got %d" % budget)
     rng = random.Random(seed) if rng_factory is None else rng_factory(seed)
     for i in range(budget):
         t = random_triple(curve, ctx.ambient, rng)

@@ -9,11 +9,6 @@ choice keeps every result deterministic.
 from __future__ import annotations
 
 
-def identity(field, n):
-    one, zero = field.one(), field.zero()
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-
-
 def transpose(a):
     return tuple(zip(*a))
 
@@ -34,18 +29,6 @@ def dot(u, v):
     for x, y in it:
         acc = acc + x * y
     return acc
-
-
-def scale_vec(c, v):
-    return tuple(c * x for x in v)
-
-
-def add_vec(u, v):
-    return tuple(x + y for x, y in zip(u, v))
-
-
-def sub_vec(u, v):
-    return tuple(x - y for x, y in zip(u, v))
 
 
 def row_reduce(rows, field):
@@ -145,13 +128,3 @@ def det(rows, field):
                 f = rows[i][c] * inv
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
     return acc
-
-
-def invert(rows, field):
-    """Matrix inverse, or None when singular."""
-    n = len(rows)
-    aug = [list(r) + list(e) for r, e in zip(rows, identity(field, n))]
-    reduced, pivots = row_reduce(aug, field)
-    if tuple(pivots) != tuple(range(n)):
-        return None
-    return tuple(tuple(row[n:]) for row in reduced)

@@ -23,6 +23,10 @@ Generator families
 ``flip_matrix(field)``    (u, v, w) -> (u, v, -w), the improper involution
                           matching the +-Y involution on divisors.
 
+The generators are orthogonal by construction and are built without
+re-running :func:`classify`; ``OrthogonalMatrix(rows)`` validates
+matrices that come from outside.
+
 ``enumerate_special_orthogonal`` closes the proper generator families
 under multiplication over a small finite field; it serves as the
 brute-force oracle for the equivalence decision.
@@ -101,7 +105,8 @@ class OrthogonalMatrix:
 
     @classmethod
     def _trusted(cls, rows, field, proper):
-        # internal: for products/inverses of already validated matrices
+        # internal: for generators, products, inverses and embeddings, which
+        # are orthogonal by construction
         self = object.__new__(cls)
         self.field = field
         self.rows = rows
@@ -127,8 +132,9 @@ class OrthogonalMatrix:
     def embedded(self, field):
         if field == self.field:
             return self
-        return OrthogonalMatrix(
-            tuple(tuple(embed(x, field) for x in row) for row in self.rows), field)
+        return OrthogonalMatrix._trusted(
+            tuple(tuple(embed(x, field) for x in row) for row in self.rows), field,
+            self.proper)
 
     def __eq__(self, other):
         return (isinstance(other, OrthogonalMatrix)
@@ -144,9 +150,9 @@ class OrthogonalMatrix:
         return "OrthogonalMatrix(%s)" % (self.rows,)
 
 
-def _build(field, entries):
-    return OrthogonalMatrix(
-        tuple(tuple(field.elem(x) for x in row) for row in entries), field)
+def _build(field, entries, proper=True):
+    return OrthogonalMatrix._trusted(
+        tuple(tuple(field.elem(x) for x in row) for row in entries), field, proper)
 
 
 def scale_matrix(a):
@@ -157,32 +163,32 @@ def scale_matrix(a):
         raise ZeroScale("scale parameter must be nonzero")
     field = a.field
     zero, one = field.zero(), field.one()
-    return OrthogonalMatrix(((a, zero, zero), (zero, a.inverse(), zero), (zero, zero, one)),
-                            field)
+    return OrthogonalMatrix._trusted(
+        ((a, zero, zero), (zero, a.inverse(), zero), (zero, zero, one)), field, True)
 
 
 def shift_matrix(b):
     """(u, v, w) -> (u, v + b^2 u - 2 b w, w - b u); proper."""
     field = b.field
     zero, one = field.zero(), field.one()
-    return OrthogonalMatrix(
-        ((one, zero, zero), (b * b, one, -(b + b)), (-b, zero, one)), field)
+    return OrthogonalMatrix._trusted(
+        ((one, zero, zero), (b * b, one, -(b + b)), (-b, zero, one)), field, True)
 
 
 def swap_shift_matrix(b):
     """(u, v, w) -> (v, u + b^2 v + 2 b w, -b v - w); proper."""
     field = b.field
     zero, one = field.zero(), field.one()
-    return OrthogonalMatrix(
-        ((zero, one, zero), (one, b * b, b + b), (zero, -b, -one)), field)
+    return OrthogonalMatrix._trusted(
+        ((zero, one, zero), (one, b * b, b + b), (zero, -b, -one)), field, True)
 
 
 def reduction_matrix(a):
     """(u, v, w) -> (u + a^2 v - 2 a w, v, w - a v); proper."""
     field = a.field
     zero, one = field.zero(), field.one()
-    return OrthogonalMatrix(
-        ((one, a * a, -(a + a)), (zero, one, zero), (zero, -a, one)), field)
+    return OrthogonalMatrix._trusted(
+        ((one, a * a, -(a + a)), (zero, one, zero), (zero, -a, one)), field, True)
 
 
 def swap_matrix(field):
@@ -192,7 +198,7 @@ def swap_matrix(field):
 
 def flip_matrix(field):
     """(u, v, w) -> (u, v, -w); the improper involution."""
-    return _build(field, ((1, 0, 0), (0, 1, 0), (0, 0, -1)))
+    return _build(field, ((1, 0, 0), (0, 1, 0), (0, 0, -1)), proper=False)
 
 
 def identity_matrix(field):

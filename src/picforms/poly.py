@@ -13,6 +13,7 @@ factorization into irreducibles here.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import (DescriptorMismatch, DivisionByZero, RationalsUnsupported,
@@ -309,16 +310,7 @@ def roots_in_field(f, field=None):
     if field.p is not None:
         for x in field.elements():
             if not f(x):
-                mult = 0
-                g = f
-                lin = Polynomial(field, (-x, field.one()))
-                while True:
-                    q, r = divmod(g, lin)
-                    if not r.is_zero:
-                        break
-                    mult += 1
-                    g = q
-                out.append((x, mult))
+                out.append((x, _multiplicity(f, x)))
         return out
     # QQ: strip powers of X, clear denominators, try p/q candidates
     k = 0
@@ -330,7 +322,7 @@ def roots_in_field(f, field=None):
     if f.degree >= 1:
         denom = 1
         for c in f.coeffs:
-            denom = denom * c.value.denominator // _gcd_int(denom, c.value.denominator)
+            denom = denom * c.value.denominator // math.gcd(denom, c.value.denominator)
         ints = [int(c.value * denom) for c in f.coeffs]
         a0, an = ints[0], ints[-1]
         seen = set()
@@ -343,21 +335,18 @@ def roots_in_field(f, field=None):
                     seen.add(cand)
                     x = field.elem(cand)
                     if not f(x):
-                        mult = 0
-                        g = f
-                        lin = Polynomial(field, (-x, field.one()))
-                        while True:
-                            q, r = divmod(g, lin)
-                            if not r.is_zero:
-                                break
-                            mult += 1
-                            g = q
-                        out.append((x, mult))
+                        out.append((x, _multiplicity(f, x)))
     out.sort(key=lambda pair: pair[0].sort_key())
     return out
 
 
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+def _multiplicity(f, x):
+    """The multiplicity of the root x of f."""
+    mult = 0
+    lin = Polynomial(f.field, (-x, f.field.one()))
+    while True:
+        q, r = divmod(f, lin)
+        if not r.is_zero:
+            return mult
+        mult += 1
+        f = q

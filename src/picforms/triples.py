@@ -131,22 +131,24 @@ def act(matrix, t):
     if not isinstance(matrix, OrthogonalMatrix):
         matrix = OrthogonalMatrix(matrix)
     field = common_field(matrix.field, t.field)
-    m = matrix.embedded(field).rows
-    te = t.embedded(field)
-    forms = te.forms()
+    new = _mix_forms(matrix.embedded(field).rows, t.embedded(field).forms(), field)
+    return make_triple(t.curve, new[0], new[1], new[2], field=field)
+
+
+def _mix_forms(rows, forms, field):
+    """rows @ (u, v, w) on raw form tuples, skipping zero entries."""
     new = []
-    for i in range(3):
+    for row in rows:
         acc = None
-        for j in range(3):
-            c = m[i][j]
+        for c, form in zip(row, forms):
             if not c:
                 continue
-            term = tuple(c * x for x in forms[j])
+            term = tuple(c * x for x in form)
             acc = term if acc is None else tuple(a + b for a, b in zip(acc, term))
         if acc is None:
             acc = (field.zero(),) * len(forms[0])
         new.append(acc)
-    return make_triple(t.curve, new[0], new[1], new[2], field=field)
+    return new
 
 
 def conjugate(t):
@@ -163,24 +165,32 @@ def canonicalize_with_matrix(t):
     and act(M, t) equal to the canonical triple.  The scale and shift
     moves preserve the curve identity, so the result is built directly.
     """
-    u, v, w = t.u, t.v, t.w
+    (u, v, w), c, b = _canonical_forms(t.u, t.v, t.w)
+    m = shift_matrix(b) @ scale_matrix(c.inverse())
+    return Triple(t.curve, t.field, u, v, w), m
+
+
+def _canonical_forms(u, v, w):
+    """The scale-and-shift normal form of raw form tuples (no validation).
+
+    Returns ((u, v, w), c, b): c is the top coefficient of u that the
+    scaling divides out, b the coefficient of w that the shift zeroes.
+    """
     top = len(u) - 1
     while not u[top]:
         top -= 1
     c = u[top]
-    m = scale_matrix(c.inverse())
-    if c != t.field.one():
+    if c != c.field.one():
         cinv = c.inverse()
         u = tuple(cinv * x for x in u)
         v = tuple(c * x for x in v)
     b = w[top]
-    m = shift_matrix(b) @ m
     if b:
         b2 = b * b
         b_2 = b + b
         v = tuple(vi + b2 * ui - b_2 * wi for ui, vi, wi in zip(u, v, w))
         w = tuple(wi - b * ui for ui, wi in zip(u, w))
-    return Triple(t.curve, t.field, u, v, w), m
+    return (u, v, w), c, b
 
 
 def canonicalize(t):
@@ -195,7 +205,6 @@ class DivisorData:
     V_repr: Polynomial
     infinity_multiplicity: int
     infinity_sign: str            # "+", "-", or "none"
-    affine_part: tuple = None
 
 
 def divisor_data(t):

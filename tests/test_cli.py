@@ -1,8 +1,9 @@
 import json
+import time
 
 import pytest
 
-from picforms import serialize
+from picforms import cli, serialize
 from picforms.cli import EXIT_BUDGET, EXIT_DOMAIN, EXIT_INPUT, main, run_command
 from picforms.fields import GF
 
@@ -229,3 +230,28 @@ def test_main_byte_stable(files, tmp_path, capsys):
 
 def test_main_bad_args():
     assert main(["no-such-command"]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_search_caveat_rejects_empty_budget(files, budget):
+    code, payload = run_command([
+        "search-caveat", "--budget", budget, "--seed", "1",
+        "--curve", files("c.json", CURVE_F5B),
+    ])
+    assert code == EXIT_INPUT
+    assert payload["error"]["kind"] == "InputError"
+
+
+def test_curve_validate_large_prime_fails_fast(files):
+    # 2^61 - 1 is prime; the square-root table refuses a field this large
+    p = 2 ** 61 - 1
+    curve = {"field": {"p": p, "m": 1}, "coeffs": [[p - 1], [0], [0], [0], [1]]}
+    start = time.perf_counter()
+    code, payload = run_command(["curve-validate", "--curve", files("c.json", curve)])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_DOMAIN
+    assert payload["error"]["kind"] == "FieldTooLarge"
+
+
+def test_parser_built_once():
+    assert cli._parser() is cli._parser()

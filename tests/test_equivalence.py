@@ -4,9 +4,10 @@ import pytest
 
 from conftest import rational_triples
 
+from picforms.curves import make_curve
 from picforms.errors import RationalsUnsupported
 from picforms.fields import GF, QQ
-from picforms.poly import Polynomial
+from picforms.poly import Polynomial, is_squarefree
 from picforms.quadform import gram, rank_radical
 from picforms.sampling import random_orthogonal_word, random_proper_word, random_triple
 from picforms.equivalence import (
@@ -14,6 +15,7 @@ from picforms.equivalence import (
     KIND_CONJ,
     KIND_DISTINCT,
     KIND_EQUAL,
+    _constraint_gcd,
     orbit_oracle,
     reduction_step,
     same_class,
@@ -186,3 +188,62 @@ def test_witness_deterministic(curve_f5b):
     r2 = same_class(t1, t2)
     assert r1.witness == r2.witness
     assert r1.kind == r2.kind
+
+
+def _squarefree_curve(field, genus, seed):
+    rng = random.Random(seed)
+    while True:
+        coeffs = [rng.randrange(field.p) for _ in range(2 * genus + 2)] + [1]
+        F = Polynomial(field, coeffs)
+        if is_squarefree(F):
+            return make_curve(F, field)
+
+
+def _seeded_pairs(curve, field, rng, n):
+    """Pairs related by a proper word, by an improper word, and independent."""
+    out = []
+    for i in range(n):
+        t1 = random_triple(curve, field, rng)
+        if i % 3 == 2:
+            t2 = random_triple(curve, field, rng)
+        else:
+            t2 = act(random_orthogonal_word(field, rng, improper=i % 3 == 1), t1)
+        out.append((t1, t2))
+    return out
+
+
+def test_constraint_gcd_degree_at_most_one(curve_q):
+    rng = random.Random(41)
+    pairs = []
+    for base, field, genus in ((GF(7), GF(7), 2), (GF(13), GF(13), 1),
+                               (F5, GF(5, 2), 1), (GF(7), GF(7), 3)):
+        curve = _squarefree_curve(base, genus, base.p + genus)
+        pairs += _seeded_pairs(curve, field, rng, 24)
+    ts = rational_triples(curve_q, rng, 12)
+    pairs += [(ts[i], ts[j]) for i in range(len(ts)) for j in range(i, len(ts))]
+    for t1, t2 in pairs:
+        for target in (t2, conjugate(t2)):
+            assert _constraint_gcd(t1, target).degree <= 1
+
+
+def test_verdict_independent_of_extension_and_oracle_gf13():
+    field = GF(13)
+    curve = _squarefree_curve(field, 2, 2026)
+    rng = random.Random(42)
+    pairs = _seeded_pairs(curve, field, rng, 12)
+    pairs += [(t1, t1) for t1, _ in pairs[:3]]
+    for t1, t2 in pairs:
+        rels = [same_class(t1, t2, extension=e) for e in (1, 2, 3)]
+        assert len({(r.kind, r.witness, r.conjugate_witness) for r in rels}) == 1
+        assert [r.search_domain for r in rels] == [field, GF(13, 2), GF(13, 3)]
+        assert rels[0].kind == orbit_oracle(t1, t2)
+
+
+def test_witness_over_triples_field(curve_f5b):
+    rng = random.Random(43)
+    for _ in range(10):
+        t = random_triple(curve_f5b, F5, rng)
+        m = random_orthogonal_word(F5, rng, improper=bool(rng.randrange(2)))
+        rel = same_class(t, act(m, t), extension=3)
+        for wit in (rel.witness, rel.conjugate_witness):
+            assert wit is None or wit.field is F5

@@ -12,6 +12,7 @@ from picforms.errors import (
 from picforms.fields import (
     GF,
     QQ,
+    _is_prime,
     adjoin_sqrt,
     can_embed,
     common_field,
@@ -163,3 +164,35 @@ def test_element_order_enumeration():
     assert xs[0] == F25.zero() and xs[1] == F25.one()
     keys = [x.sort_key() for x in xs]
     assert keys == sorted(keys)
+
+
+def _trial_division_prime(n):
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(2 * 10 ** 5) if _is_prime(n)] == \
+        [n for n in range(2 * 10 ** 5) if _trial_division_prime(n)]
+
+
+def test_is_prime_large_inputs():
+    # a strong pseudoprime to the bases 2, 3, 5 and 7
+    assert not _is_prime(3215031751)
+    assert _is_prime(2 ** 61 - 1)
+    assert not _is_prime((2 ** 31 - 1) * (2 ** 61 - 1))
+
+
+def test_fields_are_interned():
+    assert GF(5, 2) is GF(5, 2)
+    assert GF(5, 2, (3, 0, 1)) is F25
+    assert GF(5, 2) != F25  # same order, different modulus
+    assert rational_extension((-2, 0, 1)) is rational_extension((-2, 0, 1))

@@ -132,5 +132,7 @@ def test_caveat_deterministic(curve_f5b, ctx):
 
 
 def test_caveat_budget_zero(curve_f5b, ctx):
-    res = find_caveat_example(curve_f5b, ctx, budget=0, seed=3)
-    assert not res.found and res.searched == 0
+    # an empty or negative budget is an input error, not a zero-sample report
+    for budget in (0, -3):
+        with pytest.raises(ValueError):
+            find_caveat_example(curve_f5b, ctx, budget=budget, seed=3)

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 from picforms import linalg
@@ -42,22 +41,8 @@ def test_express_in_rows():
     assert combo == target
 
 
-def test_det_and_invert():
+def test_det():
     a = _m(QQ, ((Fraction(1, 2), 1), (0, 3)))
     assert linalg.det(a, QQ) == QQ.elem(Fraction(3, 2))
-    inv = linalg.invert(a, QQ)
-    assert linalg.mat_mul(a, inv) == linalg.identity(QQ, 2)
     singular = _m(QQ, ((1, 2), (2, 4)))
-    assert linalg.invert(singular, QQ) is None
     assert linalg.det(singular, QQ) == QQ.zero()
-
-
-def test_inverse_random_exact():
-    rng = random.Random(17)
-    for _ in range(50):
-        a = _m(F5, [[rng.randrange(5) for _ in range(3)] for _ in range(3)])
-        inv = linalg.invert(a, F5)
-        if inv is None:
-            assert linalg.det(a, F5) == F5.zero()
-        else:
-            assert linalg.mat_mul(a, inv) == linalg.identity(F5, 3)

@@ -59,14 +59,14 @@ def test_classification_examples():
 def test_generator_matrices_match_displays():
     a2 = QQ.elem(2)
     assert scale_matrix(a2).rows == _mat(QQ, ((2, 0, 0), (0, Fraction(1, 2), 0), (0, 0, 1)))
-    assert scale_matrix(a2).proper
+    assert classify(scale_matrix(a2).rows) == "proper"
     b = QQ.elem(3)
     assert shift_matrix(b).rows == _mat(QQ, ((1, 0, 0), (9, 1, -6), (-3, 0, 1)))
     assert swap_shift_matrix(b).rows == _mat(QQ, ((0, 1, 0), (1, 9, 6), (0, -3, -1)))
     assert reduction_matrix(QQ.elem(1)).rows == _mat(QQ, ((1, 1, -2), (0, 1, 0), (0, -1, 1)))
     assert swap_matrix(QQ).rows == _mat(QQ, ((0, 1, 0), (1, 0, 0), (0, 0, -1)))
-    assert swap_matrix(QQ).proper
-    assert not flip_matrix(QQ).proper
+    assert classify(swap_matrix(QQ).rows) == "proper"
+    assert classify(flip_matrix(QQ).rows) == "improper"
 
 
 def test_generator_dispatch_vocabulary():
@@ -93,13 +93,17 @@ def test_not_orthogonal_rejected():
 
 
 def test_all_generators_orthogonal_det():
+    # the generators skip validation, so classify them here as the reference
     rng = random.Random(4)
     for _ in range(50):
         a = F5.random_element(rng)
         for m in (shift_matrix(a), swap_shift_matrix(a), reduction_matrix(a)):
-            assert m.proper
+            assert m.proper and classify(m.rows) == "proper"
         if a:
-            assert scale_matrix(a).proper
+            assert scale_matrix(a).proper and classify(scale_matrix(a).rows) == "proper"
+    assert classify(identity_matrix(F5).rows) == "proper"
+    m = scale_matrix(F5.elem(2)).embedded(GF(5, 2))
+    assert m.proper and classify(m.rows) == "proper"
 
 
 def test_inverse_and_composition():
