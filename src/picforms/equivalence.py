@@ -13,10 +13,13 @@ conjugate of the target.  The verdict is one of
 and each positive verdict carries an explicit proper witness matrix that
 is verified once (orthogonality and exact action) before it is returned.
 
-The matching conditions are polynomial constraints in the parameter.
-Their gcd has degree <= 1 (the lemma at :func:`_constraint_gcd`), so the
-one candidate parameter lies in the triples' own field, over QQ and
-GF(q) alike, and witnesses come out over that field.  The search domain
+The matching conditions are the minors of the reduced forms against one
+nonzero coefficient of the target's u.  Every minor read has degree <= 1
+in the parameter (the lemma at :func:`_parameter`), so the first one
+that is not constant gives the one candidate, which lies in the triples'
+own field over QQ and GF(q) alike.  The witness is assembled from the
+scale-and-shift normal-form parameters of the moved triple and of the
+target, so witnesses come out over that field too.  The search domain
 named by ``same_class(..., extension=...)`` is reported with the verdict
 but cannot change it.
 
@@ -37,14 +40,12 @@ from .ortho import (
     reduction_matrix,
     swap_matrix,
 )
-from .poly import Polynomial, gcd as poly_gcd
 from .quadform import gram
 from .triples import (
     _canonical_forms,
     _mix_forms,
     act,
     canonicalize,
-    canonicalize_with_matrix,
     conjugate,
 )
 
@@ -89,88 +90,97 @@ def _reduced_forms(u, v, w, a):
     return (_reduced_u(u, v, w, a), v, tuple(wi - a * vi for vi, wi in zip(v, w)))
 
 
-def _witness_from(move, t1, t2):
-    """Assemble B2^{-1} @ B' @ move and verify, once, that it is proper and
-    maps t1 to t2 exactly."""
-    _, b_move = canonicalize_with_matrix(act(move, t1))
-    _, b2 = canonicalize_with_matrix(t2)
-    witness = b2.inverse() @ (b_move @ move)
-    assert classify(witness.rows, witness.field) == "proper"
-    assert act(witness, t1) == t2
+def _witness_from(move, t1, t2, c, b, c2, b2):
+    """The proper witness carrying t1 onto t2, verified once.
+
+    (c, b) and (c2, b2) are the normal-form parameters of move . t1 and of
+    t2: canonicalising applies shift(b) scale(1/c), and shifts compose
+    additively, so the witness is scale(c2) shift(b - b2) scale(1/c) @ move.
+    It is checked to be proper and to map t1 to t2 exactly.
+    """
+    field = t1.field
+    ci, c2i = c.inverse(), c2.inverse()
+    d = b - b2
+    zero, one = field.zero(), field.one()
+    undo = OrthogonalMatrix._trusted(
+        ((c2 * ci, zero, zero),
+         (d * d * ci * c2i, c * c2i, -(d + d) * c2i),
+         (-d * ci, zero, one)), field, True)
+    witness = undo @ move
+    assert classify(witness.rows, field) == "proper"
+    assert tuple(_mix_forms(witness.rows, t1.forms(), field)) == t2.forms()
     return witness
 
 
 def _search_equal(t1, t2):
     """A proper witness carrying t1 onto t2's representation orbit, or None.
 
-    The only reduction parameter that can match is the root of the
-    constraint gcd, which has degree <= 1 (see :func:`_constraint_gcd`);
-    after it the plain swap is tried.
+    The only reduction parameter that can match comes from
+    :func:`_parameter`; after it the plain swap is tried.
     """
     u1, v1, w1 = t1.u, t1.v, t1.w
-    key2 = _canonical_forms(t2.u, t2.v, t2.w)[0]
-    g = _constraint_gcd(t1, t2)
-    if g.degree == 1:
-        a = -g[0] / g[1]
-        if _canonical_forms(*_reduced_forms(u1, v1, w1, a))[0] == key2:
-            return _witness_from(reduction_matrix(a), t1, t2)
-    swapped = (v1, u1, tuple(-x for x in w1))
-    if _canonical_forms(*swapped)[0] == key2:
-        return _witness_from(swap_matrix(t1.field), t1, t2)
+    key2, c2, b2 = _canonical_forms(t2.u, t2.v, t2.w)
+    a = _parameter(t1, t2)
+    if a is not None:
+        key, c, b = _canonical_forms(*_reduced_forms(u1, v1, w1, a))
+        if key == key2:
+            return _witness_from(reduction_matrix(a), t1, t2, c, b, c2, b2)
+    key, c, b = _canonical_forms(v1, u1, tuple(-x for x in w1))
+    if key == key2:
+        return _witness_from(swap_matrix(t1.field), t1, t2, c, b, c2, b2)
     return None
 
 
-def _constraint_polys(t1, t2):
-    """Polynomials in the reduction parameter whose common roots are the
-    only parameters that can match t2's representation orbit."""
-    field = t1.field
-    U1 = t1.u
-    V1 = t1.v
-    W1 = t1.w
-    U2 = t2.u
-    W2 = t2.w
-    n = len(U1)
-    out = []
-    # proportionality of U1 + a^2 V1 - 2 a W1 with U2: all 2x2 minors vanish
-    cu = [(U1[i], -(W1[i] + W1[i]), V1[i]) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            coeffs = tuple(cu[i][k] * U2[j] - cu[j][k] * U2[i] for k in range(3))
-            out.append(Polynomial(field, coeffs))
-    # W1 - a V1 - W2 must be a constant multiple of U2: linear minors
-    cw = [(W1[i] - W2[i], -V1[i]) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            coeffs = tuple(cw[i][k] * U2[j] - cw[j][k] * U2[i] for k in range(2))
-            out.append(Polynomial(field, coeffs))
-    return [p for p in out if not p.is_zero]
+def _parameter(t1, t2):
+    """The one reduction parameter that can carry t1 onto t2's
+    representation orbit, or None when no parameter can.
 
+    A match needs U1 + a^2 V1 - 2 a W1 and W1 - a V1 - W2 to be multiples
+    of U2.  For an index k with U2_k != 0, a form f is a multiple of U2
+    iff its n - 1 minors f_i U2_k - f_k U2_i (i != k) vanish, so these
+    minors are the whole constraint.  The first minor with a nonzero
+    a-coefficient gives the candidate a = -c0 / c1; a nonzero constant
+    minor rules every parameter out.
 
-def _constraint_gcd(t1, t2):
-    """The gcd of the constraint polynomials; its degree is <= 1.
+    Lemma.  The linear minors (of W1 - W2 - a V1) are scanned first.  If
+    they all vanish, V1 = lambda U2 and W1 - W2 = mu U2, so the a^2 term
+    of the quadratic minor i, lambda (U2_i U2_k - U2_k U2_i), is 0, and
+    every minor has degree <= 1.  If all minors vanished, U1, V1 and W1
+    would all be multiples of U2 (the a-term of the quadratic minor i is
+    -2 (W1_i U2_k - W1_k U2_i), and 2 is a unit in odd characteristic),
+    and F = W1^2 - U1 V1 would be a constant times U2^2, which is not
+    squarefree.  Hence the one possible parameter lies in the triples' own
+    field, and no search domain beyond it can add a match.  (The reduced u
+    never vanishes either: that would make F = (w - a v)^2.)
 
-    Lemma.  The gcd g has degree 2 only if every linear minor vanishes,
-    which gives V1 = lambda U2 and W1 - W2 = mu U2.  The a^2 term of the
-    quadratic minor (i, j) is then lambda (U2_i U2_j - U2_j U2_i) = 0, so
-    every quadratic minor has degree <= 1 and deg g <= 1.  If all minors
-    vanished, U1, V1 and W1 would all be multiples of U2 (the a-term of
-    the quadratic minors is -2 (W1_i U2_j - W1_j U2_i), and 2 is a unit in
-    odd characteristic), and F = W1^2 - U1 V1 would be a constant times
-    U2^2, which is not squarefree.  Hence the one possible parameter
-    a = -g_0 / g_1 lies in the triples' own field, and no search domain
-    beyond it can add a match.  (The reduced u never vanishes either: that
-    would make F = (w - a v)^2.)
+    The candidate is the root of the gcd g of all O(n^2) minors whenever
+    g has degree 1, since every minor is a multiple of g.  When g has
+    degree 0 the candidate fails the normal-form comparison, because
+    equal normal forms make every minor vanish.
     """
-    polys = _constraint_polys(t1, t2)
-    if not polys:
-        # excluded by the lemma; reported rather than guessed
-        raise SearchExhausted("constraint polynomials vanished identically")
-    g = polys[0]
-    for p in polys[1:]:
-        g = poly_gcd(g, p)
-        if g.degree == 0:
-            break
-    return g
+    U1, V1, W1 = t1.u, t1.v, t1.w
+    U2, W2 = t2.u, t2.w
+    k = next(i for i, x in enumerate(U2) if x)
+    uk = U2[k]
+    others = [i for i in range(len(U2)) if i != k]
+    dk, vk = W1[k] - W2[k], V1[k]
+    for i in others:
+        c0 = (W1[i] - W2[i]) * uk - dk * U2[i]
+        c1 = vk * U2[i] - V1[i] * uk
+        if c1:
+            return -c0 / c1
+        if c0:
+            return None
+    for i in others:
+        c0 = U1[i] * uk - U1[k] * U2[i]
+        c1 = W1[k] * U2[i] - W1[i] * uk
+        c1 = c1 + c1
+        if c1:
+            return -c0 / c1
+        if c0:
+            return None
+    # excluded by the lemma; reported rather than guessed
+    raise SearchExhausted("constraint minors vanished identically")
 
 
 def search_domain_for(field, extension):
@@ -187,7 +197,7 @@ def same_class(t1, t2, extension=2):
     extension of that relative degree over the triples' common field, or
     the rationals themselves).  Verdicts and witnesses do not depend on
     it: the matching reduction parameter always lies in the triples' own
-    field (see :func:`_constraint_gcd`), so witnesses come out over that
+    field (see :func:`_parameter`), so witnesses come out over that
     field.
     """
     if t1.curve != t2.curve:

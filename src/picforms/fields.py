@@ -435,20 +435,26 @@ class FieldElement:
         return None
 
     # -- arithmetic ----------------------------------------------------------------
+    # + - * go straight to the raw kernel when both operands share one
+    # (interned) field; anything else passes through _coerce and its check.
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field._raw_add(self.value, o.value))
+        field = self.field
+        if not (isinstance(other, FieldElement) and other.field is field):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return FieldElement(field, field._raw_add(self.value, other.value))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field._raw_sub(self.value, o.value))
+        field = self.field
+        if not (isinstance(other, FieldElement) and other.field is field):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return FieldElement(field, field._raw_sub(self.value, other.value))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -460,10 +466,12 @@ class FieldElement:
         return FieldElement(self.field, self.field._raw_neg(self.value))
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field._raw_mul(self.value, o.value))
+        field = self.field
+        if not (isinstance(other, FieldElement) and other.field is field):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return FieldElement(field, field._raw_mul(self.value, other.value))
 
     __rmul__ = __mul__
 

@@ -71,18 +71,29 @@ def _pairing_inverse(field):
     )
 
 
+_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
+
 def classify(rows, field=None):
     """"proper", "improper", or "not-orthogonal" for a raw 3x3 matrix."""
     if field is None:
         field = rows[0][0].field
-    omega = pairing_matrix(field)
-    lhs = linalg.mat_mul(linalg.mat_mul(linalg.transpose(rows), omega), rows)
-    if lhs != omega:
+    # twice the six distinct entries of A^T Omega A, (i, j) being
+    # 2 a2i a2j - (a0i a1j + a1i a0j), against twice those of Omega
+    cols = linalg.transpose(rows)
+    lhs = []
+    for i, j in _UPPER:
+        x0, x1, x2 = cols[i]
+        y0, y1, y2 = cols[j]
+        e = x2 * y2
+        lhs.append(e + e - (x0 * y1 + x1 * y0))
+    zero, one = field.zero(), field.one()
+    if lhs != [zero, -one, zero, zero, zero, one + one]:
         return "not-orthogonal"
     d = linalg.det(rows, field)
-    if d == field.one():
+    if d == one:
         return "proper"
-    assert d == -field.one()  # A* Omega A = Omega forces det = +-1
+    assert d == -one  # A* Omega A = Omega forces det = +-1
     return "improper"
 
 

@@ -66,6 +66,14 @@ class GramForm:
         self.field = field
         self.entries = entries
 
+    @classmethod
+    def _trusted(cls, entries, field):
+        # internal: for matrices that are square and symmetric by construction
+        self = object.__new__(cls)
+        self.field = field
+        self.entries = entries
+        return self
+
     @property
     def size(self):
         return len(self.entries)
@@ -95,18 +103,18 @@ class GramForm:
 
 
 def gram(t):
-    """Entry (i, j) is w_i w_j - (u_i v_j + u_j v_i)/2."""
+    """Entry (i, j) is w_i w_j - (u_i v_j + u_j v_i)/2; the upper triangle
+    is computed and mirrored."""
     field = t.field
     half = field.elem(Fraction(1, 2))
     u, v, w = t.u, t.v, t.w
     n = len(u)
-    rows = []
+    rows = [[None] * n for _ in range(n)]
     for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(w[i] * w[j] - half * (u[i] * v[j] + u[j] * v[i]))
-        rows.append(tuple(row))
-    return GramForm(tuple(rows), field)
+        ui, vi, wi = u[i], v[i], w[i]
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = wi * w[j] - half * (ui * v[j] + u[j] * vi)
+    return GramForm._trusted(tuple(map(tuple, rows)), field)
 
 
 def gram_to_poly(S):

@@ -1,3 +1,6 @@
+import hashlib
+import importlib.util
+import os
 import random
 
 import pytest
@@ -7,7 +10,7 @@ from conftest import rational_triples
 from picforms.curves import make_curve
 from picforms.errors import RationalsUnsupported
 from picforms.fields import GF, QQ
-from picforms.poly import Polynomial, is_squarefree
+from picforms.poly import Polynomial, gcd as poly_gcd, is_squarefree
 from picforms.quadform import gram, rank_radical
 from picforms.sampling import random_orthogonal_word, random_proper_word, random_triple
 from picforms.equivalence import (
@@ -15,7 +18,7 @@ from picforms.equivalence import (
     KIND_CONJ,
     KIND_DISTINCT,
     KIND_EQUAL,
-    _constraint_gcd,
+    _parameter,
     orbit_oracle,
     reduction_step,
     same_class,
@@ -212,6 +215,25 @@ def _seeded_pairs(curve, field, rng, n):
     return out
 
 
+def _constraint_gcd(t1, t2):
+    """Reference oracle: the gcd of all O(n^2) minors of U1 + a^2 V1 - 2 a W1
+    and of W1 - a V1 - W2 against U2, as polynomials in the parameter a."""
+    field = t1.field
+    U1, V1, W1, U2, W2 = t1.u, t1.v, t1.w, t2.u, t2.w
+    n = len(U1)
+    quadratic = [(U1[i], -(W1[i] + W1[i]), V1[i]) for i in range(n)]
+    linear = [(W1[i] - W2[i], -V1[i]) for i in range(n)]
+    g = None
+    for cs in (quadratic, linear):
+        for i in range(n):
+            for j in range(i + 1, n):
+                p = Polynomial(field, tuple(x * U2[j] - y * U2[i]
+                                            for x, y in zip(cs[i], cs[j])))
+                if not p.is_zero:
+                    g = p if g is None else poly_gcd(g, p)
+    return g
+
+
 def test_constraint_gcd_degree_at_most_one(curve_q):
     rng = random.Random(41)
     pairs = []
@@ -223,7 +245,14 @@ def test_constraint_gcd_degree_at_most_one(curve_q):
     pairs += [(ts[i], ts[j]) for i in range(len(ts)) for j in range(i, len(ts))]
     for t1, t2 in pairs:
         for target in (t2, conjugate(t2)):
-            assert _constraint_gcd(t1, target).degree <= 1
+            g = _constraint_gcd(t1, target)
+            assert g.degree <= 1
+            a = _parameter(t1, target)
+            if g.degree == 1:
+                assert a == -g[0] / g[1]
+            else:
+                assert a is None or \
+                    canonicalize(reduction_step(t1, a)) != canonicalize(target)
 
 
 def test_verdict_independent_of_extension_and_oracle_gf13():
@@ -247,3 +276,17 @@ def test_witness_over_triples_field(curve_f5b):
         rel = same_class(t, act(m, t), extension=3)
         for wit in (rel.witness, rel.conjugate_witness):
             assert wit is None or wit.field is F5
+
+
+def test_class_sweep_bytes_pinned(capsys):
+    # every verdict, witness, conjugate witness and search domain of the
+    # 2300-pair seeded sweep, pinned by the SHA-256 of its output
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "class_sweep", os.path.join(root, "tools", "class_sweep.py"))
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    assert sweep.main(["--seed", "1"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    with open(os.path.join(root, "tests", "fixtures", "class_sweep_seed1.sha256")) as fh:
+        assert digest == fh.read().split()[0]

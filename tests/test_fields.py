@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -51,6 +52,18 @@ def test_descriptor_mismatch():
         F5.elem(1) + GF(7).elem(1)
     with pytest.raises(DescriptorMismatch):
         QQ.elem(1) * F5.elem(1)
+    # the same-field fast path of + - * must not admit a subfield or another prime
+    for other in (F25.elem(2), GF(7).elem(2)):
+        for x, y in ((F5.elem(3), other), (other, F5.elem(3))):
+            for op in (operator.add, operator.sub, operator.mul):
+                with pytest.raises(DescriptorMismatch):
+                    op(x, y)
+    # ints and Fractions still coerce
+    assert F5.elem(2) * 3 == F5.elem(1)
+    assert 3 * F5.elem(2) == F5.elem(1)
+    assert F5.elem(2) - 3 == F5.elem(4)
+    assert F5.elem(2) + Fraction(1, 2) == F5.elem(0)
+    assert QQ.elem(1) - Fraction(1, 3) == QQ.elem(Fraction(2, 3))
 
 
 def test_characteristic_two_rejected():

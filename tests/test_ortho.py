@@ -50,10 +50,38 @@ def test_pairing_symmetric_invertible():
     assert linalg.det(m, QQ) != QQ.zero()
 
 
+def _dense_classify(rows, field):
+    omega = pairing_matrix(field)
+    if linalg.mat_mul(linalg.mat_mul(linalg.transpose(rows), omega), rows) != omega:
+        return "not-orthogonal"
+    return "proper" if linalg.det(rows, field) == field.one() else "improper"
+
+
 def test_classification_examples():
     assert classify(identity_matrix(QQ).rows) == "proper"
     assert classify(_mat(QQ, ((1, 0, 0), (0, 1, 0), (0, 0, -1)))) == "improper"
     assert classify(_mat(QQ, ((2, 0, 0), (0, 2, 0), (0, 0, 1)))) == "not-orthogonal"
+    # any single changed entry of a proper or improper matrix breaks orthogonality
+    for field in (GF(7), QQ):
+        proper = (reduction_matrix(field.elem(3)) @ scale_matrix(field.elem(2))
+                  @ shift_matrix(field.elem(5)))
+        improper = flip_matrix(field) @ swap_shift_matrix(field.elem(4)) @ proper
+        for m, kind in ((proper, "proper"), (improper, "improper")):
+            assert classify(m.rows) == kind
+            for i in range(3):
+                for j in range(3):
+                    rows = [list(r) for r in m.rows]
+                    rows[i][j] = rows[i][j] + 1
+                    assert classify(rows) == "not-orthogonal", (field, kind, i, j)
+    # the six-entry check agrees with the dense A^T Omega A == Omega
+    rng = random.Random(53)
+    for field in (GF(7), F5, QQ):
+        for _ in range(20):
+            m = random_orthogonal_word(field, rng, improper=bool(rng.randrange(2)))
+            rows = [list(r) for r in m.rows]
+            assert classify(rows) == _dense_classify(rows, field)
+            rows[rng.randrange(3)][rng.randrange(3)] += rng.randrange(1, 5)
+            assert classify(rows) == _dense_classify(rows, field)
 
 
 def test_generator_matrices_match_displays():
