@@ -29,9 +29,10 @@ full enumerated proper group over a small field.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-from .errors import DegenerateResult, SearchExhausted
+from .errors import DegenerateResult, SearchExhausted, WitnessRejected
 from .fields import Field, common_field, embed
 from .ortho import (
     OrthogonalMatrix,
@@ -60,7 +61,17 @@ class ClassRelation:
     kind: str
     witness: OrthogonalMatrix = None
     conjugate_witness: OrthogonalMatrix = None
-    search_domain: Field = None
+    field: Field = None
+    extension: int = 1
+
+    @functools.cached_property
+    def search_domain(self):
+        """The field in the role of the algebraic closure, built on first
+        read: the extension of relative degree ``extension`` over the
+        triples' field, or the rationals themselves."""
+        if self.field.p is None:
+            return self.field
+        return self.field.extension(self.extension)
 
 
 def reduction_step(t, a):
@@ -107,8 +118,10 @@ def _witness_from(move, t1, t2, c, b, c2, b2):
          (d * d * ci * c2i, c * c2i, -(d + d) * c2i),
          (-d * ci, zero, one)), field, True)
     witness = undo @ move
-    assert classify(witness.rows, field) == "proper"
-    assert tuple(_mix_forms(witness.rows, t1.forms(), field)) == t2.forms()
+    if classify(witness.rows, field) != "proper":
+        raise WitnessRejected("the assembled witness is not proper")
+    if tuple(_mix_forms(witness.rows, t1.forms(), field)) != t2.forms():
+        raise WitnessRejected("the assembled witness does not carry t1 onto t2")
     return witness
 
 
@@ -183,22 +196,15 @@ def _parameter(t1, t2):
     raise SearchExhausted("constraint minors vanished identically")
 
 
-def search_domain_for(field, extension):
-    """The field playing the role of the algebraic closure in a search."""
-    if field.p is None:
-        return field
-    return field.extension(extension)
-
-
 def same_class(t1, t2, extension=2):
     """The relation between the divisor classes of t1 and t2.
 
     ``extension`` names the search domain reported with the verdict (the
     extension of that relative degree over the triples' common field, or
-    the rationals themselves).  Verdicts and witnesses do not depend on
-    it: the matching reduction parameter always lies in the triples' own
-    field (see :func:`_parameter`), so witnesses come out over that
-    field.
+    the rationals themselves), which is built only when it is read.
+    Verdicts and witnesses do not depend on it: the matching reduction
+    parameter always lies in the triples' own field (see
+    :func:`_parameter`), so witnesses come out over that field.
     """
     if t1.curve != t2.curve:
         raise ValueError("the triples live on different curves")
@@ -209,9 +215,8 @@ def same_class(t1, t2, extension=2):
         from .errors import RationalsUnsupported
         raise RationalsUnsupported(
             "the class search takes triples over QQ or a finite field")
-    domain = search_domain_for(t1.field, extension)
     if gram(t1) != gram(t2):
-        return ClassRelation(KIND_DISTINCT, search_domain=domain)
+        return ClassRelation(KIND_DISTINCT, field=t1.field, extension=extension)
     witness = _search_equal(t1, t2)
     conj_witness = _search_equal(t1, conjugate(t2))
     if witness is not None and conj_witness is not None:
@@ -222,7 +227,7 @@ def same_class(t1, t2, extension=2):
         kind = KIND_CONJ
     else:
         kind = KIND_DISTINCT
-    return ClassRelation(kind, witness, conj_witness, domain)
+    return ClassRelation(kind, witness, conj_witness, t1.field, extension)
 
 
 def orbit_oracle(t1, t2):

@@ -79,6 +79,10 @@ class DegenerateResult(AlgebraError):
     """A reduction step produced a vanishing u component; the parameter is inadmissible."""
 
 
+class WitnessRejected(AlgebraError):
+    """An assembled witness failed its final check: it is not proper, or it does not carry one triple onto the other."""
+
+
 class SearchExhausted(AlgebraError):
     """The rational search could not pin down candidates (constraints vanished identically)."""
 

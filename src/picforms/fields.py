@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic over the rationals and small finite fields.
+"""Exact scalar arithmetic over the rationals and finite fields.
 
 A ``Field`` describes one coefficient domain:
 
@@ -15,6 +15,10 @@ same object; fields compare by identity, and element equality never
 crosses descriptors silently.
 Elements are immutable and hashable; every operation is exact.  There is
 no floating point anywhere in this package.
+
+Square roots, irreducibility tests, roots and subfield coordinates are
+polylogarithmic in the field order, so any field size works; only the
+explicit enumerations (``Field.elements`` and its callers) are O(q).
 
 Element values are kept in canonical form: ``Fraction`` in lowest terms,
 integers reduced into [0, p), coefficient tuples of length m for
@@ -33,12 +37,10 @@ from .errors import (
     CharacteristicTwo,
     DescriptorMismatch,
     DivisionByZero,
-    FieldTooLarge,
     NotFiniteField,
     RationalsUnsupported,
 )
 
-_SQRT_TABLE_LIMIT = 1 << 20
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
@@ -92,23 +94,73 @@ def _fp_divmod(a, b, p):
     return q, a
 
 
-def _fp_is_irreducible(mod, p):
-    """Trial division by every monic polynomial of degree <= deg/2."""
-    deg = len(mod) - 1
-    if deg < 1 or mod[-1] != 1:
+def _fp_mulmod(a, b, f, p):
+    """a * b mod the monic f over GF(p)."""
+    if not a or not b:
+        return []
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    n = len(f) - 1
+    for k in range(len(prod) - 1, n - 1, -1):
+        c = prod[k] % p
+        if c:
+            for i in range(n):
+                prod[k - n + i] -= c * f[i]
+    return _fp_trim([x % p for x in prod[:n]])
+
+
+def _fp_gcd(a, b, p):
+    a, b = _fp_trim(list(a)), _fp_trim(list(b))
+    while b:
+        a, b = b, _fp_divmod(a, b, p)[1]
+    return a
+
+
+def _fp_compose(h, g, f, p):
+    """h(g) mod the monic f over GF(p), by Horner's rule."""
+    acc = []
+    for c in reversed(h):
+        acc = _fp_mulmod(acc, g, f, p)
+        if c:
+            acc = acc or [0]
+            acc[0] = (acc[0] + c) % p
+            _fp_trim(acc)
+    return acc
+
+
+def _is_irreducible(mod, p):
+    """Rabin's test for a monic polynomial f of degree n over GF(p).
+
+    f is irreducible iff X^(p^n) = X mod f and gcd(X^(p^(n/r)) - X, f) = 1
+    for every prime r dividing n (Rabin, SIAM J. Comput. 9, 1980).  The
+    powers X^(p^k) come from X^p by composition, since h(X)^p = h(X^p) for
+    h over GF(p).
+    """
+    mod = list(mod)
+    n = len(mod) - 1
+    if n < 1 or mod[-1] != 1:
         return False
-    for d in range(1, deg // 2 + 1):
-        for idx in range(p ** d):
-            div = []
-            k = idx
-            for _ in range(d):
-                div.append(k % p)
-                k //= p
-            div.append(1)
-            _, r = _fp_divmod(mod, div, p)
-            if not r:
+    if n == 1:
+        return True
+    checks = {n // r for r in range(2, n + 1) if n % r == 0 and _is_prime(r)}
+    xp = [1]
+    for bit in bin(p)[2:]:
+        xp = _fp_mulmod(xp, xp, mod, p)
+        if bit == "1":
+            xp = _fp_mulmod(xp, [0, 1], mod, p)
+    h = xp
+    for k in range(1, n + 1):
+        if k > 1:
+            h = _fp_compose(h, xp, mod, p)
+        if k in checks:
+            diff = h + [0] * (2 - len(h))
+            diff[1] = (diff[1] - 1) % p
+            if len(_fp_gcd(mod, diff, p)) > 1:
                 return False
-    return True
+    return h == [0, 1]
 
 
 @functools.lru_cache(maxsize=None)
@@ -121,7 +173,7 @@ def _default_modulus(p, m):
             cand.append(k % p)
             k //= p
         cand.append(1)
-        if _fp_is_irreducible(cand, p):
+        if _is_irreducible(cand, p):
             return tuple(cand)
     raise AssertionError("no irreducible modulus found")  # unreachable: they always exist
 
@@ -133,7 +185,7 @@ class Field:
 
     __slots__ = (
         "p", "m", "modulus", "char", "order",
-        "_red", "_zero", "_one", "_sqrt_table", "_embed_cache",
+        "_red", "_zero", "_one", "_ts", "_frob", "_embed_cache",
     )
 
     def __init__(self, p, m, modulus):
@@ -142,7 +194,8 @@ class Field:
         self.modulus = modulus
         self.char = p if p is not None else 0
         self.order = p ** m if p is not None else None
-        self._sqrt_table = None
+        self._ts = None
+        self._frob = None
         self._embed_cache = {}
         if m > 1:
             # rows for T^k mod modulus, k = m .. 2m-2, in base-field scalars
@@ -155,7 +208,8 @@ class Field:
                 carry = prev[-1]
                 rows.append(tuple(base._raw_add(shifted[i], base._raw_mul(carry, top[i]))
                                   for i in range(m)))
-            self._red = rows
+            # kept sparse: default moduli are often binomials
+            self._red = [tuple((i, r) for i, r in enumerate(row) if r) for row in rows]
         else:
             self._red = None
         self._zero = FieldElement(self, self._raw_zero())
@@ -238,12 +292,11 @@ class Field:
         for k in range(m, 2 * m - 1):
             c = prod[k]
             if c:
-                row = red[k - m]
-                for i in range(m):
-                    out[i] += c * row[i]
+                for i, r in red[k - m]:
+                    out[i] += c * r
         if self.p:
             p = self.p
-            return tuple(x % p for x in out)
+            return tuple([x % p for x in out])
         return tuple(out)
 
     def _raw_inv(self, a):
@@ -276,6 +329,26 @@ class Field:
         s0 = [c * inv_lead % p for c in s0]
         s0 += [0] * (self.m - len(s0))
         return tuple(s0[: self.m])
+
+    def _raw_pow(self, a, e):
+        if self.m == 1 and self.p:
+            return pow(a, e, self.p)
+        out = self._raw_one()
+        for bit in bin(e)[2:]:
+            out = self._raw_mul(out, out)
+            if bit == "1":
+                out = self._raw_mul(out, a)
+        return out
+
+    def _frobenius_rows(self):
+        """(T^p)^i for i < m: x -> x^p is GF(p)-linear on the power basis."""
+        if self._frob is None:
+            tp = self._raw_pow(self.generator().value, self.p)
+            rows = [self._raw_one()]
+            for _ in range(self.m - 1):
+                rows.append(self._raw_mul(rows[-1], tp))
+            self._frob = rows
+        return self._frob
 
     def _raw_nonzero(self, a):
         if self.m == 1:
@@ -382,11 +455,33 @@ class Field:
 
     # -- square roots ------------------------------------------------------------
 
+    def _tonelli_shanks(self):
+        """(s, t, zs) with order - 1 = 2^s t, t odd, and zs[j] = z^(t 2^j)
+        for j < s, z the first non-square in a walk done once per field.
+        Over GF(p) the walk starts at 2; above it every element of GF(p) may
+        be a square, so it starts at the generator T (index p)."""
+        if self._ts is None:
+            q1 = self.order - 1
+            s, t = 0, q1
+            while t % 2 == 0:
+                s += 1
+                t //= 2
+            one = self._raw_one()
+            idx = 2 if self.m == 1 else self.p
+            while self._raw_pow(self.element_from_index(idx).value, q1 // 2) == one:
+                idx += 1
+            zs = [self._raw_pow(self.element_from_index(idx).value, t)]
+            for _ in range(s - 1):
+                zs.append(self._raw_mul(zs[-1], zs[-1]))
+            self._ts = (s, t, zs)
+        return self._ts
+
     def sqrt(self, e):
         """A canonical square root of e, or None if e is not a square here.
 
-        Finite fields use a cached table (these fields are desk-scale);
-        the canonical choice is the root with the smaller element index.
+        Finite fields use Tonelli-Shanks, polylogarithmic in the order, so
+        any field size works; the canonical choice is the root with the
+        smaller element index.
         """
         e = self.elem(e)
         if self.p is None:
@@ -400,17 +495,30 @@ class Field:
             if rn * rn == n and rd * rd == d:
                 return FieldElement(self, Fraction(rn, rd))
             return None
-        if self.order > _SQRT_TABLE_LIMIT:
-            raise FieldTooLarge("square-root table for %s" % self.label())
-        if self._sqrt_table is None:
-            table = {}
-            for x in self.elements():
-                sq = x * x
-                prev = table.get(sq.value)
-                if prev is None or self.index_of(x) < self.index_of(prev):
-                    table[sq.value] = x
-            self._sqrt_table = table
-        return self._sqrt_table.get(e.value)
+        a = e.value
+        if not self._raw_nonzero(a):
+            return e
+        s, t, zs = self._tonelli_shanks()
+        mul, one = self._raw_mul, self._raw_one()
+        w = self._raw_pow(a, t // 2)
+        x = mul(a, w)  # a^((t + 1) / 2), and x^2 = a b
+        b = mul(x, w)  # a^t, of order 2^i below
+        r = s
+        while b != one:
+            i, b2 = 0, b
+            while b2 != one:
+                b2 = mul(b2, b2)
+                i += 1
+                if i == r:
+                    return None  # a^((order - 1) / 2) = -1: Euler's criterion
+            x = mul(x, zs[s - i - 1])
+            b = mul(b, zs[s - i])
+            r = i
+        y = self._raw_neg(x)
+        if self.m == 1:
+            return FieldElement(self, min(x, y))
+        # the index c0 + c1 p + ... compares as the reversed coefficient tuple
+        return FieldElement(self, min(x, y, key=lambda r: r[::-1]))
 
 
 class FieldElement:
@@ -495,14 +603,7 @@ class FieldElement:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return FieldElement(self.field, self.field._raw_pow(self.value, n))
 
     # -- predicates -------------------------------------------------------------
 
@@ -541,10 +642,18 @@ class FieldElement:
             raise NotFiniteField("Frobenius of an element of %s" % f.label())
         if power < 0:
             raise ValueError("Frobenius power must be >= 0")
-        if not self:
+        if f.m == 1:
             return self
-        exponent = pow(f.p, power, f.order - 1)
-        return self ** exponent
+        p, value = f.p, self.value
+        rows = f._frobenius_rows()
+        for _ in range(power % f.m):
+            out = [0] * f.m
+            for c, row in zip(value, rows):
+                if c:
+                    for i, r in enumerate(row):
+                        out[i] += c * r
+            value = tuple(x % p for x in out)
+        return FieldElement(f, value)
 
     def sqrt(self):
         return self.field.sqrt(self)
@@ -564,7 +673,7 @@ QQ = _make_field(None, 1, None)
 def GF(p, m=1, modulus=None):
     """The finite field GF(p^m), with an optional explicit monic modulus.
 
-    The modulus is verified irreducible by trial division.  Without one,
+    The modulus is verified irreducible by Rabin's test.  Without one,
     the deterministic default (lowest coefficient tuple) is used so that
     element encodings are reproducible across runs.
     """
@@ -582,7 +691,7 @@ def GF(p, m=1, modulus=None):
         mod = tuple(int(c) % p for c in modulus)
         if len(mod) != m + 1 or mod[-1] != 1:
             raise ValueError("modulus must be monic of degree m")
-        if not _fp_is_irreducible(list(mod), p):
+        if not _is_irreducible(mod, p):
             raise ValueError("modulus is reducible over GF(%d)" % p)
     return _make_field(p, m, mod)
 
@@ -632,36 +741,49 @@ def can_embed(src, dst):
     return dst.m % src.m == 0
 
 
-def _embedding_powers(src, dst):
-    """Powers 1, r, r^2, ... of the canonical image of src's generator in dst."""
+def _embedding(src, dst):
+    """(powers, coords) for src = GF(p^a) inside dst = GF(p^b), cached per pair.
+
+    powers are 1, r, r^2, ... in dst, for r the root of src's modulus with
+    the smallest index.  coords is a b x b matrix P over GF(p) with
+    P E = [I; 0], where the columns of E are the coordinates of the powers:
+    the first a entries of P e are the coordinates of e over src, and the
+    others vanish exactly when e lies in the image.
+    """
     cached = dst._embed_cache.get(src)
     if cached is not None:
         return cached
-    root = None
-    for cand in dst.elements():
-        acc = dst.zero()
-        power = dst.one()
-        for c in src.modulus:
-            acc = acc + power * dst.elem(int(c))
-            power = power * cand
-        if not acc:
-            root = cand
-            break
-    assert root is not None  # dst contains a subfield isomorphic to src
+    from .poly import Polynomial, roots_in_field  # poly imports this module
+    root = roots_in_field(Polynomial(dst, src.modulus))[0][0]
     powers = [dst.one()]
     for _ in range(src.m - 1):
         powers.append(powers[-1] * root)
-    dst._embed_cache[src] = powers
-    return powers
+    # Gauss-Jordan on [E | I]; E has full column rank since r generates src
+    p, a, b = dst.p, src.m, dst.m
+    rows = [[pw.value[i] for pw in powers] + [int(i == j) for j in range(b)]
+            for i in range(b)]
+    for col in range(a):
+        piv = next(r for r in range(col, b) if rows[r][col])
+        rows[col], rows[piv] = rows[piv], rows[col]
+        inv = pow(rows[col][col], p - 2, p)
+        rows[col] = [x * inv % p for x in rows[col]]
+        for r in range(b):
+            f = rows[r][col]
+            if r != col and f:
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[col])]
+    cached = (powers, tuple(tuple(row[a:]) for row in rows))
+    dst._embed_cache[src] = cached
+    return cached
 
 
 def embed(e, dst):
     """Map a field element into a larger compatible field.
 
     Prime fields and QQ embed as constants; GF(p^a) embeds into GF(p^b)
-    (a | b) along the first root, in canonical element order, of its
-    modulus.  The choice is cached per field pair, so it is consistent
-    within and across computations in one process.
+    (a | b) along the root of its modulus with the smallest index, found by
+    :func:`picforms.poly.roots_in_field`.  The choice is cached per field
+    pair, so it is consistent within and across computations in one
+    process.
     """
     src = e.field
     if src == dst:
@@ -670,9 +792,8 @@ def embed(e, dst):
         raise DescriptorMismatch("cannot embed %s into %s" % (src.label(), dst.label()))
     if src.m == 1:
         return dst.elem(e.value if src.p is None else int(e.value))
-    powers = _embedding_powers(src, dst)
     acc = dst.zero()
-    for c, power in zip(e.value, powers):
+    for c, power in zip(e.value, _embedding(src, dst)[0]):
         acc = acc + power * dst.elem(int(c))
     return acc
 
@@ -684,15 +805,14 @@ def unembed(e, src):
         return e
     if not can_embed(src, dst):
         raise DescriptorMismatch("cannot embed %s into %s" % (src.label(), dst.label()))
-    key = ("unembed", src)
-    table = dst._embed_cache.get(key)
-    if table is None:
-        table = {embed(x, dst).value: x for x in src.elements()}
-        dst._embed_cache[key] = table
-    out = table.get(e.value)
-    if out is None:
+    if src.m == 1:
+        coords = e.value  # constants: coordinates 1, 2, ... must vanish
+    else:
+        coords = [sum(x * y for x, y in zip(row, e.value)) % dst.p
+                  for row in _embedding(src, dst)[1]]
+    if any(coords[src.m:]):
         raise DescriptorMismatch("element does not lie in %s" % src.label())
-    return out
+    return src.elem(coords[0] if src.m == 1 else coords[:src.m])
 
 
 def common_field(f1, f2):

@@ -6,14 +6,16 @@ keeps every degree bound uniform.  The operators +, -, *, //, %, divmod
 and ** are overloaded, polynomials are callable (evaluation), and the gcd
 is always returned monic.
 
-Root finding is exhaustive over finite fields and uses the rational-root
-bound over QQ; both return multiplicities.  There is no general
-factorization into irreducibles here.
+Root finding uses gcd(f, X^q - X) and Cantor-Zassenhaus splitting over
+finite fields, polylogarithmic in q, and the rational-root bound over QQ;
+both return multiplicities.  There is no general factorization into
+irreducibles here.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 from .errors import (DescriptorMismatch, DivisionByZero, RationalsUnsupported,
@@ -295,8 +297,9 @@ def roots_in_field(f, field=None):
     """All roots of f in the given field, with multiplicities.
 
     Returns a list of (root, multiplicity) pairs sorted by the canonical
-    element order.  Finite fields are scanned exhaustively; over QQ the
-    candidates come from the rational-root bound.
+    element order.  Over a finite field the roots come from
+    :func:`_distinct_roots`; over QQ the candidates come from the
+    rational-root bound.
     """
     if f.is_zero:
         raise ZeroPolynomial("roots of 0")
@@ -308,10 +311,7 @@ def roots_in_field(f, field=None):
         raise RationalsUnsupported("root finding inside extensions of QQ is not supported")
     out = []
     if field.p is not None:
-        for x in field.elements():
-            if not f(x):
-                out.append((x, _multiplicity(f, x)))
-        return out
+        return [(x, _multiplicity(f, x)) for x in _distinct_roots(f)]
     # QQ: strip powers of X, clear denominators, try p/q candidates
     k = 0
     while k <= f.degree and not f.coeffs[k]:
@@ -338,6 +338,48 @@ def roots_in_field(f, field=None):
                         out.append((x, _multiplicity(f, x)))
     out.sort(key=lambda pair: pair[0].sort_key())
     return out
+
+
+def _powmod(f, e, modulus):
+    """f^e mod `modulus`, by square-and-multiply."""
+    result = Polynomial.one(f.field) % modulus
+    for bit in bin(e)[2:]:
+        result = (result * result) % modulus
+        if bit == "1":
+            result = (result * f) % modulus
+    return result
+
+
+def _distinct_roots(f):
+    """The distinct roots of f in its finite coefficient field GF(q), in
+    canonical order.
+
+    g = gcd(f, X^q - X) is the product of the distinct linear factors of f.
+    Cantor-Zassenhaus splits g by gcd(g, (X + c)^((q - 1)/2) - 1), which
+    keeps the roots r with r + c a nonzero square; about half of all c
+    separate any two roots.  The c are drawn from GF(q) by a generator with
+    a fixed seed, so the work is reproducible; c from GF(p) alone would
+    never separate two roots conjugate over GF(p).
+    """
+    if f.degree < 1:
+        return []
+    field = f.field
+    x = Polynomial.x(field)
+    half = (field.order - 1) // 2
+    rng = random.Random(0)
+    roots = []
+    pending = [gcd(f, _powmod(x, field.order, f) - x)]
+    while pending:
+        g = pending.pop()
+        if g.degree == 1:
+            roots.append(-g[0])
+        elif g.degree > 1:
+            h = gcd(g, _powmod(x + field.random_element(rng), half, g) - 1)
+            if 0 < h.degree < g.degree:
+                pending += [h, g // h]
+            else:
+                pending.append(g)
+    return sorted(roots, key=lambda r: r.sort_key())
 
 
 def _multiplicity(f, x):

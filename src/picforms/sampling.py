@@ -43,12 +43,12 @@ def _random_closed_point(field, rng, d, F_big, tries=40):
     conjugate orbit of (x, y).
     """
     big = field.extension(d)
-    q = field.order
+    k = field.m  # x -> x^q is the k-th power of Frobenius
     for _ in range(tries):
         x = big.random_element(rng)
         xs = [x]
         while True:
-            nxt = xs[-1] ** q
+            nxt = xs[-1].frobenius(k)
             if nxt == x:
                 break
             xs.append(nxt)
@@ -61,7 +61,7 @@ def _random_closed_point(field, rng, d, F_big, tries=40):
             y = -y
         ys = [y]
         for _ in range(d - 1):
-            ys.append(ys[-1] ** q)
+            ys.append(ys[-1].frobenius(k))
         # minimal polynomial of x over `field`
         U_big = Polynomial.one(big)
         for xi in xs:

@@ -194,7 +194,8 @@ def _canonical_forms(u, v, w):
 
 
 def canonicalize(t):
-    return canonicalize_with_matrix(t)[0]
+    (u, v, w), _, _ = _canonical_forms(t.u, t.v, t.w)
+    return Triple(t.curve, t.field, u, v, w)
 
 
 @dataclass(frozen=True)

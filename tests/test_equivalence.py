@@ -1,7 +1,10 @@
 import hashlib
 import importlib.util
+import json
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -290,3 +293,44 @@ def test_class_sweep_bytes_pinned(capsys):
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     with open(os.path.join(root, "tests", "fixtures", "class_sweep_seed1.sha256")) as fh:
         assert digest == fh.read().split()[0]
+
+
+_WRONG_MOVE = """
+import json, random, sys
+sys.path.insert(0, %r)
+from picforms import equivalence
+from picforms.errors import WitnessRejected
+from picforms.fields import GF
+from picforms.curves import make_curve
+from picforms.ortho import flip_matrix, scale_matrix
+from picforms.sampling import random_proper_word, random_triple
+from picforms.triples import act
+
+field = GF(7)
+curve = make_curve([3, 1, 0, 2, 0, 1, 1], field)
+rng = random.Random(5)
+t1 = random_triple(curve, field, rng)
+t2 = act(random_proper_word(field, rng), t1)
+out = [__debug__]
+for wrong in (lambda *_: scale_matrix(field.elem(2)), lambda *_: flip_matrix(field)):
+    equivalence.reduction_matrix = equivalence.swap_matrix = wrong
+    try:
+        equivalence.same_class(t1, t2)
+        out.append("accepted")
+    except WitnessRejected as exc:
+        out.append(str(exc))
+print(json.dumps(out))
+"""
+
+
+def test_witness_check_survives_optimize():
+    # under python -O every assert vanishes; the witness check must not
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    done = subprocess.run([sys.executable, "-O", "-c", _WRONG_MOVE % os.path.join(root, "src")],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [
+        False,
+        "the assembled witness does not carry t1 onto t2",
+        "the assembled witness is not proper",
+    ]

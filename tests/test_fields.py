@@ -13,6 +13,10 @@ from picforms.errors import (
 from picforms.fields import (
     GF,
     QQ,
+    Field,
+    _default_modulus,
+    _fp_divmod,
+    _is_irreducible,
     _is_prime,
     adjoin_sqrt,
     can_embed,
@@ -21,6 +25,7 @@ from picforms.fields import (
     rational_extension,
     unembed,
 )
+from picforms.poly import Polynomial, roots_in_field
 
 F5 = GF(5)
 F25 = GF(5, 2, (3, 0, 1))  # T^2 - 2
@@ -209,3 +214,165 @@ def test_fields_are_interned():
     assert GF(5, 2, (3, 0, 1)) is F25
     assert GF(5, 2) != F25  # same order, different modulus
     assert rational_extension((-2, 0, 1)) is rational_extension((-2, 0, 1))
+
+
+# ---------------------------------------------------------------------------
+# reference oracles: the exhaustive primitives the polylog ones replaced
+
+def _table_sqrt(field):
+    """Every square's root of smallest index, from one pass over the field."""
+    table = {}
+    for x in field.elements():
+        sq = (x * x).value
+        prev = table.get(sq)
+        if prev is None or field.index_of(x) < field.index_of(prev):
+            table[sq] = x
+    return table
+
+
+def _trial_division_irreducible(mod, p):
+    """Trial division by every monic polynomial of degree <= deg/2."""
+    deg = len(mod) - 1
+    if deg < 1 or mod[-1] != 1:
+        return False
+    for d in range(1, deg // 2 + 1):
+        for div in _monic_polys(p, d):
+            if not _fp_divmod(mod, div, p)[1]:
+                return False
+    return True
+
+
+def _monic_polys(p, d):
+    """Every monic coefficient list of degree d over GF(p), lexicographic on
+    (c0 .. c_{d-1})."""
+    for idx in range(p ** d):
+        cand = []
+        for _ in range(d):
+            cand.append(idx % p)
+            idx //= p
+        yield cand + [1]
+
+
+def _scan_roots(f):
+    field = f.field
+    out = []
+    for x in field.elements():
+        if not f(x):
+            mult, g = 0, f
+            while True:
+                q, r = divmod(g, Polynomial(field, (-x, field.one())))
+                if not r.is_zero:
+                    break
+                mult, g = mult + 1, q
+            out.append((x, mult))
+    return out
+
+
+SQRT_FIELDS = [GF(7), GF(13), GF(17), GF(257), GF(7681), GF(9973), F25, GF(5, 2),
+               GF(3, 4), GF(7, 4), GF(13, 3), GF(97, 2), GF(3, 8)]
+
+
+@pytest.mark.parametrize("field", SQRT_FIELDS, ids=str)
+def test_sqrt_matches_table(field):
+    table = _table_sqrt(field)
+    for x in field.elements():
+        assert field.sqrt(x) == table.get(x.value)
+
+
+def test_irreducibility_matches_trial_division():
+    for p, top in ((3, 6), (5, 4), (7, 3), (11, 3)):
+        for d in range(1, top + 1):
+            for mod in _monic_polys(p, d):
+                assert _is_irreducible(mod, p) == _trial_division_irreducible(mod, p), (p, mod)
+    assert not _is_irreducible([1, 0, 2], 3)  # not monic
+
+
+def _odd_prime_powers(limit):
+    for p in range(3, limit):
+        if _is_prime(p):
+            m = 2
+            while p ** m <= limit:
+                yield p, m
+                m += 1
+
+
+def test_default_modulus_unchanged():
+    for p, m in _odd_prime_powers(10 ** 4):
+        ref = next(tuple(c) for c in _monic_polys(p, m) if _trial_division_irreducible(c, p))
+        assert _default_modulus(p, m) == ref, (p, m)
+    # pinned from the trial-division walk; every binomial is reducible here
+    assert _default_modulus(1031, 3) == (4, 1, 0, 1)
+
+
+@pytest.mark.parametrize("field,degree", [(GF(5), 4), (GF(7), 3), (F25, 2), (GF(3, 3), 2)],
+                         ids=str)
+def test_roots_match_scan(field, degree):
+    for d in range(degree + 1):
+        for idx in _monic_polys(field.order, d):
+            f = Polynomial(field, [field.element_from_index(i) for i in idx])
+            assert roots_in_field(f) == _scan_roots(f), f
+    rng = random.Random(degree)
+    for _ in range(20):
+        f = Polynomial(field, [field.random_element(rng) for _ in range(degree)]
+                       + [field.element_from_index(rng.randrange(2, field.order))])
+        assert roots_in_field(f) == _scan_roots(f), f
+
+
+@pytest.mark.parametrize("src,dst", [(GF(5), F25), (F25, GF(5, 4)), (GF(5, 2), GF(5, 4)),
+                                     (GF(3, 2), GF(3, 4)), (GF(3, 2), GF(3, 6)),
+                                     (GF(3, 3), GF(3, 6)), (GF(3, 4), GF(3, 8)),
+                                     (GF(7, 2), GF(7, 4))], ids=str)
+def test_embed_unembed_match_scan(src, dst):
+    if src.m > 1:
+        # the image of T is the first root of src's modulus in element order
+        first = next(x for x in dst.elements()
+                     if not Polynomial(dst, src.modulus)(x))
+        assert embed(src.generator(), dst) == first
+    table = {embed(x, dst).value: x for x in src.elements()}
+    assert len(table) == src.order
+    for e in dst.elements():
+        want = table.get(e.value)
+        if want is None:
+            with pytest.raises(DescriptorMismatch):
+                unembed(e, src)
+        else:
+            assert unembed(e, src) == want
+
+
+def test_unembed_rationals():
+    qext = rational_extension((-2, 0, 1))
+    assert unembed(embed(QQ.elem(Fraction(3, 4)), qext), QQ) == QQ.elem(Fraction(3, 4))
+    with pytest.raises(DescriptorMismatch):
+        unembed(qext.generator(), QQ)
+
+
+def test_no_element_scans(monkeypatch):
+    """sqrt, irreducibility, roots, embed and unembed never enumerate."""
+    scanned = []
+    original = Field.elements
+
+    def counting(self):
+        scanned.append(self.label())
+        return original(self)
+
+    monkeypatch.setattr(Field, "elements", counting)
+    rng = random.Random(11)
+    for field in (GF(31, 3), GF(101, 2)):
+        big = field.extension(2)
+        big._embed_cache.clear()
+        field._ts = None
+        assert _is_irreducible(field.modulus, field.p)
+        assert not _is_irreducible([1, 2, 1], field.p)
+        for _ in range(40):
+            x = field.random_element(rng)
+            r = field.sqrt(x * x)
+            assert r * r == x * x
+            assert unembed(embed(x, big), field) == x
+            c = GF(field.p).elem(rng.randrange(field.p))
+            assert unembed(embed(c, field), GF(field.p)) == c
+        roots = [field.random_element(rng) for _ in range(3)]
+        f = Polynomial.one(field)
+        for r in roots:
+            f = f * Polynomial(field, (-r, field.one()))
+        assert [x for x, _ in roots_in_field(f)] == sorted(set(roots), key=lambda e: e.sort_key())
+    assert scanned == []
