@@ -28,7 +28,6 @@ from .ortho import (
     classify,
     enumerate_special_orthogonal,
     flip_matrix,
-    generator,
     pairing_matrix,
     reduction_matrix,
     scale_matrix,

@@ -17,11 +17,13 @@ The matching conditions are the minors of the reduced forms against one
 nonzero coefficient of the target's u.  Every minor read has degree <= 1
 in the parameter (the lemma at :func:`_parameter`), so the first one
 that is not constant gives the one candidate, which lies in the triples'
-own field over QQ and GF(q) alike.  The witness is assembled from the
-scale-and-shift normal-form parameters of the moved triple and of the
-target, so witnesses come out over that field too.  The search domain
-named by ``same_class(..., extension=...)`` is reported with the verdict
-but cannot change it.
+own field over QQ and GF(q) alike.  The search returns a match record
+holding the scale-and-shift normal-form parameters of the moved triple
+and of the target; the witness is assembled from a record only when it
+is returned (so it comes out over that field too), and callers that need
+only the kind build none.  The search domain named by
+``same_class(..., extension=...)`` is reported with the verdict but
+cannot change it.
 
 ``orbit_oracle`` is the independent brute-force check: it exhausts the
 full enumerated proper group over a small field.
@@ -42,13 +44,7 @@ from .ortho import (
     swap_matrix,
 )
 from .quadform import gram
-from .triples import (
-    _canonical_forms,
-    _mix_forms,
-    act,
-    canonicalize,
-    conjugate,
-)
+from .triples import _canonical_forms, _mix_forms, act, conjugate
 
 KIND_EQUAL = "equal"
 KIND_BOTH = "equal-and-self-conjugate"
@@ -101,14 +97,16 @@ def _reduced_forms(u, v, w, a):
     return (_reduced_u(u, v, w, a), v, tuple(wi - a * vi for vi, wi in zip(v, w)))
 
 
-def _witness_from(move, t1, t2, c, b, c2, b2):
-    """The proper witness carrying t1 onto t2, verified once.
+def _witness_from(record):
+    """The proper witness behind a match record, verified once.
 
-    (c, b) and (c2, b2) are the normal-form parameters of move . t1 and of
-    t2: canonicalising applies shift(b) scale(1/c), and shifts compose
+    In the record (move, t1, t2, c, b, c2, b2) of :func:`_match`, (c, b)
+    and (c2, b2) are the normal-form parameters of move . t1 and of t2:
+    canonicalising applies shift(b) scale(1/c), and shifts compose
     additively, so the witness is scale(c2) shift(b - b2) scale(1/c) @ move.
     It is checked to be proper and to map t1 to t2 exactly.
     """
+    move, t1, t2, c, b, c2, b2 = record
     field = t1.field
     ci, c2i = c.inverse(), c2.inverse()
     d = b - b2
@@ -125,9 +123,12 @@ def _witness_from(move, t1, t2, c, b, c2, b2):
     return witness
 
 
-def _search_equal(t1, t2):
-    """A proper witness carrying t1 onto t2's representation orbit, or None.
+def _match(t1, t2):
+    """The match record of a proper move carrying t1 onto t2's
+    representation orbit, or None.
 
+    The record is (move, t1, t2, c, b, c2, b2), with the normal-form
+    parameters that :func:`_witness_from` turns into a verified witness.
     The only reduction parameter that can match comes from
     :func:`_parameter`; after it the plain swap is tried.
     """
@@ -137,10 +138,10 @@ def _search_equal(t1, t2):
     if a is not None:
         key, c, b = _canonical_forms(*_reduced_forms(u1, v1, w1, a))
         if key == key2:
-            return _witness_from(reduction_matrix(a), t1, t2, c, b, c2, b2)
+            return reduction_matrix(a), t1, t2, c, b, c2, b2
     key, c, b = _canonical_forms(v1, u1, tuple(-x for x in w1))
     if key == key2:
-        return _witness_from(swap_matrix(t1.field), t1, t2, c, b, c2, b2)
+        return swap_matrix(t1.field), t1, t2, c, b, c2, b2
     return None
 
 
@@ -196,6 +197,20 @@ def _parameter(t1, t2):
     raise SearchExhausted("constraint minors vanished identically")
 
 
+def _on_common_field(t1, t2):
+    """t1 and t2 over their common field; they must lie on one curve."""
+    if t1.curve != t2.curve:
+        raise ValueError("the triples live on different curves")
+    if t1.field != t2.field:
+        field = common_field(t1.field, t2.field)
+        t1, t2 = t1.embedded(field), t2.embedded(field)
+    return t1, t2
+
+
+def _certified(record):
+    return None if record is None else _witness_from(record)
+
+
 def same_class(t1, t2, extension=2):
     """The relation between the divisor classes of t1 and t2.
 
@@ -206,19 +221,15 @@ def same_class(t1, t2, extension=2):
     parameter always lies in the triples' own field (see
     :func:`_parameter`), so witnesses come out over that field.
     """
-    if t1.curve != t2.curve:
-        raise ValueError("the triples live on different curves")
-    if t1.field != t2.field:
-        field = common_field(t1.field, t2.field)
-        t1, t2 = t1.embedded(field), t2.embedded(field)
+    t1, t2 = _on_common_field(t1, t2)
     if t1.field.p is None and t1.field.m > 1:
         from .errors import RationalsUnsupported
         raise RationalsUnsupported(
             "the class search takes triples over QQ or a finite field")
     if gram(t1) != gram(t2):
         return ClassRelation(KIND_DISTINCT, field=t1.field, extension=extension)
-    witness = _search_equal(t1, t2)
-    conj_witness = _search_equal(t1, conjugate(t2))
+    witness = _certified(_match(t1, t2))
+    conj_witness = _certified(_match(t1, conjugate(t2)))
     if witness is not None and conj_witness is not None:
         kind = KIND_BOTH
     elif witness is not None:
@@ -236,16 +247,10 @@ def orbit_oracle(t1, t2):
     Independent of the reduction search: every group element is applied
     directly.  Only for small finite fields.
     """
-    if t1.curve != t2.curve:
-        raise ValueError("the triples live on different curves")
-    if t1.field != t2.field:
-        field = common_field(t1.field, t2.field)
-        t1, t2 = t1.embedded(field), t2.embedded(field)
+    t1, t2 = _on_common_field(t1, t2)
     group = enumerate_special_orthogonal(t1.field)
-    c2 = canonicalize(t2)
-    key2 = (c2.u, c2.v, c2.w)
-    c2c = canonicalize(conjugate(t2))
-    key2c = (c2c.u, c2c.v, c2c.w)
+    key2 = _canonical_forms(t2.u, t2.v, t2.w)[0]
+    key2c = _canonical_forms(t2.u, t2.v, tuple(-x for x in t2.w))[0]
     forms = t1.forms()
     equal = False
     conj = False

@@ -231,14 +231,6 @@ class Field:
     def is_rationals(self):
         return self.p is None and self.m == 1
 
-    @property
-    def kind(self):
-        if self.p is None and self.m == 1:
-            return "rationals"
-        if self.m == 1:
-            return "prime-field"
-        return "extension-field"
-
     # -- raw element values ----------------------------------------------------
 
     def _raw_zero(self):

@@ -216,30 +216,6 @@ def identity_matrix(field):
     return _build(field, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
-_GENERATOR_KINDS = ("b_scale", "b_shift", "so3_scale", "so3_swap",
-                    "epsilon", "reduction", "plain_swap")
-
-
-def generator(kind, param=None, field=None):
-    """Dispatch on the generator vocabulary; param is a field element where used."""
-    if kind in ("b_scale", "so3_scale"):
-        return scale_matrix(param)
-    if kind == "b_shift":
-        return shift_matrix(param)
-    if kind == "so3_swap":
-        return swap_shift_matrix(param)
-    if kind == "reduction":
-        return reduction_matrix(param)
-    if field is None and param is not None:
-        field = param.field
-    if kind == "epsilon":
-        return flip_matrix(field)
-    if kind == "plain_swap":
-        return swap_matrix(field)
-    raise ValueError("unknown generator kind %r (expected one of %s)"
-                     % (kind, ", ".join(_GENERATOR_KINDS)))
-
-
 def enumerate_special_orthogonal(field):
     """Every proper matrix over a small finite field, as a sorted tuple.
 

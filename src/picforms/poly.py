@@ -52,10 +52,6 @@ class Polynomial:
     def x(cls, field):
         return cls(field, (field.zero(), field.one()))
 
-    @classmethod
-    def monomial(cls, field, k, c=1):
-        return cls(field, (field.zero(),) * k + (field.elem(c),))
-
     # -- structure ----------------------------------------------------------------
 
     @property

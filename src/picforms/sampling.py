@@ -5,8 +5,9 @@ closed points (an affine point together with its conjugates over the
 coefficient field), an optional multiplicity, and an optional part at
 infinity, then assemble U by multiplying minimal polynomials, W by
 Lagrange interpolation / Hensel lifting / matching the branch expansion
-at infinity, and V by exact division.  Every draw is validated by the
-triple constructor, so a failed configuration is simply redrawn.
+at infinity, and V by exact division.  A zero remainder in that division
+is the proof of F = W^2 - U V, so the triple is built without a second
+check; a configuration that leaves a remainder is simply redrawn.
 
 All randomness flows through the caller's ``random.Random`` instance,
 which keeps searches reproducible from their seed.
@@ -17,6 +18,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
+from .curves import poly_to_form
 from .errors import RationalsUnsupported
 from .fields import unembed
 from .ortho import (
@@ -27,7 +29,7 @@ from .ortho import (
     swap_shift_matrix,
 )
 from .poly import Polynomial, crt, invert_mod
-from .triples import triple_from_polys
+from .triples import Triple
 
 
 @functools.lru_cache(maxsize=None)
@@ -127,7 +129,8 @@ def random_triple(curve, field=None, rng=None, max_attempts=400):
     if field.p is None:
         raise RationalsUnsupported("random triples are sampled over finite fields")
     F = _embedded_F(curve, field)
-    g1 = curve.genus + 1
+    genus = curve.genus
+    g1 = genus + 1
     lead = F.leading()
     r_lead = field.sqrt(lead)
     for _ in range(max_attempts):
@@ -172,7 +175,8 @@ def random_triple(curve, field=None, rng=None, max_attempts=400):
         V, rem = divmod(num, U)
         if not rem.is_zero or V.is_zero or V.degree > g1:
             continue
-        return triple_from_polys(curve, U, V, W, field=field)
+        return Triple(curve, field, poly_to_form(U, genus), poly_to_form(V, genus),
+                      poly_to_form(W, genus))
     raise RuntimeError("sampler failed to produce a triple; curve has too few points")
 
 

@@ -57,13 +57,11 @@ class Triple:
         return (self.u, self.v, self.w)
 
     def embedded(self, field):
+        # embedding is a ring map fixing F, so the image satisfies the identity
         if field == self.field:
             return self
-        return make_triple(self.curve,
-                           embed_form(self.u, field),
-                           embed_form(self.v, field),
-                           embed_form(self.w, field),
-                           field=field)
+        return Triple(self.curve, field, embed_form(self.u, field),
+                      embed_form(self.v, field), embed_form(self.w, field))
 
     def __eq__(self, other):
         return (isinstance(other, Triple)

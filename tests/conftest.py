@@ -24,16 +24,21 @@ def curve_f5b():
     return make_curve([2, 0, 4, 0, 1], GF(5))
 
 
+def seeded_curve(field, genus, seed):
+    """The first squarefree model of the given genus drawn from the seed."""
+    p = field.p
+    rng = random.Random(seed)
+    while True:
+        coeffs = [rng.randrange(p) for _ in range(2 * genus + 2)] + [rng.randrange(1, p)]
+        F = Polynomial(field, coeffs)
+        if is_squarefree(F):
+            return make_curve(F, field)
+
+
 @pytest.fixture(scope="session")
 def curve_f7():
     """A genus-2 model: deterministic pseudo-random squarefree sextic over GF(7)."""
-    f7 = GF(7)
-    rng = random.Random(20260810)
-    while True:
-        coeffs = [rng.randrange(7) for _ in range(6)] + [rng.randrange(1, 7)]
-        F = Polynomial(f7, coeffs)
-        if is_squarefree(F):
-            return make_curve(F, f7)
+    return seeded_curve(GF(7), 2, 20260810)
 
 
 @pytest.fixture(scope="session")

@@ -300,8 +300,9 @@ import json, random, sys
 sys.path.insert(0, %r)
 from picforms import equivalence
 from picforms.errors import WitnessRejected
-from picforms.fields import GF
+from picforms.fields import GF, Field
 from picforms.curves import make_curve
+from picforms.galois import class_rational, find_caveat_example, galois_context
 from picforms.ortho import flip_matrix, scale_matrix
 from picforms.sampling import random_proper_word, random_triple
 from picforms.triples import act
@@ -311,26 +312,43 @@ curve = make_curve([3, 1, 0, 2, 0, 1, 1], field)
 rng = random.Random(5)
 t1 = random_triple(curve, field, rng)
 t2 = act(random_proper_word(field, rng), t1)
+ctx = galois_context(GF(7, 2))
+rational = t1.embedded(ctx.ambient)
+ctx3 = galois_context(GF(3, 2))
+curve3 = make_curve([2, 0, 0, 0, 1], GF(3))
+checks = [
+    lambda: equivalence.same_class(t1, t2),
+    lambda: class_rational(rational, ctx),
+    lambda: find_caveat_example(curve3, ctx3, 10000, 20260810),
+]
+
+
+def field_of(arg):
+    # reduction_matrix takes a parameter, swap_matrix a field
+    return arg if isinstance(arg, Field) else arg.field
+
 out = [__debug__]
-for wrong in (lambda *_: scale_matrix(field.elem(2)), lambda *_: flip_matrix(field)):
-    equivalence.reduction_matrix = equivalence.swap_matrix = wrong
-    try:
-        equivalence.same_class(t1, t2)
-        out.append("accepted")
-    except WitnessRejected as exc:
-        out.append(str(exc))
+for check in checks:
+    for wrong in (lambda arg: scale_matrix(field_of(arg).elem(2)),
+                  lambda arg: flip_matrix(field_of(arg))):
+        equivalence.reduction_matrix = equivalence.swap_matrix = wrong
+        try:
+            check()
+            out.append("accepted")
+        except WitnessRejected as exc:
+            out.append(str(exc))
 print(json.dumps(out))
 """
 
 
 def test_witness_check_survives_optimize():
-    # under python -O every assert vanishes; the witness check must not
+    # under python -O every assert vanishes; the witness check must not, on
+    # same_class, on a rational class and on a found caveat
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     done = subprocess.run([sys.executable, "-O", "-c", _WRONG_MOVE % os.path.join(root, "src")],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [
-        False,
+    assert json.loads(done.stdout) == [False] + [
         "the assembled witness does not carry t1 onto t2",
         "the assembled witness is not proper",
-    ]
+    ] * 3

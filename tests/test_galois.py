@@ -1,12 +1,19 @@
+import json
+import os
 import random
+import sys
 
 import pytest
 
+from conftest import seeded_curve
+
+from picforms import equivalence, serialize, triples
 from picforms.errors import NotFiniteField, NotInAmbient
 from picforms.fields import GF, QQ
+from picforms.poly import Polynomial
 from picforms.quadform import gram
 from picforms.sampling import random_proper_word, random_triple
-from picforms.equivalence import KIND_DISTINCT, same_class
+from picforms.equivalence import KIND_BOTH, KIND_CONJ, KIND_DISTINCT, KIND_EQUAL, same_class
 from picforms.galois import (
     class_rational,
     class_rational_mod_conj,
@@ -14,7 +21,7 @@ from picforms.galois import (
     galois_context,
     galois_image,
 )
-from picforms.triples import act, canonicalize
+from picforms.triples import act, canonicalize, make_triple
 
 F5 = GF(5)
 F25 = GF(5, 2)
@@ -136,3 +143,133 @@ def test_caveat_budget_zero(curve_f5b, ctx):
     for budget in (0, -3):
         with pytest.raises(ValueError):
             find_caveat_example(curve_f5b, ctx, budget=budget, seed=3)
+
+
+# -- reference oracles for the Galois predicates --------------------------------
+
+AMBIENTS = [GF(3, 2), GF(5, 2), GF(7, 2), GF(7, 3)]
+
+
+def _galois_cases():
+    for ambient in AMBIENTS:
+        for genus in (1, 2):
+            for seed in (0, 1):
+                yield ambient, seeded_curve(GF(ambient.p), genus, 100 * genus + seed)
+
+
+def _reference_kind(t, ctx):
+    # the class decision with both witnesses built and verified
+    return same_class(t, galois_image(t, ctx), extension=1).kind
+
+
+def _reference_search(curve, ctx, budget, seed):
+    rng = random.Random(seed)
+    for i in range(budget):
+        t = random_triple(curve, ctx.ambient, rng)
+        if _reference_kind(t, ctx) == KIND_CONJ:
+            return True, i + 1, t
+    return False, budget, None
+
+
+def test_class_rational_matches_reference():
+    verdicts = set()
+    for ambient, curve in _galois_cases():
+        ctx = galois_context(ambient)
+        rng = random.Random(ambient.order + curve.genus)
+        for _ in range(40):
+            t = random_triple(curve, ambient, rng)
+            kind = _reference_kind(t, ctx)
+            assert class_rational(t, ctx) == (kind in (KIND_EQUAL, KIND_BOTH))
+            verdicts.add(kind)
+    assert len(verdicts) == 4
+
+
+def test_caveat_search_matches_reference():
+    outcomes = set()
+    for ambient, curve in _galois_cases():
+        ctx = galois_context(ambient)
+        for budget in (1, 30):
+            for seed in (1, 2, 3):
+                res = find_caveat_example(curve, ctx, budget, seed)
+                want = _reference_search(curve, ctx, budget, seed)
+                assert (res.found, res.searched, res.triple) == want
+                outcomes.add(res.found)
+    assert outcomes == {True, False}
+
+
+def test_constructed_triples_pass_validation():
+    # random_triple, galois_image and Triple.embedded build their triples
+    # without make_triple; re-validating each must return the same triple
+    for ambient, curve in _galois_cases():
+        ctx = galois_context(ambient)
+        bigger = ambient.extension(2)
+        rng = random.Random(ambient.order * curve.genus)
+        for _ in range(15):
+            base = random_triple(curve, ctx.base, rng)
+            t = random_triple(curve, ambient, rng)
+            for out in (base, t, galois_image(t, ctx), base.embedded(ambient),
+                        t.embedded(bigger)):
+                assert make_triple(out.curve, out.u, out.v, out.w, field=out.field) == out
+
+
+# -- work done by the class decisions -------------------------------------------
+
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count the calls of module.name through every picforms module that binds it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("picforms") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def _fixture_search(p, coeffs):
+    with open(os.path.join(FIXTURES, "caveat_search.json")) as fh:
+        fixture = json.load(fh)
+    for entry in fixture["results"]:
+        curve = serialize.curve_from_json(entry["curve"])
+        if curve.field.p == p and curve.F == Polynomial(curve.field, coeffs):
+            ctx = galois_context(serialize.field_from_json(entry["ambient"]))
+            return curve, ctx, fixture["budget"], fixture["seed"], entry
+    raise AssertionError("fixture curve not found")
+
+
+def test_caveat_hit_builds_one_witness(monkeypatch):
+    curve, ctx, budget, seed, entry = _fixture_search(3, [2, 0, 0, 0, 1])
+    witnesses = _count_calls(monkeypatch, equivalence, "_witness_from")
+    validations = _count_calls(monkeypatch, triples, "make_triple")
+    res = find_caveat_example(curve, ctx, budget, seed)
+    assert res.found and res.searched == entry["searched"]
+    assert len(witnesses) == 1
+    assert len(validations) == 0
+
+
+def test_caveat_miss_builds_no_witness(monkeypatch):
+    curve, ctx, _, seed, _ = _fixture_search(5, [4, 0, 0, 0, 1])
+    witnesses = _count_calls(monkeypatch, equivalence, "_witness_from")
+    res = find_caveat_example(curve, ctx, 1000, seed)
+    assert not res.found and res.searched == 1000
+    assert len(witnesses) == 0
+
+
+def test_class_rational_builds_at_most_one_witness(monkeypatch, curve_f5a, curve_f5b, ctx):
+    witnesses = _count_calls(monkeypatch, equivalence, "_witness_from")
+    rng = random.Random(59)
+    seen = set()
+    for curve in (curve_f5a, curve_f5b):
+        for _ in range(60):
+            t = random_triple(curve, F25, rng)
+            before = len(witnesses)
+            verdict = class_rational(t, ctx)
+            assert len(witnesses) - before == int(verdict)
+            seen.add(verdict)
+    assert seen == {True, False}

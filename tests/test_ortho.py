@@ -16,7 +16,6 @@ from picforms.ortho import (
     classify,
     enumerate_special_orthogonal,
     flip_matrix,
-    generator,
     identity_matrix,
     pairing_matrix,
     reduction_matrix,
@@ -95,19 +94,6 @@ def test_generator_matrices_match_displays():
     assert swap_matrix(QQ).rows == _mat(QQ, ((0, 1, 0), (1, 0, 0), (0, 0, -1)))
     assert classify(swap_matrix(QQ).rows) == "proper"
     assert classify(flip_matrix(QQ).rows) == "improper"
-
-
-def test_generator_dispatch_vocabulary():
-    a = F5.elem(2)
-    assert generator("b_scale", a) == scale_matrix(a)
-    assert generator("so3_scale", a) == scale_matrix(a)
-    assert generator("b_shift", a) == shift_matrix(a)
-    assert generator("so3_swap", a) == swap_shift_matrix(a)
-    assert generator("reduction", a) == reduction_matrix(a)
-    assert generator("epsilon", field=F5) == flip_matrix(F5)
-    assert generator("plain_swap", field=F5) == swap_matrix(F5)
-    with pytest.raises(ValueError):
-        generator("nope", a)
 
 
 def test_zero_scale_rejected():

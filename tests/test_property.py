@@ -1,17 +1,26 @@
-"""Property tests of the polylog finite-field primitives on large fields.
+"""Property tests of the polylog finite-field primitives on large fields, and
+of the triples that the sampler, the Frobenius image and embedding build
+without re-validation.
 
 ``hypothesis`` is a test-only dependency: without it this module is
 skipped.
 """
+
+import random
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from conftest import seeded_curve  # noqa: E402
+
 from picforms.errors import DescriptorMismatch  # noqa: E402
 from picforms.fields import GF, embed, unembed  # noqa: E402
+from picforms.galois import galois_context, galois_image  # noqa: E402
 from picforms.poly import Polynomial, roots_in_field  # noqa: E402
+from picforms.sampling import random_triple  # noqa: E402
+from picforms.triples import make_triple  # noqa: E402
 
 P61 = 2 ** 61 - 1
 P20 = 1000033
@@ -79,3 +88,19 @@ def test_roots_of_linear_products(args):
         f = f * Polynomial(field, (-r, field.one())) ** mult
         want[r] = want.get(r, 0) + mult
     assert roots_in_field(f) == sorted(want.items(), key=lambda pair: pair[0].sort_key())
+
+
+# (curve, field of the sampled triples, a field it embeds into)
+SAMPLED = [(seeded_curve(GF(P61), genus, genus), GF(P61), GF(P61, 2)) for genus in (1, 2)] + [
+    (seeded_curve(GF(P20), genus, genus), GF(P20, 2), GF(P20, 4)) for genus in (1, 2)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SAMPLED), st.integers(0, 2 ** 32))
+def test_constructed_triples_pass_validation(case, seed):
+    # random_triple, galois_image and Triple.embedded skip make_triple;
+    # re-validating what they return must give the same triple back
+    curve, field, bigger = case
+    t = random_triple(curve, field, random.Random(seed))
+    for out in (t, galois_image(t, galois_context(field)), t.embedded(bigger)):
+        assert make_triple(out.curve, out.u, out.v, out.w, field=out.field) == out
