@@ -42,9 +42,15 @@ from .quadform import (
     gram_to_poly,
     in_curve_forms,
     rank_radical,
-    recover_transform,
 )
-from .equivalence import ClassRelation, orbit_oracle, reduction_step, same_class, swap_step
+from .equivalence import (
+    ClassRelation,
+    orbit_oracle,
+    recover_transform,
+    reduction_step,
+    same_class,
+    swap_step,
+)
 from .galois import (
     CaveatResult,
     GaloisContext,

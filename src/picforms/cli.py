@@ -48,6 +48,8 @@ def _load_json(path):
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError("cannot read %s: %s" % (path, exc)) from exc
+    except RecursionError:
+        raise InputError("cannot read %s: JSON nested too deeply" % path) from None
 
 
 def _load_curve(args):

@@ -13,6 +13,13 @@ conjugate of the target.  The verdict is one of
 and each positive verdict carries an explicit proper witness matrix that
 is verified once (orthogonality and exact action) before it is returned.
 
+``recover_transform`` is the constructive orbit statement for the full
+orthogonal group, built from the same two match records: equal Gram
+matrices put t2 in the orthogonal orbit of t1, proper matrices preserve
+classes and the improper flip (u, v, w) -> (u, v, -w) sends a class to
+its conjugate, so t2 is the image of t1 under a proper witness or under
+the flip times a proper witness of t1 onto conj(t2).
+
 The matching conditions are the minors of the reduced forms against one
 nonzero coefficient of the target's u.  Every minor read has degree <= 1
 in the parameter (the lemma at :func:`_parameter`), so the first one
@@ -34,12 +41,13 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .errors import DegenerateResult, SearchExhausted, WitnessRejected
+from .errors import GramMismatch, RationalsUnsupported, SearchExhausted, WitnessRejected
 from .fields import Field, common_field, embed
 from .ortho import (
     OrthogonalMatrix,
     classify,
     enumerate_special_orthogonal,
+    flip_matrix,
     reduction_matrix,
     swap_matrix,
 )
@@ -71,12 +79,13 @@ class ClassRelation:
 
 
 def reduction_step(t, a):
-    """act(reduction_matrix(a), t); raises DegenerateResult when u vanishes."""
+    """act(reduction_matrix(a), t).
+
+    The reduced u never vanishes on a valid triple: that would make
+    F = (w - a v)^2, which is not squarefree (see :func:`_parameter`).
+    """
     field = t.field
     a = field.elem(a) if not hasattr(a, "field") else embed(a, field)
-    u2 = _reduced_u(t.u, t.v, t.w, a)
-    if not any(u2):
-        raise DegenerateResult("reduction parameter makes u vanish")
     return act(reduction_matrix(a), t)
 
 
@@ -87,14 +96,11 @@ def swap_step(t):
 
 # -- the parameter solver -------------------------------------------------------
 
-def _reduced_u(u, v, w, a):
+def _reduced_forms(u, v, w, a):
     a2 = a * a
     a_2 = a + a
-    return tuple(ui + a2 * vi - a_2 * wi for ui, vi, wi in zip(u, v, w))
-
-
-def _reduced_forms(u, v, w, a):
-    return (_reduced_u(u, v, w, a), v, tuple(wi - a * vi for vi, wi in zip(v, w)))
+    return (tuple(ui + a2 * vi - a_2 * wi for ui, vi, wi in zip(u, v, w)), v,
+            tuple(wi - a * vi for vi, wi in zip(v, w)))
 
 
 def _witness_from(record):
@@ -223,7 +229,6 @@ def same_class(t1, t2, extension=2):
     """
     t1, t2 = _on_common_field(t1, t2)
     if t1.field.p is None and t1.field.m > 1:
-        from .errors import RationalsUnsupported
         raise RationalsUnsupported(
             "the class search takes triples over QQ or a finite field")
     if gram(t1) != gram(t2):
@@ -239,6 +244,27 @@ def same_class(t1, t2, extension=2):
     else:
         kind = KIND_DISTINCT
     return ClassRelation(kind, witness, conj_witness, t1.field, extension)
+
+
+def recover_transform(t1, t2):
+    """A verified orthogonal matrix A with act(A, t1) = t2.
+
+    Requires gram(t1) = gram(t2) exactly.  The result is the proper
+    witness of t1 onto t2 when there is one, and otherwise the flip times
+    the proper witness of t1 onto conj(t2); either way it lies over the
+    triples' common field, and in rank 3 it is the unique such matrix.
+    """
+    t1, t2 = _on_common_field(t1, t2)
+    if gram(t1) != gram(t2):
+        raise GramMismatch("the triples have different Gram matrices")
+    record = _match(t1, t2)
+    if record is not None:
+        return _witness_from(record)
+    record = _match(t1, conjugate(t2))
+    if record is None:
+        # excluded: the Gram matrix is a complete invariant of the full orbit
+        raise SearchExhausted("equal Gram matrices but neither orbit matched")
+    return flip_matrix(t1.field) @ _witness_from(record)
 
 
 def orbit_oracle(t1, t2):

@@ -75,16 +75,12 @@ class ZeroScale(AlgebraError):
     """A scaling generator needs a nonzero parameter."""
 
 
-class DegenerateResult(AlgebraError):
-    """A reduction step produced a vanishing u component; the parameter is inadmissible."""
-
-
 class WitnessRejected(AlgebraError):
     """An assembled witness failed its final check: it is not proper, or it does not carry one triple onto the other."""
 
 
 class SearchExhausted(AlgebraError):
-    """The rational search could not pin down candidates (constraints vanished identically)."""
+    """A search the theory says must succeed found nothing (reported rather than guessed)."""
 
 
 # -- quadratic forms ----------------------------------------------------------

@@ -621,8 +621,6 @@ class FieldElement:
         """Key for the canonical total order used in deterministic searches."""
         if self.field.p is not None:
             return self.field.index_of(self)
-        if self.field.m == 1:
-            return self.value
         return self.value
 
     # -- Galois -------------------------------------------------------------------

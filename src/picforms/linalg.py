@@ -100,12 +100,6 @@ def solve(rows, rhs, field):
     return tuple(x)
 
 
-def express_in_rows(basis_rows, target, field):
-    """Coefficients c with sum(c_i * basis_rows[i]) = target, or None."""
-    cols = transpose(basis_rows)
-    return solve(cols, target, field)
-
-
 def det(rows, field):
     rows = [list(r) for r in rows]
     n = len(rows)

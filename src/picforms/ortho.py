@@ -100,10 +100,12 @@ def classify(rows, field=None):
 class OrthogonalMatrix:
     """A validated element of the pairing's orthogonal group."""
 
-    __slots__ = ("field", "rows", "det", "proper")
+    __slots__ = ("field", "rows", "proper")
 
     def __init__(self, rows, field=None):
         rows = tuple(tuple(r) for r in rows)
+        if len(rows) != 3 or any(len(r) != 3 for r in rows):
+            raise ValueError("an orthogonal matrix is 3 x 3")
         if field is None:
             field = rows[0][0].field
         kind = classify(rows, field)
@@ -112,7 +114,6 @@ class OrthogonalMatrix:
         self.field = field
         self.rows = rows
         self.proper = kind == "proper"
-        self.det = field.one() if self.proper else -field.one()
 
     @classmethod
     def _trusted(cls, rows, field, proper):
@@ -122,7 +123,6 @@ class OrthogonalMatrix:
         self.field = field
         self.rows = rows
         self.proper = proper
-        self.det = field.one() if proper else -field.one()
         return self
 
     def __matmul__(self, other):

@@ -1,4 +1,4 @@
-"""The quadratic-form invariant of a triple and its constructive inverse.
+"""The quadratic-form invariant of a triple and a section of it.
 
 ``gram(t)`` is the symmetric (g+2) x (g+2) matrix of the quadratic form
 w^2 - u*v built from a triple's coefficients; it is constant on orbits of
@@ -7,14 +7,9 @@ it back onto the curve polynomial.  Its rank equals the dimension of the
 span of the three forms and is always 2 or 3 for a valid triple, the
 radical being their common zero locus.
 
-``recover_transform`` makes the orbit statement constructive: given two
-triples with identical Gram matrices it produces a verified orthogonal
-matrix carrying one to the other.  The rank-3 case is a plain change of
-basis; the rank-2 case expresses both triples over one splitting
-S = -(linear)(linear) and completes the 3x3 matrix with the closed-form
-third column (x, y, z) = (2(af - eb), 2(de - cf), ad - bc) that the
-coefficient relations e^2 = ac, f^2 = bd, 2ef = ad + bc - 1 make
-orthogonal.
+The invariant is complete on orbits of the full orthogonal group; the
+matrix carrying one triple onto another with the same Gram matrix is
+``equivalence.recover_transform``.
 
 ``decompose`` is a computational section of the invariant: it rebuilds
 some triple from a rank-2/3 form, splitting off squares and, in rank 3,
@@ -31,18 +26,16 @@ from . import linalg
 from .errors import (
     BudgetExhausted,
     FactorizationNeedsExtension,
-    GramMismatch,
     NotCurveForm,
     RationalsNeedHint,
 )
-from .fields import adjoin_sqrt, common_field, embed
-from .ortho import OrthogonalMatrix
+from .fields import adjoin_sqrt, embed
 from .poly import Polynomial
-from .triples import act, make_triple
+from .triples import make_triple
 
 __all__ = [
     "GramForm", "gram", "gram_to_poly", "rank_radical", "in_curve_forms",
-    "recover_transform", "decompose",
+    "decompose",
 ]
 
 
@@ -187,41 +180,7 @@ def _split_diagonal(S):
 
 
 # ---------------------------------------------------------------------------
-# recovery of the orthogonal transition matrix
-
-def recover_transform(t1, t2):
-    """A verified orthogonal matrix A with act(A, t1) = t2.
-
-    Requires gram(t1) = gram(t2) exactly.  In rank 3 the matrix is the
-    unique change of basis between the two form triples; in rank 2 both
-    triples are expressed over a common splitting of the form and the two
-    factor-side matrices are composed.
-    """
-    field = common_field(t1.field, t2.field)
-    t1e, t2e = t1.embedded(field), t2.embedded(field)
-    S1, S2 = gram(t1e), gram(t2e)
-    if S1 != S2:
-        raise GramMismatch("the triples have different Gram matrices")
-    r = linalg.rank(S1.entries, field)
-    if r == 3:
-        A = _recover_rank3(t1e, t2e, field)
-    else:
-        A = _recover_rank2(t1e, t2e, S1)
-    result = act(A, t1e)
-    assert result == t2e.embedded(result.field)
-    return A
-
-
-def _recover_rank3(t1, t2, field):
-    rows1 = (t1.u, t1.v, t1.w)
-    rows2 = (t2.u, t2.v, t2.w)
-    entries = []
-    for target in rows2:
-        coeffs = linalg.express_in_rows(rows1, target, field)
-        assert coeffs is not None  # equal Gram matrices force equal spans
-        entries.append(coeffs)
-    return OrthogonalMatrix(tuple(entries), field)
-
+# section of the invariant
 
 def _normal_factors(S):
     """Independent forms (u, v) with S = -u v, possibly over a quadratic extension."""
@@ -241,39 +200,6 @@ def _normal_factors(S):
     v = tuple(-alpha * a + alpha * s * b for a, b in zip(l1, l2))
     return u, v, ext
 
-
-def _factor_coefficients(t, u, v, field):
-    """(a, b, c, d, e, f) expressing (t.u, t.v, t.w) over the basis (u, v)."""
-    out = []
-    for form in (t.u, t.v, t.w):
-        coeffs = linalg.express_in_rows((u, v), form, field)
-        assert coeffs is not None  # the spans agree: both equal the radical's annihilator
-        out.extend(coeffs)
-    return out
-
-
-def _factor_side_matrix(t, u, v, field):
-    a, b, c, d, e, f = _factor_coefficients(t, u, v, field)
-    # coefficient relations forced by w^2 - uv = -uv on the factor side
-    assert e * e == a * c and f * f == b * d
-    assert e * f + e * f == a * d + b * c - field.one()
-    two = field.elem(2)
-    x = two * (a * f - e * b)
-    y = two * (d * e - c * f)
-    z = a * d - b * c
-    return OrthogonalMatrix(((a, b, x), (c, d, y), (e, f, z)), field)
-
-
-def _recover_rank2(t1, t2, S):
-    u, v, ext = _normal_factors(S)
-    t1e, t2e = t1.embedded(ext), t2.embedded(ext)
-    A1 = _factor_side_matrix(t1e, u, v, ext)
-    A2 = _factor_side_matrix(t2e, u, v, ext)
-    return A2 @ A1.inverse()
-
-
-# ---------------------------------------------------------------------------
-# section of the invariant
 
 def decompose(S, curve, extension_budget=2, isotropic_hint=None):
     """Some triple t with gram(t) = S.

@@ -8,8 +8,11 @@ lowest degree first.  Field descriptors are {"p": int | null, "m": int,
 "modulus": [...]} with the modulus omitted when m = 1; null p means the
 rationals.  Matrices and Gram forms are row-major arrays of scalars.
 
-Every document emitted here is accepted unchanged by the matching reader,
-and ``dumps`` is byte-stable (sorted keys, fixed layout).
+Readers accept only JSON integers (not booleans) and strings as scalars,
+and only arrays and objects where the formats above name them; anything
+else, or a zero denominator, raises ValueError.  Every document emitted
+here is accepted unchanged by the matching reader, and ``dumps`` is
+byte-stable (sorted keys, fixed layout).
 """
 
 from __future__ import annotations
@@ -33,15 +36,17 @@ def field_to_json(field):
 
 
 def field_from_json(obj):
+    _typed(obj, dict, "a field descriptor must be a JSON object")
     p = obj.get("p")
-    m = obj.get("m", 1)
+    m = _typed(obj.get("m", 1), int, "p and m must be JSON integers")
     modulus = obj.get("modulus")
     if p is None:
         if m == 1:
             return QQ
-        return rational_extension([_parse_rational(c) for c in modulus])
+        return rational_extension([_parse_rational(c) for c in _array(modulus)])
+    _typed(p, int, "p and m must be JSON integers")
     if modulus is not None:
-        return GF(p, m, [int(c) for c in modulus])
+        return GF(p, m, [_parse_int(c) for c in _array(modulus)])
     return GF(p, m)
 
 
@@ -57,10 +62,26 @@ def _rational_str(fr):
     return "%d/%d" % (fr.numerator, fr.denominator)
 
 
-def _parse_rational(s):
-    if isinstance(s, int):
-        return Fraction(s)
-    return Fraction(s)
+def _typed(x, kinds, what):
+    # bool is a subclass of int, and int() would truncate a float
+    if isinstance(x, bool) or not isinstance(x, kinds):
+        raise ValueError("%s, not %s" % (what, type(x).__name__))
+    return x
+
+
+def _array(obj):
+    return _typed(obj, (list, tuple), "expected a JSON array")
+
+
+def _parse_int(c):
+    return int(_typed(c, (int, str), "a scalar must be a JSON integer or string"))
+
+
+def _parse_rational(c):
+    try:
+        return Fraction(_typed(c, (int, str), "a scalar must be a JSON integer or string"))
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % c) from None
 
 
 def scalar_to_json(e):
@@ -80,8 +101,8 @@ def scalar_from_json(field, obj):
     if isinstance(obj, (int, str)):
         obj = [obj]
     if field.p is not None:
-        return field.elem([int(c) for c in obj])
-    return field.elem([_parse_rational(c) for c in obj])
+        return field.elem([_parse_int(c) for c in _array(obj)])
+    return field.elem([_parse_rational(c) for c in _array(obj)])
 
 
 def scalars_to_json(seq):
@@ -89,7 +110,7 @@ def scalars_to_json(seq):
 
 
 def scalars_from_json(field, arr):
-    return tuple(scalar_from_json(field, c) for c in arr)
+    return tuple(scalar_from_json(field, c) for c in _array(arr))
 
 
 def poly_to_json(f):
@@ -144,7 +165,7 @@ def matrix_from_json(obj, default_field=None):
         field = field_from_json(obj["field"]) if "field" in obj else default_field
     if field is None:
         raise ValueError("matrix JSON needs a field (explicit or from context)")
-    rows = tuple(scalars_from_json(field, row) for row in entries)
+    rows = tuple(scalars_from_json(field, row) for row in _array(entries))
     return OrthogonalMatrix(rows, field)
 
 
@@ -163,7 +184,7 @@ def gram_from_json(obj, default_field=None):
         field = field_from_json(obj["field"]) if "field" in obj else default_field
     if field is None:
         raise ValueError("form JSON needs a field (explicit or from context)")
-    return GramForm(tuple(scalars_from_json(field, row) for row in entries), field)
+    return GramForm(tuple(scalars_from_json(field, row) for row in _array(entries)), field)
 
 
 def dumps(payload):

@@ -16,7 +16,7 @@ from picforms import linalg, serialize
 from picforms.cli import run_command
 from picforms.fields import GF, QQ
 from picforms.poly import Polynomial
-from picforms.quadform import decompose, gram, rank_radical, recover_transform
+from picforms.quadform import decompose, gram, rank_radical
 from picforms.sampling import (
     random_b_word,
     random_orthogonal_word,
@@ -28,6 +28,7 @@ from picforms.equivalence import (
     KIND_CONJ,
     KIND_EQUAL,
     orbit_oracle,
+    recover_transform,
     reduction_step,
     same_class,
 )
@@ -187,8 +188,8 @@ def test_criterion_07_recovery(curve_f5a, curve_f5b):
         else:
             rank2_hits += 1
     assert rank2_hits >= 50
-    _report(7, 30, start, "transition matrix recovered and verified on 200 pairs "
-                          "(%d through the rank-2 construction)" % rank2_hits)
+    _report(7, 30, start, "transition matrix recovered from the match records and "
+                          "verified on 200 pairs (%d of rank 2)" % rank2_hits)
 
 
 def test_criterion_08_section(curve_f5a, curve_f5b):

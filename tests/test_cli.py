@@ -1,4 +1,5 @@
 import json
+import random
 import time
 
 import pytest
@@ -255,3 +256,143 @@ def test_curve_validate_large_prime(files):
 
 def test_parser_built_once():
     assert cli._parser() is cli._parser()
+
+
+def test_rejects_non_integer_scalars(files):
+    curve5 = {"field": {"p": 5, "m": 1}, "coeffs": [[4], [0], [0], [0], [1]]}
+    one = {"u": [[1], [0], [0]], "v": [[1], [0], [0]], "w": [[0], [0], [1]]}
+    cases = [
+        (curve5, dict(one, u=[[1.9], [0], [0]])),  # int() would truncate to 1
+        (curve5, dict(one, u=[[True], [0], [0]])),
+        (CURVE_Q, dict(TRIPLE_A, u=[1.0, "0", "0"])),
+        (CURVE_Q, dict(TRIPLE_A, u=["1/0", "0", "0"])),
+    ]
+    for curve, triple in cases:
+        code, payload = run_command([
+            "triple-validate",
+            "--curve", files("c.json", curve),
+            "--t1", files("t.json", triple),
+        ])
+        assert code == EXIT_INPUT
+        assert payload["error"]["kind"] == "InputError"
+
+
+def test_rejects_zero_denominator_in_modulus(files):
+    form = {"entries": [["1", "0"], ["0", "1"]],
+            "field": {"p": None, "m": 2, "modulus": ["1/0", "0", "1"]}}
+    code, payload = run_command(["form-rank", "--form", files("f.json", form)])
+    assert code == EXIT_INPUT
+    assert payload["error"]["kind"] == "InputError"
+
+
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert main(["curve-validate", "--curve", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["error"]["kind"] == "InputError"
+    assert "Traceback" not in captured.err
+
+
+# -- seeded mini-fuzz ----------------------------------------------------------
+
+_F5_TRIPLE = {"u": [[1], [0], [1]], "v": [[3], [0], [4]], "w": [[0], [1], [0]]}
+_F25 = {"p": 5, "m": 2, "modulus": [2, 4, 1]}
+_F25_TRIPLE = {"u": [[1, 0], [0, 0], [1, 0]], "v": [[3, 0], [0, 0], [4, 0]],
+               "w": [[0, 0], [1, 0], [0, 0]], "field": _F25}
+_F5_FORM = {"entries": [[[2], [0], [4]], [[0], [1], [0]], [[4], [0], [1]]],
+            "field": {"p": 5, "m": 1}}
+_QQ_RANK3_FORM = {"entries": [["0", "1/2", "-1/2"], ["1/2", "1", "-1/2"],
+                              ["-1/2", "-1/2", "1"]],
+                  "field": {"p": None, "m": 1}}
+_QQ_EXT_FORM = {"entries": [["1", "0"], ["0", "1"]],
+                "field": {"p": None, "m": 2, "modulus": ["2", "0", "1"]}}
+_QQ_SWAP = {"entries": [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "-1"]],
+            "field": {"p": None, "m": 1}}
+
+# (subcommand, extra argv, {option: valid document})
+_FUZZ_CASES = [
+    ("curve-validate", [], {"curve": CURVE_F5B}),
+    ("triple-validate", [], {"curve": CURVE_Q, "t1": TRIPLE_A}),
+    ("triple-canonical", [], {"curve": CURVE_F5B, "t1": _F5_TRIPLE}),
+    ("triple-support", ["--ext", "1"], {"curve": CURVE_F5B, "t1": _F5_TRIPLE}),
+    ("group-act", [], {"curve": CURVE_Q, "t1": TRIPLE_A, "matrix": _QQ_SWAP}),
+    ("group-enumerate", ["--p", "3"], {}),
+    ("class-relation", [], {"curve": CURVE_Q, "t1": TRIPLE_A, "t2": TRIPLE_B}),
+    ("class-relation", [], {"curve": CURVE_F5B, "t1": _F25_TRIPLE, "t2": _F5_TRIPLE}),
+    ("form-gram", [], {"curve": CURVE_F5B, "t1": _F25_TRIPLE}),
+    ("form-rank", [], {"form": _QQ_EXT_FORM}),
+    ("form-decompose", [], {"curve": CURVE_F5B, "form": _F5_FORM}),
+    ("form-decompose", [], {"curve": CURVE_Q, "form": _QQ_RANK3_FORM,
+                            "hint": ["1", "1", "1"]}),
+    ("galois-rational", ["--mode", "mod-conj"], {"curve": CURVE_F5B, "t1": _F25_TRIPLE}),
+    ("search-caveat", ["--budget", "20", "--seed", "1"], {"curve": CURVE_F5B}),
+]
+
+# argv variants for the one subcommand that reads no document
+_ENUMERATE_ARGS = [["--p", p] for p in ("0", "-5", "2", "4", "17")] + [
+    ["--p", "3", "--m", m] for m in ("0", "-1", "3")]
+
+_DEEP = "@@deep@@"
+
+
+def _nodes(doc, path=()):
+    yield path, doc
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _nodes(value, path + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _nodes(value, path + (i,))
+
+
+def _replaced(doc, path, new):
+    if not path:
+        return new
+    head, rest = path[0], path[1:]
+    if isinstance(doc, dict):
+        return {k: _replaced(v, rest, new) if k == head else v for k, v in doc.items()}
+    return [_replaced(v, rest, new) if i == head else v for i, v in enumerate(doc)]
+
+
+def _mutations(doc):
+    """Every (path, mutated node) pair: bad scalars, the wrong container,
+    a missing or extra key, an empty array and deep nesting."""
+    for path, node in _nodes(doc):
+        for new in (1.5, True, "1/0", [], _DEEP):
+            yield path, new
+        if isinstance(node, dict):
+            yield path, list(node.values())
+            yield path, dict(node, extra=0)
+            for key in node:
+                yield path, {k: v for k, v in node.items() if k != key}
+        elif isinstance(node, list):
+            yield path, {str(i): v for i, v in enumerate(node)}
+        else:
+            yield path, {"value": node}
+
+
+def _fuzz_inputs(rng, per_case):
+    for command, extra, docs in _FUZZ_CASES:
+        yield [command] + extra, docs
+        choices = [(option, path, new) for option, doc in docs.items()
+                   for path, new in _mutations(doc)]
+        for option, path, new in rng.sample(choices, min(per_case, len(choices))):
+            yield [command] + extra, dict(docs, **{option: _replaced(docs[option], path, new)})
+    for args in _ENUMERATE_ARGS:
+        yield ["group-enumerate"] + args, {}
+
+
+def test_cli_fuzz_ends_in_documented_exit_codes(tmp_path, capsys):
+    rng = random.Random(20261018)
+    deep = "[" * 100000 + "]" * 100000
+    for n, (argv, docs) in enumerate(_fuzz_inputs(rng, 100)):
+        for option, doc in docs.items():
+            path = tmp_path / ("%d-%s.json" % (n, option))
+            path.write_text(json.dumps(doc).replace(json.dumps(_DEEP), deep))
+            argv = argv + ["--" + option, str(path)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2, 3), argv
+        json.loads(captured.out)
+        assert "Traceback" not in captured.err, argv

@@ -45,8 +45,9 @@ def test_reduction_step_zero_is_identity(curve_q, triple_b):
 
 
 def test_reduction_never_degenerates_on_valid_triples(curve_f5b):
-    # u' = 0 would force F = (w - a v)^2, impossible for squarefree F; the
-    # DegenerateResult guard stays defensive and must never fire here.
+    # u' = 0 would force F = (w - a v)^2, impossible for squarefree F, so
+    # every parameter gives a valid triple (act -> make_triple raises
+    # ZeroForm on a vanishing form).
     rng = random.Random(31)
     for _ in range(60):
         t = random_triple(curve_f5b, F5, rng)
@@ -320,6 +321,7 @@ checks = [
     lambda: equivalence.same_class(t1, t2),
     lambda: class_rational(rational, ctx),
     lambda: find_caveat_example(curve3, ctx3, 10000, 20260810),
+    lambda: equivalence.recover_transform(t1, t2),
 ]
 
 
@@ -343,7 +345,7 @@ print(json.dumps(out))
 
 def test_witness_check_survives_optimize():
     # under python -O every assert vanishes; the witness check must not, on
-    # same_class, on a rational class and on a found caveat
+    # same_class, on a rational class, on a found caveat and on recovery
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     done = subprocess.run([sys.executable, "-O", "-c", _WRONG_MOVE % os.path.join(root, "src")],
                           capture_output=True, text=True, timeout=60)
@@ -351,4 +353,4 @@ def test_witness_check_survives_optimize():
     assert json.loads(done.stdout) == [False] + [
         "the assembled witness does not carry t1 onto t2",
         "the assembled witness is not proper",
-    ] * 3
+    ] * 4

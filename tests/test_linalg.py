@@ -33,14 +33,6 @@ def test_solve_consistent_and_inconsistent():
     assert linalg.solve(a, bad, QQ) is None
 
 
-def test_express_in_rows():
-    basis = (_m(F5, ((1, 2, 0),))[0], _m(F5, ((0, 1, 1),))[0])
-    target = tuple(F5.elem(x) for x in (2, 0, 1))
-    coeffs = linalg.express_in_rows(basis, target, F5)
-    combo = tuple(coeffs[0] * a + coeffs[1] * b for a, b in zip(*basis))
-    assert combo == target
-
-
 def test_det():
     a = _m(QQ, ((Fraction(1, 2), 1), (0, 3)))
     assert linalg.det(a, QQ) == QQ.elem(Fraction(3, 2))

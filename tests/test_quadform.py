@@ -2,11 +2,20 @@ import random
 
 import pytest
 
+from conftest import seeded_curve
+
 from picforms import linalg
 from picforms.curves import make_curve
+from picforms.equivalence import recover_transform
 from picforms.errors import GramMismatch, NotCurveForm, RationalsNeedHint
-from picforms.fields import GF, QQ
-from picforms.ortho import flip_matrix
+from picforms.fields import GF, QQ, rational_extension
+from picforms.ortho import (
+    classify,
+    flip_matrix,
+    scale_matrix,
+    shift_matrix,
+    swap_shift_matrix,
+)
 from picforms.poly import Polynomial
 from picforms.quadform import (
     GramForm,
@@ -15,7 +24,6 @@ from picforms.quadform import (
     gram_to_poly,
     in_curve_forms,
     rank_radical,
-    recover_transform,
 )
 from picforms.sampling import random_orthogonal_word, random_triple
 from picforms.triples import act, conjugate, make_triple
@@ -164,6 +172,48 @@ def test_recover_gram_mismatch(curve_q, triple_a):
     assert gram(t3) != gram(triple_a)
     with pytest.raises(GramMismatch):
         recover_transform(triple_a, t3)
+
+
+def test_recover_independent_equal_gram_pairs():
+    # pairs drawn independently whose Gram matrices happen to agree, not
+    # built from a word: the theorem alone says they lie in one orbit
+    ranks, proper = set(), set()
+    for field in (GF(5), GF(7), GF(5, 2)):
+        for genus in (1, 2):
+            curve = seeded_curve(GF(field.p), genus, 80 + genus)
+            rng = random.Random(81)
+            first = {}
+            pairs = 0
+            while pairs < 40:
+                t = random_triple(curve, field, rng)
+                t1 = first.setdefault(gram(t), t)
+                if t1 == t:
+                    continue
+                pairs += 1
+                A = recover_transform(t1, t)
+                assert A.field == field
+                assert act(A, t1) == t
+                assert (classify(A.rows) == "proper") == A.proper
+                ranks.add(rank_radical(gram(t))[0])
+                proper.add(A.proper)
+    assert ranks == {2, 3} and proper == {True, False}
+
+
+def test_recover_over_rational_quadratic_extension(curve_q, triple_a):
+    # QQ(sqrt 2): the rank-2 form need not split over the field, and the
+    # result still lies over it
+    K = rational_extension((-2, 0, 1))
+    r2 = K.elem((0, 1))
+    m = (shift_matrix(r2) @ scale_matrix(r2 + K.one()) @ swap_shift_matrix(r2)
+         @ flip_matrix(K))
+    t = triple_a.embedded(K)
+    assert rank_radical(gram(t))[0] == 2
+    A = recover_transform(t, act(m, t))
+    assert A.field == K
+    assert act(A, t) == act(m, t)
+    t = _rank3_rational_triple(curve_q).embedded(K)
+    assert rank_radical(gram(t))[0] == 3
+    assert recover_transform(t, act(m, t)) == m
 
 
 def test_decompose_worked_rank2(curve_q, triple_a):

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from picforms import serialize
 from picforms.fields import GF, QQ, rational_extension
 from picforms.poly import Polynomial
@@ -72,3 +74,43 @@ def test_dumps_stable():
     assert serialize.dumps(payload) == serialize.dumps(payload)
     assert serialize.dumps(payload).endswith("\n")
     assert serialize.dumps(payload).index('"a"') < serialize.dumps(payload).index('"b"')
+
+
+@pytest.mark.parametrize("field, blob", [
+    (F5, [1.9]),  # int() would truncate it to 1
+    (F5, [True]),
+    (F5, True),
+    (F25, [1, 2.0]),
+    (F25, {"0": 1}),
+    (QQ, 0.5),  # Fraction() would take its binary expansion
+    (QQ, True),
+    (QQ, "1/0"),
+    (QQ, ["1"]),
+    (rational_extension((-2, 0, 1)), ["1/0", "1"]),
+    (rational_extension((-2, 0, 1)), [False, "1"]),
+])
+def test_scalar_reader_rejects(field, blob):
+    with pytest.raises(ValueError):
+        serialize.scalar_from_json(field, blob)
+
+
+@pytest.mark.parametrize("blob", [
+    {"p": None, "m": 2, "modulus": ["1/0", "0", "1"]},
+    {"p": None, "m": 2, "modulus": [-2.0, 0, 1]},
+    {"p": 5, "m": 2, "modulus": [2, 4, True]},
+    {"p": True},
+    {"p": 5.0},
+    {"p": 5, "m": 1.0},
+    [5, 1],
+])
+def test_field_reader_rejects(blob):
+    with pytest.raises(ValueError):
+        serialize.field_from_json(blob)
+
+
+def test_array_readers_reject_other_containers(curve_f5b):
+    with pytest.raises(ValueError):
+        serialize.triple_from_json(curve_f5b, {"u": {"0": [1], "1": [0], "2": [1]},
+                                               "v": [[3], [0], [4]], "w": [[0], [1], [0]]})
+    with pytest.raises(ValueError):
+        serialize.matrix_from_json([], default_field=F5)
