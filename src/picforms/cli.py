@@ -40,6 +40,16 @@ class InputError(Exception):
     pass
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse that turns a usage error into an InputError, after writing
+    the usage text and the message to stderr as argparse does."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        sys.stderr.write("%s: error: %s\n" % (self.prog, message))
+        raise InputError(message)
+
+
 def _load_json(path):
     try:
         if path == "-":
@@ -201,7 +211,7 @@ def _cmd_form_decompose(args):
     if args.hint:
         hint_obj = _load_json(args.hint)
         hint = serialize.scalars_from_json(S.field, hint_obj)
-    t = decompose(S, curve, extension_budget=args.budget or 2, isotropic_hint=hint)
+    t = decompose(S, curve, extension_budget=args.budget, isotropic_hint=hint)
     return EXIT_OK, {"triple": serialize.triple_to_json(t)}
 
 
@@ -278,7 +288,7 @@ _HANDLERS = {
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="picforms",
         description="Divisor classes on hyperelliptic curves as triples of "
                     "linear forms: validation, canonical forms, group actions, "
@@ -308,19 +318,22 @@ def build_parser():
     return parser
 
 
+def _error(kind, exc):
+    return {"error": {"kind": kind, "detail": str(exc)}}
+
+
 def _dispatch(args):
     handler = _HANDLERS[args.command]
     try:
         return handler(args)
     except InputError as exc:
-        return EXIT_INPUT, {"error": {"kind": "InputError", "detail": str(exc)}}
+        return EXIT_INPUT, _error("InputError", exc)
     except (BudgetExhausted, SearchExhausted) as exc:
-        return EXIT_BUDGET, {"error": {"kind": type(exc).__name__, "detail": str(exc)}}
+        return EXIT_BUDGET, _error(type(exc).__name__, exc)
     except AlgebraError as exc:
-        return EXIT_DOMAIN, {"error": {"kind": type(exc).__name__, "detail": str(exc)}}
+        return EXIT_DOMAIN, _error(type(exc).__name__, exc)
     except (KeyError, TypeError, ValueError) as exc:
-        return EXIT_INPUT, {"error": {"kind": "InputError", "detail": "%s: %s" % (
-            type(exc).__name__, exc)}}
+        return EXIT_INPUT, _error("InputError", "%s: %s" % (type(exc).__name__, exc))
 
 
 _PARSER = None
@@ -336,7 +349,10 @@ def _parser():
 
 def run_command(argv):
     """Parse argv, run the subcommand, and return (exit_code, payload)."""
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except InputError as exc:
+        return EXIT_INPUT, _error("InputError", exc)
     return _dispatch(args)
 
 
@@ -344,8 +360,11 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:  # argparse errors are input errors
-        return 0 if exc.code in (0, None) else EXIT_INPUT
+    except InputError as exc:  # the usage text is already on stderr
+        sys.stdout.write(serialize.dumps(_error("InputError", exc)))
+        return EXIT_INPUT
+    except SystemExit as exc:  # --help
+        return EXIT_OK if exc.code in (0, None) else EXIT_INPUT
     code, payload = _dispatch(args)
     text = serialize.dumps(payload)
     if args.out:

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 
 from .errors import GramMismatch, RationalsUnsupported, SearchExhausted, WitnessRejected
 from .fields import Field, common_field, embed
+from .linalg import mat_mul
 from .ortho import (
     OrthogonalMatrix,
     classify,
@@ -52,7 +53,7 @@ from .ortho import (
     swap_matrix,
 )
 from .quadform import gram
-from .triples import _canonical_forms, _mix_forms, act, conjugate
+from .triples import _canonical_forms, act, conjugate
 
 KIND_EQUAL = "equal"
 KIND_BOTH = "equal-and-self-conjugate"
@@ -97,10 +98,16 @@ def swap_step(t):
 # -- the parameter solver -------------------------------------------------------
 
 def _reduced_forms(u, v, w, a):
-    a2 = a * a
-    a_2 = a + a
-    return (tuple(ui + a2 * vi - a_2 * wi for ui, vi, wi in zip(u, v, w)), v,
-            tuple(wi - a * vi for vi, wi in zip(v, w)))
+    """(u + a^2 v - 2 a w, v, w - a v), one kernel call per coefficient."""
+    field = a.field
+    dot = field.dot
+    one, ar = field.one().value, a.value
+    a2, a_2 = (a * a).value, (a + a).value
+    vr = [x.value for x in v]
+    wr = [x.value for x in w]
+    return (tuple(dot((one, a2), (ui.value, vi), (a_2,), (wi,))
+                  for ui, vi, wi in zip(u, vr, wr)), v,
+            tuple(dot((one,), (wi,), (ar,), (vi,)) for vi, wi in zip(vr, wr)))
 
 
 def _witness_from(record):
@@ -124,22 +131,30 @@ def _witness_from(record):
     witness = undo @ move
     if classify(witness.rows, field) != "proper":
         raise WitnessRejected("the assembled witness is not proper")
-    if tuple(_mix_forms(witness.rows, t1.forms(), field)) != t2.forms():
+    if mat_mul(witness.rows, t1.forms()) != t2.forms():
         raise WitnessRejected("the assembled witness does not carry t1 onto t2")
     return witness
 
 
-def _match(t1, t2):
+def _conjugate_normal_form(form):
+    """The normal form of conj(t) from that of t: negating w keeps the
+    scaling and negates both the shift and the shifted w."""
+    (u, v, w), c, b = form
+    return (u, v, tuple(-x for x in w)), c, -b
+
+
+def _match(t1, t2, target=None):
     """The match record of a proper move carrying t1 onto t2's
     representation orbit, or None.
 
     The record is (move, t1, t2, c, b, c2, b2), with the normal-form
     parameters that :func:`_witness_from` turns into a verified witness.
-    The only reduction parameter that can match comes from
+    ``target`` is t2's normal form when the caller has it already.  The
+    only reduction parameter that can match comes from
     :func:`_parameter`; after it the plain swap is tried.
     """
     u1, v1, w1 = t1.u, t1.v, t1.w
-    key2, c2, b2 = _canonical_forms(t2.u, t2.v, t2.w)
+    key2, c2, b2 = _canonical_forms(t2.u, t2.v, t2.w) if target is None else target
     a = _parameter(t1, t2)
     if a is not None:
         key, c, b = _canonical_forms(*_reduced_forms(u1, v1, w1, a))
@@ -178,23 +193,24 @@ def _parameter(t1, t2):
     degree 0 the candidate fails the normal-form comparison, because
     equal normal forms make every minor vanish.
     """
-    U1, V1, W1 = t1.u, t1.v, t1.w
-    U2, W2 = t2.u, t2.w
-    k = next(i for i, x in enumerate(U2) if x)
+    field = t1.field
+    dot = field.dot
+    U1, V1, W1 = ([x.value for x in form] for form in t1.forms())
+    U2, W2 = [x.value for x in t2.u], [x.value for x in t2.w]
+    k = next(i for i, x in enumerate(t2.u) if x)
     uk = U2[k]
     others = [i for i in range(len(U2)) if i != k]
-    dk, vk = W1[k] - W2[k], V1[k]
+    dk = field._raw_sub(W1[k], W2[k])
     for i in others:
-        c0 = (W1[i] - W2[i]) * uk - dk * U2[i]
-        c1 = vk * U2[i] - V1[i] * uk
+        c0 = dot((W1[i],), (uk,), (W2[i], dk), (uk, U2[i]))
+        c1 = dot((V1[k],), (U2[i],), (V1[i],), (uk,))
         if c1:
             return -c0 / c1
         if c0:
             return None
     for i in others:
-        c0 = U1[i] * uk - U1[k] * U2[i]
-        c1 = W1[k] * U2[i] - W1[i] * uk
-        c1 = c1 + c1
+        c0 = dot((U1[i],), (uk,), (U1[k],), (U2[i],))
+        c1 = dot((W1[k], W1[k]), (U2[i], U2[i]), (W1[i], W1[i]), (uk, uk))
         if c1:
             return -c0 / c1
         if c0:
@@ -233,8 +249,9 @@ def same_class(t1, t2, extension=2):
             "the class search takes triples over QQ or a finite field")
     if gram(t1) != gram(t2):
         return ClassRelation(KIND_DISTINCT, field=t1.field, extension=extension)
-    witness = _certified(_match(t1, t2))
-    conj_witness = _certified(_match(t1, conjugate(t2)))
+    target = _canonical_forms(t2.u, t2.v, t2.w)
+    witness = _certified(_match(t1, t2, target))
+    conj_witness = _certified(_match(t1, conjugate(t2), _conjugate_normal_form(target)))
     if witness is not None and conj_witness is not None:
         kind = KIND_BOTH
     elif witness is not None:
@@ -257,10 +274,11 @@ def recover_transform(t1, t2):
     t1, t2 = _on_common_field(t1, t2)
     if gram(t1) != gram(t2):
         raise GramMismatch("the triples have different Gram matrices")
-    record = _match(t1, t2)
+    target = _canonical_forms(t2.u, t2.v, t2.w)
+    record = _match(t1, t2, target)
     if record is not None:
         return _witness_from(record)
-    record = _match(t1, conjugate(t2))
+    record = _match(t1, conjugate(t2), _conjugate_normal_form(target))
     if record is None:
         # excluded: the Gram matrix is a complete invariant of the full orbit
         raise SearchExhausted("equal Gram matrices but neither orbit matched")
@@ -281,7 +299,7 @@ def orbit_oracle(t1, t2):
     equal = False
     conj = False
     for m in group:
-        key = _canonical_forms(*_mix_forms(m.rows, forms, t1.field))[0]
+        key = _canonical_forms(*mat_mul(m.rows, forms))[0]
         if key == key2:
             equal = True
         if key == key2c:

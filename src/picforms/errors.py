@@ -89,6 +89,10 @@ class GramMismatch(AlgebraError):
     """The two triples do not share a Gram matrix."""
 
 
+class DecompositionRejected(AlgebraError):
+    """A decomposed triple failed its final check: its Gram matrix is not the form."""
+
+
 class FactorizationNeedsExtension(AlgebraError):
     """Splitting the rank-2 form requires a quadratic extension that is not available here."""
 

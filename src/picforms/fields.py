@@ -25,6 +25,14 @@ integers reduced into [0, p), coefficient tuples of length m for
 extensions.  The canonical total order used for deterministic searches is
 the natural order on QQ and the integer index c0 + c1*p + ... on finite
 fields.
+
+Sums of products go through one kernel, :meth:`Field.dot`, with one
+implementation per field kind.  Over QQ it accumulates a numerator and a
+denominator as Python ints and builds one ``Fraction``; over GF(p) it
+sums int products and takes one ``% p``; over an extension, GF(p^m) or
+QQ(sqrt d), it accumulates the unreduced convolutions and reduces once by
+the modulus, and by p in a finite field.  Each call therefore normalises
+once, and its value is in the canonical form above.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from math import isqrt
+from operator import mul
 
 from .errors import (
     CharacteristicTwo,
@@ -185,7 +194,7 @@ class Field:
 
     __slots__ = (
         "p", "m", "modulus", "char", "order",
-        "_red", "_zero", "_one", "_ts", "_frob", "_embed_cache",
+        "_red", "_zero", "_one", "_ts", "_frob", "_embed_cache", "_raw_dot",
     )
 
     def __init__(self, p, m, modulus):
@@ -214,6 +223,10 @@ class Field:
             self._red = None
         self._zero = FieldElement(self, self._raw_zero())
         self._one = FieldElement(self, self._raw_one())
+        if m > 1:
+            self._raw_dot = self._dot_convolved
+        else:
+            self._raw_dot = self._dot_rational if p is None else self._dot_prime
 
     def __repr__(self):
         return self.label()
@@ -272,13 +285,17 @@ class Field:
     def _raw_mul(self, a, b):
         if self.m == 1:
             return (a * b) % self.p if self.p else a * b
-        m = self.m
-        zero = 0 if self.p else Fraction(0)
-        prod = [zero] * (2 * m - 1)
+        prod = [0 if self.p else Fraction(0)] * (2 * self.m - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     prod[i + j] += ai * bj
+        return self._fold(prod)
+
+    def _fold(self, prod):
+        """Reduce the 2m - 1 coefficients of an unreduced product by the
+        modulus, and then by p in a finite field."""
+        m = self.m
         out = prod[:m]
         red = self._red
         for k in range(m, 2 * m - 1):
@@ -290,6 +307,52 @@ class Field:
             p = self.p
             return tuple([x % p for x in out])
         return tuple(out)
+
+    # -- sums of products: one kernel per field kind --------------------------------
+
+    def dot(self, xs, ys, xs2=(), ys2=()):
+        """sum xs[i] * ys[i] - sum xs2[j] * ys2[j] on raw values, as one
+        element; the sequences are raw values of this field."""
+        return FieldElement(self, self._raw_dot(xs, ys, xs2, ys2))
+
+    def values(self, xs):
+        """The raw values of the elements xs, as a list; ints and Fractions
+        are coerced, and an element of another field raises DescriptorMismatch."""
+        return [x.value if type(x) is FieldElement and x.field is self
+                else self.elem(x).value for x in xs]
+
+    def _dot_rational(self, xs, ys, xs2, ys2):
+        # n / d in ints, d a product of term denominators; one Fraction,
+        # normalised once
+        n, d = 0, 1
+        for sign, pairs in ((1, zip(xs, ys)), (-1, zip(xs2, ys2))):
+            for x, y in pairs:
+                a, b = x.as_integer_ratio()
+                c, e = y.as_integer_ratio()
+                if a and c:
+                    a *= sign
+                    t = b * e
+                    if t == d:
+                        n += a * c
+                    else:
+                        n = n * t + a * c * d
+                        d *= t
+        return Fraction(n, d)
+
+    def _dot_prime(self, xs, ys, xs2, ys2):
+        return (sum(map(mul, xs, ys)) - sum(map(mul, xs2, ys2))) % self.p
+
+    def _dot_convolved(self, xs, ys, xs2, ys2):
+        # the unreduced convolutions, reduced once by the modulus (and by p)
+        prod = [0 if self.p else Fraction(0)] * (2 * self.m - 1)
+        for sign, pairs in ((1, zip(xs, ys)), (-1, zip(xs2, ys2))):
+            for x, y in pairs:
+                for i, xi in enumerate(x):
+                    if xi:
+                        xi *= sign
+                        for j, yj in enumerate(y):
+                            prod[i + j] += xi * yj
+        return self._fold(prod)
 
     def _raw_inv(self, a):
         if not self._raw_nonzero(a):

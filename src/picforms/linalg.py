@@ -1,9 +1,12 @@
 """Small exact linear algebra over field elements.
 
-Matrices are tuples of row tuples of FieldElement.  Everything here is
-plain Gaussian elimination with exact division; sizes never exceed a few
-rows, so no pivoting strategy beyond "first nonzero" is needed, and that
-choice keeps every result deterministic.
+Matrices are tuples of row tuples of FieldElement.  Products go through
+the field's sum-of-products kernel (:meth:`picforms.fields.Field.dot`):
+each entry of a product is one kernel call on raw values, normalised once
+and in lowest terms.  Everything else is plain Gaussian elimination with
+exact division; sizes never exceed a few rows, so no pivoting strategy
+beyond "first nonzero" is needed, and that choice keeps every result
+deterministic.
 """
 
 from __future__ import annotations
@@ -14,21 +17,28 @@ def transpose(a):
 
 
 def mat_mul(a, b):
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
+    """a @ b, the rows of a times the matrix b, over the field of a[0][0].
+
+    Also the action of a 3 x 3 matrix on the forms (u, v, w), read as the
+    rows of a 3 x (g + 2) matrix.  An entry from another field raises
+    DescriptorMismatch.
+    """
+    field = a[0][0].field
+    dot, values = field.dot, field.values
+    cols = [values(col) for col in zip(*b)]
+    return tuple(tuple(dot(r, col) for col in cols) for r in map(values, a))
 
 
 def mat_vec(a, v):
-    return tuple(dot(row, v) for row in a)
+    field = v[0].field
+    dot, values = field.dot, field.values
+    vals = values(v)
+    return tuple(dot(values(row), vals) for row in a)
 
 
 def dot(u, v):
-    it = zip(u, v)
-    x, y = next(it)
-    acc = x * y
-    for x, y in it:
-        acc = acc + x * y
-    return acc
+    values = u[0].field.values
+    return u[0].field.dot(values(u), values(v))
 
 
 def row_reduce(rows, field):
@@ -98,27 +108,3 @@ def solve(rows, rhs, field):
     for r, pc in enumerate(pivots):
         x[pc] = reduced[r][-1]
     return tuple(x)
-
-
-def det(rows, field):
-    rows = [list(r) for r in rows]
-    n = len(rows)
-    acc = field.one()
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            return field.zero()
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            acc = -acc
-        acc = acc * rows[c][c]
-        inv = rows[c][c].inverse()
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return acc

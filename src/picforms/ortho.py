@@ -75,25 +75,36 @@ _UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
 def classify(rows, field=None):
-    """"proper", "improper", or "not-orthogonal" for a raw 3x3 matrix."""
+    """"proper", "improper", or "not-orthogonal" for a raw 3x3 matrix.
+
+    The entries must lie in ``field`` (by default that of the first entry);
+    one from another field raises DescriptorMismatch.  Each entry of
+    A^T Omega A and each cofactor of the determinant is one sum-of-products
+    kernel call on raw values; no inverse is taken.
+    """
     if field is None:
         field = rows[0][0].field
+    dot = field._raw_dot
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = map(field.values, rows)
+    cols = ((a0, b0, c0), (a1, b1, c1), (a2, b2, c2))
     # twice the six distinct entries of A^T Omega A, (i, j) being
-    # 2 a2i a2j - (a0i a1j + a1i a0j), against twice those of Omega
-    cols = linalg.transpose(rows)
+    # 2 c_i c_j - (a_i b_j + b_i a_j), against twice those of Omega
     lhs = []
     for i, j in _UPPER:
         x0, x1, x2 = cols[i]
         y0, y1, y2 = cols[j]
-        e = x2 * y2
-        lhs.append(e + e - (x0 * y1 + x1 * y0))
-    zero, one = field.zero(), field.one()
-    if lhs != [zero, -one, zero, zero, zero, one + one]:
+        lhs.append(dot((x2, x2), (y2, y2), (x0, x1), (y1, y0)))
+    zero, one = field.zero().value, field.one().value
+    if lhs != [zero, field._raw_neg(one), zero, zero, zero, field._raw_add(one, one)]:
         return "not-orthogonal"
-    d = linalg.det(rows, field)
+    # the determinant by cofactors along the first row
+    m0 = dot((b1,), (c2,), (b2,), (c1,))
+    m1 = dot((b0,), (c2,), (b2,), (c0,))
+    m2 = dot((b0,), (c1,), (b1,), (c0,))
+    d = dot((a0, a2), (m0, m2), (a1,), (m1,))
     if d == one:
         return "proper"
-    assert d == -one  # A* Omega A = Omega forces det = +-1
+    assert d == field._raw_neg(one)  # A* Omega A = Omega forces det = +-1
     return "improper"
 
 
@@ -108,6 +119,7 @@ class OrthogonalMatrix:
             raise ValueError("an orthogonal matrix is 3 x 3")
         if field is None:
             field = rows[0][0].field
+        rows = tuple(tuple(field.elem(x) for x in r) for r in rows)
         kind = classify(rows, field)
         if kind == "not-orthogonal":
             raise NotOrthogonal("matrix does not preserve the pairing")

@@ -4,7 +4,8 @@ Coefficients are stored lowest degree first with no trailing zeros; the
 zero polynomial is the empty tuple and has degree -1 by convention, which
 keeps every degree bound uniform.  The operators +, -, *, //, %, divmod
 and ** are overloaded, polynomials are callable (evaluation), and the gcd
-is always returned monic.
+is always returned monic.  Each coefficient of a product is one call of
+the field's sum-of-products kernel, so it is normalised once.
 
 Root finding uses gcd(f, X^q - X) and Cantor-Zassenhaus splitting over
 finite fields, polylogarithmic in q, and the rational-root bound over QQ;
@@ -39,6 +40,14 @@ class Polynomial:
             out.pop()
         self.field = field
         self.coeffs = tuple(out)
+
+    @classmethod
+    def _trusted(cls, field, coeffs):
+        # internal: coefficients already in `field`, with a nonzero last one
+        self = object.__new__(cls)
+        self.field = field
+        self.coeffs = coeffs
+        return self
 
     @classmethod
     def zero(cls, field):
@@ -135,13 +144,11 @@ class Polynomial:
             return NotImplemented
         if self.is_zero or o.is_zero:
             return Polynomial.zero(self.field)
-        zero = self.field.zero()
-        prod = [zero] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    prod[i + j] = prod[i + j] + a * b
-        return Polynomial(self.field, tuple(prod))
+        field = self.field
+        prod = _product_coeffs(field, [c.value for c in self.coeffs],
+                               [c.value for c in o.coeffs])
+        # the leading coefficient is a product of two nonzero ones
+        return Polynomial._trusted(field, tuple(FieldElement(field, c) for c in prod))
 
     __rmul__ = __mul__
 
@@ -216,6 +223,25 @@ class Polynomial:
             else:
                 parts.append("%s*X^%d" % (c, i))
         return " + ".join(reversed(parts))
+
+
+def _product_coeffs(field, a, b, c=(), d=()):
+    """The raw coefficients of A B - C D, lowest degree first, from raw
+    coefficient sequences a, b and optional c, d of the same lengths.
+
+    Each coefficient is one call of the field's sum-of-products kernel,
+    sum a_i b_(k-i) - sum c_i d_(k-i), so it is reduced once.
+    """
+    dot = field._raw_dot
+    la, lb = len(a), len(b)
+    br, dr = b[::-1], d[::-1]
+    out = []
+    for k in range(la + lb - 1):
+        lo, hi = max(0, k - lb + 1), min(k + 1, la)
+        # b_(k-i) for i in [lo, hi) is br[lb - 1 - k + i]
+        rev = slice(lb - 1 - k + lo, lb - 1 - k + hi)
+        out.append(dot(a[lo:hi], br[rev], c[lo:hi], dr[rev]))
+    return out
 
 
 def gcd(f, g):

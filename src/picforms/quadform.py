@@ -25,6 +25,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import (
     BudgetExhausted,
+    DecompositionRejected,
     FactorizationNeedsExtension,
     NotCurveForm,
     RationalsNeedHint,
@@ -96,17 +97,20 @@ class GramForm:
 
 
 def gram(t):
-    """Entry (i, j) is w_i w_j - (u_i v_j + u_j v_i)/2; the upper triangle
-    is computed and mirrored."""
+    """Entry (i, j) is w_i w_j - (u_i v_j + u_j v_i)/2, one sum-of-products
+    kernel call; the upper triangle is computed and mirrored."""
     field = t.field
-    half = field.elem(Fraction(1, 2))
-    u, v, w = t.u, t.v, t.w
-    n = len(u)
+    dot = field.dot
+    half = field.elem(Fraction(1, 2)).value
+    hu = [field._raw_mul(half, x.value) for x in t.u]
+    v = [x.value for x in t.v]
+    w = [x.value for x in t.w]
+    n = len(v)
     rows = [[None] * n for _ in range(n)]
     for i in range(n):
-        ui, vi, wi = u[i], v[i], w[i]
+        hi, vi, wi = hu[i], v[i], w[i]
         for j in range(i, n):
-            rows[i][j] = rows[j][i] = wi * w[j] - half * (ui * v[j] + u[j] * vi)
+            rows[i][j] = rows[j][i] = dot((wi,), (w[j],), (hi, hu[j]), (v[j], vi))
     return GramForm._trusted(tuple(map(tuple, rows)), field)
 
 
@@ -208,8 +212,12 @@ def decompose(S, curve, extension_budget=2, isotropic_hint=None):
     isotropic vector (base field first, then the quadratic extension as
     allowed by the budget), completes it to a hyperbolic pair plus an
     orthogonal complement, and reads off the w^2 - u*v shape.  Over the
-    rationals the rank-3 search is replaced by the caller's hint.
+    rationals the rank-3 search is replaced by the caller's hint.  The
+    budget must be at least 1.  The returned triple's Gram matrix is
+    checked against S once, and a mismatch raises DecompositionRejected.
     """
+    if extension_budget < 1:
+        raise ValueError("the extension budget must be >= 1, got %d" % extension_budget)
     if not in_curve_forms(S, curve):
         raise NotCurveForm("not a rank-2/3 form mapping onto this curve")
     r = linalg.rank(S.entries, S.field)
@@ -221,7 +229,8 @@ def decompose(S, curve, extension_budget=2, isotropic_hint=None):
         t = make_triple(curve, u, v, zero, field=ext)
     else:
         t = _decompose_rank3(S, curve, extension_budget, isotropic_hint)
-    assert gram(t) == S.embedded(t.field)
+    if gram(t) != S.embedded(t.field):
+        raise DecompositionRejected("the decomposed triple does not have the given Gram matrix")
     return t
 
 

@@ -11,6 +11,12 @@ Triples may live over an extension of the curve's base field; the curve
 coefficients embed upward.  The u and v components must be nonzero
 (otherwise F would be a square), while w = 0 is allowed and describes
 divisors supported on Weierstrass points.
+
+The identity, the group action and the shift of the normal form are sums
+of products, and each new coefficient is one call of the field's kernel
+(:meth:`picforms.fields.Field.dot`): it is normalised once, so a rational
+coefficient is one ``Fraction`` in lowest terms.  ``make_triple`` checks
+the identity coefficient by coefficient without building polynomials.
 """
 
 from __future__ import annotations
@@ -26,8 +32,9 @@ from .curves import (
 )
 from .errors import NotOnCurve, RationalsUnsupported, ZeroForm
 from .fields import can_embed, common_field, embed
+from .linalg import mat_mul
 from .ortho import OrthogonalMatrix, scale_matrix, shift_matrix
-from .poly import Polynomial, roots_in_field
+from .poly import Polynomial, _product_coeffs, roots_in_field
 
 
 class Triple:
@@ -98,10 +105,11 @@ def make_triple(curve, u, v, w, field=None):
         raise ZeroForm("u = 0 would force F to be a square")
     if not any(v):
         raise ZeroForm("v = 0 would force F to be a square")
-    W = form_to_poly(w, field)
-    U = form_to_poly(u, field)
-    V = form_to_poly(v, field)
-    if W * W - U * V != curve.embedded_F(field):
+    # coefficient by coefficient: W^2 - U V has degree <= 2g + 2 = deg F
+    wr = [c.value for c in w]
+    F = curve.embedded_F(field)
+    lhs = _product_coeffs(field, wr, wr, [c.value for c in u], [c.value for c in v])
+    if any(x != F[k].value for k, x in enumerate(lhs)):
         raise NotOnCurve("W^2 - U*V != F")
     return Triple(curve, field, u, v, w)
 
@@ -129,24 +137,8 @@ def act(matrix, t):
     if not isinstance(matrix, OrthogonalMatrix):
         matrix = OrthogonalMatrix(matrix)
     field = common_field(matrix.field, t.field)
-    new = _mix_forms(matrix.embedded(field).rows, t.embedded(field).forms(), field)
+    new = mat_mul(matrix.embedded(field).rows, t.embedded(field).forms())
     return make_triple(t.curve, new[0], new[1], new[2], field=field)
-
-
-def _mix_forms(rows, forms, field):
-    """rows @ (u, v, w) on raw form tuples, skipping zero entries."""
-    new = []
-    for row in rows:
-        acc = None
-        for c, form in zip(row, forms):
-            if not c:
-                continue
-            term = tuple(c * x for x in form)
-            acc = term if acc is None else tuple(a + b for a, b in zip(acc, term))
-        if acc is None:
-            acc = (field.zero(),) * len(forms[0])
-        new.append(acc)
-    return new
 
 
 def conjugate(t):
@@ -173,21 +165,31 @@ def _canonical_forms(u, v, w):
 
     Returns ((u, v, w), c, b): c is the top coefficient of u that the
     scaling divides out, b the coefficient of w that the shift zeroes.
+    Each shifted coefficient is one sum-of-products kernel call.
     """
     top = len(u) - 1
     while not u[top]:
         top -= 1
     c = u[top]
-    if c != c.field.one():
+    field = c.field
+    one = field.one()
+    scaled = c != one
+    if scaled:
         cinv = c.inverse()
         u = tuple(cinv * x for x in u)
-        v = tuple(c * x for x in v)
     b = w[top]
     if b:
-        b2 = b * b
-        b_2 = b + b
-        v = tuple(vi + b2 * ui - b_2 * wi for ui, vi, wi in zip(u, v, w))
-        w = tuple(wi - b * ui for ui, wi in zip(u, w))
+        # v' = c v + b^2 u - 2 b w and w' = w - b u, u being the scaled form
+        dot = field.dot
+        cr, oner = c.value, one.value
+        br, b2, b_2 = b.value, (b * b).value, (b + b).value
+        ur = [x.value for x in u]
+        wr = [x.value for x in w]
+        v = tuple(dot((cr, b2), (vi.value, ui), (b_2,), (wi,))
+                  for ui, vi, wi in zip(ur, v, wr))
+        w = tuple(dot((oner,), (wi,), (br,), (ui,)) for ui, wi in zip(ur, wr))
+    elif scaled:
+        v = tuple(c * x for x in v)
     return (u, v, w), c, b
 
 

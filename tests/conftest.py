@@ -64,3 +64,46 @@ def rational_triples(curve, rng, n):
         seed = seeds[rng.randrange(len(seeds))]
         out.append(act(random_proper_word(curve.field, rng), seed))
     return out
+
+
+# -- reference oracles on plain element arithmetic ------------------------------
+
+def det(rows, field):
+    """Determinant by Gaussian elimination with element inverses; the
+    reference for the cofactor determinant inside ``ortho.classify``."""
+    rows = [list(r) for r in rows]
+    n = len(rows)
+    acc = field.one()
+    for c in range(n):
+        pivot = None
+        for i in range(c, n):
+            if rows[i][c]:
+                pivot = i
+                break
+        if pivot is None:
+            return field.zero()
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            acc = -acc
+        acc = acc * rows[c][c]
+        inv = rows[c][c].inverse()
+        for i in range(c + 1, n):
+            if rows[i][c]:
+                f = rows[i][c] * inv
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return acc
+
+
+def row_by_column(a, b):
+    """a @ b entry by entry with the element operators * and +; the
+    reference for ``linalg.mat_mul``."""
+    out = []
+    for row in a:
+        new = []
+        for j in range(len(b[0])):
+            acc = row[0] * b[0][j]
+            for k in range(1, len(b)):
+                acc = acc + row[k] * b[k][j]
+            new.append(acc)
+        out.append(tuple(new))
+    return tuple(out)

@@ -156,16 +156,20 @@ def test_form_commands(files):
 
 
 def test_form_decompose_budget_exhausted(files):
+    # the budget is used as given: 1 runs out, and below 1 is an input error
     curve = {"field": {"p": 5, "m": 1}, "coeffs": [[1], [0], [0], [0], [2]]}
     form = {"entries": [[[1], [0], [0]], [[0], [0], [0]], [[0], [0], [2]]],
             "field": {"p": 5, "m": 1}}
-    code, payload = run_command([
-        "form-decompose", "--budget", "1",
-        "--curve", files("c.json", curve),
-        "--form", files("f.json", form),
-    ])
-    assert code == EXIT_BUDGET
-    assert payload["error"]["kind"] == "BudgetExhausted"
+    for budget, want, kind in (("1", EXIT_BUDGET, "BudgetExhausted"),
+                               ("0", EXIT_INPUT, "InputError"),
+                               ("-3", EXIT_INPUT, "InputError")):
+        code, payload = run_command([
+            "form-decompose", "--budget", budget,
+            "--curve", files("c.json", curve),
+            "--form", files("f.json", form),
+        ])
+        assert code == want, budget
+        assert payload["error"]["kind"] == kind
 
 
 def test_galois_rational(files):
@@ -229,8 +233,17 @@ def test_main_byte_stable(files, tmp_path, capsys):
     assert out.read_text() == first
 
 
-def test_main_bad_args():
-    assert main(["no-such-command"]) == EXIT_INPUT
+def test_main_bad_args(capsys):
+    for argv in (["no-such-command"], ["group-enumerate", "--p", "1.5"], []):
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["error"]["kind"] == "InputError"
+        assert "usage:" in captured.err
+        assert run_command(argv)[0] == EXIT_INPUT
+    capsys.readouterr()
+    assert main(["--help"]) == 0
+    assert main(["class-relation", "--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("budget", ["0", "-3"])
@@ -333,6 +346,17 @@ _FUZZ_CASES = [
 _ENUMERATE_ARGS = [["--p", p] for p in ("0", "-5", "2", "4", "17")] + [
     ["--p", "3", "--m", m] for m in ("0", "-1", "3")]
 
+# command lines that argparse itself rejects
+_ARGV_ERRORS = [
+    ["group-enumerate", "--p", "1.5"],
+    ["group-enumerate", "--p", "3", "--m", "x"],
+    ["no-such-command"],
+    [],
+    ["class-relation", "--bogus"],
+    ["galois-rational", "--mode", "nope"],
+    ["search-caveat", "--budget"],
+]
+
 _DEEP = "@@deep@@"
 
 
@@ -381,6 +405,8 @@ def _fuzz_inputs(rng, per_case):
             yield [command] + extra, dict(docs, **{option: _replaced(docs[option], path, new)})
     for args in _ENUMERATE_ARGS:
         yield ["group-enumerate"] + args, {}
+    for argv in _ARGV_ERRORS:
+        yield argv, {}
 
 
 def test_cli_fuzz_ends_in_documented_exit_codes(tmp_path, capsys):
@@ -394,5 +420,8 @@ def test_cli_fuzz_ends_in_documented_exit_codes(tmp_path, capsys):
         code = main(argv)
         captured = capsys.readouterr()
         assert code in (0, 1, 2, 3), argv
-        json.loads(captured.out)
+        payload = json.loads(captured.out)
         assert "Traceback" not in captured.err, argv
+        if argv in _ARGV_ERRORS:
+            assert code == EXIT_INPUT and payload["error"]["kind"] == "InputError", argv
+            assert "usage:" in captured.err, argv

@@ -354,3 +354,54 @@ def test_witness_check_survives_optimize():
         "the assembled witness does not carry t1 onto t2",
         "the assembled witness is not proper",
     ] * 4
+
+
+_WRONG_DECOMPOSITION = """
+import json, os, random, sys, tempfile
+sys.path.insert(0, %r)
+from picforms import cli, quadform, serialize
+from picforms.errors import DecompositionRejected
+from picforms.fields import GF
+from picforms.curves import make_curve
+from picforms.sampling import random_triple
+
+field = GF(7)
+curve = make_curve([3, 1, 0, 2, 0, 1, 1], field)
+rng = random.Random(3)
+t = random_triple(curve, field, rng)
+S = quadform.gram(t)
+other = random_triple(curve, field, rng)
+while quadform.gram(other) == S:
+    other = random_triple(curve, field, rng)
+# every branch of decompose builds its triple through make_triple
+quadform.make_triple = lambda *args, **kwargs: other
+out = [__debug__]
+try:
+    quadform.decompose(S, curve)
+    out.append("accepted")
+except DecompositionRejected as exc:
+    out.append(str(exc))
+with tempfile.TemporaryDirectory() as tmp:
+    paths = []
+    for name, doc in (("c", serialize.curve_to_json(curve)), ("f", serialize.gram_to_json(S))):
+        paths.append(os.path.join(tmp, name + ".json"))
+        with open(paths[-1], "w") as fh:
+            json.dump(doc, fh)
+    code, payload = cli.run_command(
+        ["form-decompose", "--curve", paths[0], "--form", paths[1]])
+out += [code, payload["error"]["kind"]]
+print(json.dumps(out))
+"""
+
+
+def test_decompose_check_survives_optimize():
+    # the one check on the triple that decompose returns is not an assert
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _WRONG_DECOMPOSITION % os.path.join(root, "src")],
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [
+        False, "the decomposed triple does not have the given Gram matrix",
+        2, "DecompositionRejected"]
+

@@ -1,7 +1,13 @@
+import random
 from fractions import Fraction
 
+import pytest
+
+from conftest import det, row_by_column
+
 from picforms import linalg
-from picforms.fields import GF, QQ
+from picforms.errors import DescriptorMismatch
+from picforms.fields import GF, QQ, rational_extension
 
 F5 = GF(5)
 
@@ -34,7 +40,38 @@ def test_solve_consistent_and_inconsistent():
 
 
 def test_det():
+    # the elimination determinant, kept as the reference oracle for classify
     a = _m(QQ, ((Fraction(1, 2), 1), (0, 3)))
-    assert linalg.det(a, QQ) == QQ.elem(Fraction(3, 2))
+    assert det(a, QQ) == QQ.elem(Fraction(3, 2))
     singular = _m(QQ, ((1, 2), (2, 4)))
-    assert linalg.det(singular, QQ) == QQ.zero()
+    assert det(singular, QQ) == QQ.zero()
+
+
+def _random_entry(field, rng):
+    if field.p is not None:
+        return field.random_element(rng)
+    if field.m == 1:
+        return field.elem(Fraction(rng.randint(-40, 40), rng.randint(1, 9)))
+    return field.elem([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(2)])
+
+
+def test_mat_mul_agrees_with_row_by_column():
+    rng = random.Random(11)
+    for field in (QQ, GF(7), GF(2 ** 61 - 1), GF(5, 3), rational_extension((-2, 0, 1))):
+        for n, k, m in ((1, 1, 1), (3, 3, 3), (3, 3, 5), (2, 4, 3)):
+            a = tuple(tuple(_random_entry(field, rng) for _ in range(k)) for _ in range(n))
+            b = tuple(tuple(_random_entry(field, rng) for _ in range(m)) for _ in range(k))
+            assert linalg.mat_mul(a, b) == row_by_column(a, b), (field, n, k, m)
+            vec = tuple(row[0] for row in b)
+            assert linalg.mat_vec(a, vec) == tuple(r[0] for r in row_by_column(a, b))
+
+
+def test_products_reject_entries_of_another_field():
+    a = _m(F5, ((1, 2), (3, 4)))
+    b = (a[0], (GF(5, 2).one(), F5.one()))
+    with pytest.raises(DescriptorMismatch):
+        linalg.mat_mul(a, b)
+    with pytest.raises(DescriptorMismatch):
+        linalg.mat_vec(a, b[1])
+    with pytest.raises(DescriptorMismatch):
+        linalg.dot(a[0], _m(QQ, ((1, 2),))[0])

@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import det, row_by_column
+
 from picforms import linalg
 from picforms.errors import (
+    DescriptorMismatch,
     FieldTooLarge,
     NotOrthogonal,
     RationalsUnsupported,
@@ -46,14 +49,14 @@ def test_pairing_matrix_f5():
 def test_pairing_symmetric_invertible():
     m = pairing_matrix(QQ)
     assert m == linalg.transpose(m)
-    assert linalg.det(m, QQ) != QQ.zero()
+    assert det(m, QQ) != QQ.zero()
 
 
 def _dense_classify(rows, field):
     omega = pairing_matrix(field)
-    if linalg.mat_mul(linalg.mat_mul(linalg.transpose(rows), omega), rows) != omega:
+    if row_by_column(row_by_column(linalg.transpose(rows), omega), rows) != omega:
         return "not-orthogonal"
-    return "proper" if linalg.det(rows, field) == field.one() else "improper"
+    return "proper" if det(rows, field) == field.one() else "improper"
 
 
 def test_classification_examples():
@@ -72,15 +75,29 @@ def test_classification_examples():
                     rows = [list(r) for r in m.rows]
                     rows[i][j] = rows[i][j] + 1
                     assert classify(rows) == "not-orthogonal", (field, kind, i, j)
-    # the six-entry check agrees with the dense A^T Omega A == Omega
+    # the six-entry check and the cofactor determinant agree with the dense
+    # A^T Omega A == Omega and the elimination determinant
     rng = random.Random(53)
-    for field in (GF(7), F5, QQ):
+    for field in (GF(7), F5, QQ, GF(2 ** 61 - 1), GF(5, 3), GF(3, 2)):
         for _ in range(20):
             m = random_orthogonal_word(field, rng, improper=bool(rng.randrange(2)))
             rows = [list(r) for r in m.rows]
             assert classify(rows) == _dense_classify(rows, field)
+            assert m.proper == (classify(rows) == "proper")
             rows[rng.randrange(3)][rng.randrange(3)] += rng.randrange(1, 5)
             assert classify(rows) == _dense_classify(rows, field)
+
+
+def test_classify_rejects_entries_of_another_field():
+    with pytest.raises(DescriptorMismatch):
+        classify(identity_matrix(QQ).rows, GF(7))
+    F25 = GF(5, 2)
+    rows = [list(r) for r in identity_matrix(F5).rows]
+    rows[2][2] = F25.one()
+    with pytest.raises(DescriptorMismatch):
+        classify(rows)
+    with pytest.raises(DescriptorMismatch):
+        OrthogonalMatrix(rows)
 
 
 def test_generator_matrices_match_displays():
