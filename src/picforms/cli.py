@@ -5,7 +5,9 @@ triple-support, group-act, group-enumerate, class-relation, form-gram,
 form-rank, form-decompose, galois-rational, search-caveat.
 
 Exit codes: 0 success, 1 input validation failure, 2 domain error,
-3 budget or search exhaustion.  Output is byte-stable for identical
+3 budget or search exhaustion.  ``--ext`` (triple-support, class-relation,
+search-caveat) must lie between 1 and ``MAX_EXT``; anything else is an
+input error.  Output is byte-stable for identical
 inputs and seeds.
 """
 
@@ -34,6 +36,11 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_DOMAIN = 2
 EXIT_BUDGET = 3
+
+# the largest --ext accepted: the extension is built (a default modulus found
+# by Rabin's test) before any answer is printed, and its degree is what bounds
+# the time of triple-support, class-relation and search-caveat
+MAX_EXT = 8
 
 
 class InputError(Exception):
@@ -70,6 +77,13 @@ def _load_curve(args):
         return serialize.curve_from_json(obj)
     except (AlgebraError, KeyError, ValueError) as exc:
         raise InputError("invalid curve: %s: %s" % (type(exc).__name__, exc)) from exc
+
+
+def _extension(args):
+    """--ext, checked against 1 <= ext <= MAX_EXT."""
+    if not 1 <= args.ext <= MAX_EXT:
+        raise InputError("--ext must be between 1 and %d, got %d" % (MAX_EXT, args.ext))
+    return args.ext
 
 
 def _load_triple(curve, path):
@@ -129,9 +143,10 @@ def _cmd_triple_canonical(args):
 
 
 def _cmd_triple_support(args):
+    ext = _extension(args)
     curve = _load_curve(args)
     t = _load_triple(curve, args.t1)
-    sup = support(t, args.ext)
+    sup = support(t, ext)
     return EXIT_OK, {
         "affine": [
             {"x": serialize.scalar_to_json(x),
@@ -169,10 +184,11 @@ def _cmd_group_enumerate(args):
 
 
 def _cmd_class_relation(args):
+    ext = _extension(args)
     curve = _load_curve(args)
     t1 = _load_triple(curve, args.t1)
     t2 = _load_triple(curve, args.t2)
-    rel = same_class(t1, t2, extension=args.ext)
+    rel = same_class(t1, t2, extension=ext)
     payload = {
         "kind": rel.kind,
         "search_domain": serialize.field_to_json(rel.search_domain),
@@ -252,10 +268,11 @@ def _rational_entry(c):
 
 
 def _cmd_search_caveat(args):
+    ext = _extension(args)
     curve = _load_curve(args)
     if curve.field.p is None:
         raise InputError("the caveat search runs over finite fields")
-    ambient = curve.field.extension(args.ext)
+    ambient = curve.field.extension(ext)
     ctx = galois_context(ambient)
     res = find_caveat_example(curve, ctx, args.budget, args.seed)
     payload = {
@@ -305,7 +322,8 @@ def build_parser():
         sp.add_argument("--mode", choices=["class", "mod-conj"], default="class",
                         help="galois-rational: which rationality predicate")
         sp.add_argument("--ext", type=int, default=2,
-                        help="ambient/search extension degree (default 2)")
+                        help="ambient/search extension degree, 1 to %d (default 2)"
+                             % MAX_EXT)
         sp.add_argument("--budget", type=int, default=10000)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--p", type=int, help="prime for group-enumerate")

@@ -32,6 +32,15 @@ only the kind build none.  The search domain named by
 ``same_class(..., extension=...)`` is reported with the verdict but
 cannot change it.
 
+Values are raw from start to finish: ``same_class``, ``recover_transform``
+and the Galois predicates read each triple's raw coefficient lists once
+(``Triple._raw_forms``), and the Gram comparison, the normal forms, the
+parameter, the reduced forms, the match record and the witness check all
+run on raw values through the field's sum-of-products kernel.
+``FieldElement`` values are built only for the witness matrices that are
+returned; every input and output at the API boundary is still a
+``Triple``, an ``OrthogonalMatrix`` or a ``ClassRelation``.
+
 ``orbit_oracle`` is the independent brute-force check: it exhausts the
 full enumerated proper group over a small field.
 """
@@ -43,17 +52,19 @@ from dataclasses import dataclass
 
 from .errors import GramMismatch, RationalsUnsupported, SearchExhausted, WitnessRejected
 from .fields import Field, common_field, embed
-from .linalg import mat_mul
+from .linalg import _mat_mul_raw
 from .ortho import (
     OrthogonalMatrix,
-    classify,
+    _classify_raw,
+    _reduction_rows,
+    _swap_rows,
+    _wrap_rows,
     enumerate_special_orthogonal,
-    flip_matrix,
     reduction_matrix,
     swap_matrix,
 )
-from .quadform import gram
-from .triples import _canonical_forms, act, conjugate
+from .quadform import _gram_upper
+from .triples import _canonical_forms, act
 
 KIND_EQUAL = "equal"
 KIND_BOTH = "equal-and-self-conjugate"
@@ -95,80 +106,90 @@ def swap_step(t):
     return act(swap_matrix(t.field), t)
 
 
-# -- the parameter solver -------------------------------------------------------
+# -- the parameter solver ---------------------------------------------------------
+#
+# Everything below works on raw values: a triple enters as the tuple of its
+# three raw coefficient lists, read once, and FieldElements are built only
+# for the witness matrices that are returned.
 
-def _reduced_forms(u, v, w, a):
+def _reduced_forms(field, u, v, w, a):
     """(u + a^2 v - 2 a w, v, w - a v), one kernel call per coefficient."""
-    field = a.field
-    dot = field.dot
-    one, ar = field.one().value, a.value
-    a2, a_2 = (a * a).value, (a + a).value
-    vr = [x.value for x in v]
-    wr = [x.value for x in w]
-    return (tuple(dot((one, a2), (ui.value, vi), (a_2,), (wi,))
-                  for ui, vi, wi in zip(u, vr, wr)), v,
-            tuple(dot((one,), (wi,), (ar,), (vi,)) for vi, wi in zip(vr, wr)))
+    dot = field._raw_dot
+    one = field._one.value
+    a2, a_2 = field._raw_mul(a, a), field._raw_add(a, a)
+    return ([dot((one, a2), (ui, vi), (a_2,), (wi,)) for ui, vi, wi in zip(u, v, w)], v,
+            [dot((one,), (wi,), (a,), (vi,)) for vi, wi in zip(v, w)])
 
 
-def _witness_from(record):
-    """The proper witness behind a match record, verified once.
+def _witness_from(record, flip=False):
+    """The proper witness behind a match record, verified once; with
+    ``flip``, the flip (u, v, w) -> (u, v, -w) times it.
 
-    In the record (move, t1, t2, c, b, c2, b2) of :func:`_match`, (c, b)
-    and (c2, b2) are the normal-form parameters of move . t1 and of t2:
-    canonicalising applies shift(b) scale(1/c), and shifts compose
+    In the record (field, move, t1, t2, c, b, c2, b2) of :func:`_match`,
+    (c, b) and (c2, b2) are the normal-form parameters of move . t1 and of
+    t2: canonicalising applies shift(b) scale(1/c), and shifts compose
     additively, so the witness is scale(c2) shift(b - b2) scale(1/c) @ move.
-    It is checked to be proper and to map t1 to t2 exactly.
+    It is checked on raw rows to be proper and to map t1 to t2 exactly;
+    only the returned matrix is built from field elements.
     """
-    move, t1, t2, c, b, c2, b2 = record
-    field = t1.field
-    ci, c2i = c.inverse(), c2.inverse()
-    d = b - b2
-    zero, one = field.zero(), field.one()
-    undo = OrthogonalMatrix._trusted(
-        ((c2 * ci, zero, zero),
-         (d * d * ci * c2i, c * c2i, -(d + d) * c2i),
-         (-d * ci, zero, one)), field, True)
-    witness = undo @ move
-    if classify(witness.rows, field) != "proper":
+    field, move, t1, t2, c, b, c2, b2 = record
+    mul, neg = field._raw_mul, field._raw_neg
+    zero, one = field._zero.value, field._one.value
+    ci, c2i = field._raw_inv(c), field._raw_inv(c2)
+    d = field._raw_sub(b, b2)
+    undo = ((mul(c2, ci), zero, zero),
+            (mul(mul(mul(d, d), ci), c2i), mul(c, c2i), neg(mul(field._raw_add(d, d), c2i))),
+            (neg(mul(d, ci)), zero, one))
+    rows = _mat_mul_raw(field, undo, move)
+    if _classify_raw(field, rows) != "proper":
         raise WitnessRejected("the assembled witness is not proper")
-    if mat_mul(witness.rows, t1.forms()) != t2.forms():
+    if _mat_mul_raw(field, rows, t1) != t2:
         raise WitnessRejected("the assembled witness does not carry t1 onto t2")
-    return witness
+    if flip:
+        rows = (rows[0], rows[1], [neg(x) for x in rows[2]])
+    return _wrap_rows(field, rows, not flip)
 
 
-def _conjugate_normal_form(form):
+def _conjugate(field, forms):
+    """The raw forms of conj(t), (u, v, -w)."""
+    u, v, w = forms
+    return u, v, [field._raw_neg(x) for x in w]
+
+
+def _conjugate_normal_form(field, form):
     """The normal form of conj(t) from that of t: negating w keeps the
     scaling and negates both the shift and the shifted w."""
-    (u, v, w), c, b = form
-    return (u, v, tuple(-x for x in w)), c, -b
+    forms, c, b = form
+    return _conjugate(field, forms), c, field._raw_neg(b)
 
 
-def _match(t1, t2, target=None):
-    """The match record of a proper move carrying t1 onto t2's
-    representation orbit, or None.
+def _match(field, t1, t2, target=None):
+    """The match record of a proper move carrying the raw forms t1 onto
+    t2's representation orbit, or None.
 
-    The record is (move, t1, t2, c, b, c2, b2), with the normal-form
-    parameters that :func:`_witness_from` turns into a verified witness.
-    ``target`` is t2's normal form when the caller has it already.  The
-    only reduction parameter that can match comes from
+    The record is (field, move, t1, t2, c, b, c2, b2), with the raw move
+    and the normal-form parameters that :func:`_witness_from` turns into a
+    verified witness.  ``target`` is t2's normal form when the caller has
+    it already.  The only reduction parameter that can match comes from
     :func:`_parameter`; after it the plain swap is tried.
     """
-    u1, v1, w1 = t1.u, t1.v, t1.w
-    key2, c2, b2 = _canonical_forms(t2.u, t2.v, t2.w) if target is None else target
-    a = _parameter(t1, t2)
+    u1, v1, w1 = t1
+    key2, c2, b2 = _canonical_forms(field, *t2) if target is None else target
+    a = _parameter(field, t1, t2)
     if a is not None:
-        key, c, b = _canonical_forms(*_reduced_forms(u1, v1, w1, a))
+        key, c, b = _canonical_forms(field, *_reduced_forms(field, u1, v1, w1, a))
         if key == key2:
-            return reduction_matrix(a), t1, t2, c, b, c2, b2
-    key, c, b = _canonical_forms(v1, u1, tuple(-x for x in w1))
+            return field, _reduction_rows(field, a), t1, t2, c, b, c2, b2
+    key, c, b = _canonical_forms(field, v1, u1, [field._raw_neg(x) for x in w1])
     if key == key2:
-        return swap_matrix(t1.field), t1, t2, c, b, c2, b2
+        return field, _swap_rows(field), t1, t2, c, b, c2, b2
     return None
 
 
-def _parameter(t1, t2):
-    """The one reduction parameter that can carry t1 onto t2's
-    representation orbit, or None when no parameter can.
+def _parameter(field, t1, t2):
+    """The one reduction parameter that can carry the raw forms t1 onto
+    t2's representation orbit, as a raw value, or None when no parameter
+    can.
 
     A match needs U1 + a^2 V1 - 2 a W1 and W1 - a V1 - W2 to be multiples
     of U2.  For an index k with U2_k != 0, a form f is a multiple of U2
@@ -193,27 +214,31 @@ def _parameter(t1, t2):
     degree 0 the candidate fails the normal-form comparison, because
     equal normal forms make every minor vanish.
     """
-    field = t1.field
-    dot = field.dot
-    U1, V1, W1 = ([x.value for x in form] for form in t1.forms())
-    U2, W2 = [x.value for x in t2.u], [x.value for x in t2.w]
-    k = next(i for i, x in enumerate(t2.u) if x)
+    dot = field._raw_dot
+    zero = field._zero.value
+    U1, V1, W1 = t1
+    U2, _, W2 = t2
+    k = next(i for i, x in enumerate(U2) if x != zero)
     uk = U2[k]
     others = [i for i in range(len(U2)) if i != k]
+
+    def root(c0, c1):
+        return field._raw_neg(field._raw_mul(c0, field._raw_inv(c1)))
+
     dk = field._raw_sub(W1[k], W2[k])
     for i in others:
         c0 = dot((W1[i],), (uk,), (W2[i], dk), (uk, U2[i]))
         c1 = dot((V1[k],), (U2[i],), (V1[i],), (uk,))
-        if c1:
-            return -c0 / c1
-        if c0:
+        if c1 != zero:
+            return root(c0, c1)
+        if c0 != zero:
             return None
     for i in others:
         c0 = dot((U1[i],), (uk,), (U1[k],), (U2[i],))
         c1 = dot((W1[k], W1[k]), (U2[i], U2[i]), (W1[i], W1[i]), (uk, uk))
-        if c1:
-            return -c0 / c1
-        if c0:
+        if c1 != zero:
+            return root(c0, c1)
+        if c0 != zero:
             return None
     # excluded by the lemma; reported rather than guessed
     raise SearchExhausted("constraint minors vanished identically")
@@ -244,14 +269,17 @@ def same_class(t1, t2, extension=2):
     :func:`_parameter`), so witnesses come out over that field.
     """
     t1, t2 = _on_common_field(t1, t2)
-    if t1.field.p is None and t1.field.m > 1:
+    field = t1.field
+    if field.p is None and field.m > 1:
         raise RationalsUnsupported(
             "the class search takes triples over QQ or a finite field")
-    if gram(t1) != gram(t2):
-        return ClassRelation(KIND_DISTINCT, field=t1.field, extension=extension)
-    target = _canonical_forms(t2.u, t2.v, t2.w)
-    witness = _certified(_match(t1, t2, target))
-    conj_witness = _certified(_match(t1, conjugate(t2), _conjugate_normal_form(target)))
+    r1, r2 = t1._raw_forms(), t2._raw_forms()
+    if _gram_upper(field, *r1) != _gram_upper(field, *r2):
+        return ClassRelation(KIND_DISTINCT, field=field, extension=extension)
+    target = _canonical_forms(field, *r2)
+    witness = _certified(_match(field, r1, r2, target))
+    conj_witness = _certified(_match(field, r1, _conjugate(field, r2),
+                                     _conjugate_normal_form(field, target)))
     if witness is not None and conj_witness is not None:
         kind = KIND_BOTH
     elif witness is not None:
@@ -260,7 +288,7 @@ def same_class(t1, t2, extension=2):
         kind = KIND_CONJ
     else:
         kind = KIND_DISTINCT
-    return ClassRelation(kind, witness, conj_witness, t1.field, extension)
+    return ClassRelation(kind, witness, conj_witness, field, extension)
 
 
 def recover_transform(t1, t2):
@@ -272,17 +300,19 @@ def recover_transform(t1, t2):
     triples' common field, and in rank 3 it is the unique such matrix.
     """
     t1, t2 = _on_common_field(t1, t2)
-    if gram(t1) != gram(t2):
+    field = t1.field
+    r1, r2 = t1._raw_forms(), t2._raw_forms()
+    if _gram_upper(field, *r1) != _gram_upper(field, *r2):
         raise GramMismatch("the triples have different Gram matrices")
-    target = _canonical_forms(t2.u, t2.v, t2.w)
-    record = _match(t1, t2, target)
+    target = _canonical_forms(field, *r2)
+    record = _match(field, r1, r2, target)
     if record is not None:
         return _witness_from(record)
-    record = _match(t1, conjugate(t2), _conjugate_normal_form(target))
+    record = _match(field, r1, _conjugate(field, r2), _conjugate_normal_form(field, target))
     if record is None:
         # excluded: the Gram matrix is a complete invariant of the full orbit
         raise SearchExhausted("equal Gram matrices but neither orbit matched")
-    return flip_matrix(t1.field) @ _witness_from(record)
+    return _witness_from(record, flip=True)
 
 
 def orbit_oracle(t1, t2):
@@ -292,14 +322,16 @@ def orbit_oracle(t1, t2):
     directly.  Only for small finite fields.
     """
     t1, t2 = _on_common_field(t1, t2)
-    group = enumerate_special_orthogonal(t1.field)
-    key2 = _canonical_forms(t2.u, t2.v, t2.w)[0]
-    key2c = _canonical_forms(t2.u, t2.v, tuple(-x for x in t2.w))[0]
-    forms = t1.forms()
+    field = t1.field
+    group = enumerate_special_orthogonal(field)
+    r1, r2 = t1._raw_forms(), t2._raw_forms()
+    key2 = _canonical_forms(field, *r2)[0]
+    key2c = _canonical_forms(field, *_conjugate(field, r2))[0]
     equal = False
     conj = False
     for m in group:
-        key = _canonical_forms(*mat_mul(m.rows, forms))[0]
+        rows = [field.values(row) for row in m.rows]
+        key = _canonical_forms(field, *_mat_mul_raw(field, rows, r1))[0]
         if key == key2:
             equal = True
         if key == key2c:

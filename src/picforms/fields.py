@@ -315,6 +315,10 @@ class Field:
         element; the sequences are raw values of this field."""
         return FieldElement(self, self._raw_dot(xs, ys, xs2, ys2))
 
+    def _wrap(self, values):
+        """The elements with the raw values ``values``, as a tuple."""
+        return tuple([FieldElement(self, x) for x in values])
+
     def values(self, xs):
         """The raw values of the elements xs, as a list; ints and Fractions
         are coerced, and an element of another field raises DescriptorMismatch."""
@@ -404,6 +408,20 @@ class Field:
                 rows.append(self._raw_mul(rows[-1], tp))
             self._frob = rows
         return self._frob
+
+    def _raw_frobenius(self, value, power=1):
+        """value ** (p ** power) on a raw value of a finite field."""
+        if self.m == 1:
+            return value
+        p, rows = self.p, self._frobenius_rows()
+        for _ in range(power % self.m):
+            out = [0] * self.m
+            for c, row in zip(value, rows):
+                if c:
+                    for i, r in enumerate(row):
+                        out[i] += c * r
+            value = tuple([x % p for x in out])
+        return value
 
     def _raw_nonzero(self, a):
         if self.m == 1:
@@ -697,16 +715,7 @@ class FieldElement:
             raise ValueError("Frobenius power must be >= 0")
         if f.m == 1:
             return self
-        p, value = f.p, self.value
-        rows = f._frobenius_rows()
-        for _ in range(power % f.m):
-            out = [0] * f.m
-            for c, row in zip(value, rows):
-                if c:
-                    for i, r in enumerate(row):
-                        out[i] += c * r
-            value = tuple(x % p for x in out)
-        return FieldElement(f, value)
+        return FieldElement(f, f._raw_frobenius(self.value, power))
 
     def sqrt(self):
         return self.field.sqrt(self)

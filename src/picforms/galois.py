@@ -16,7 +16,10 @@ not an error, and the seeded search is reproducible.
 Both the class predicate and the search filter on the Gram test and then
 ask the equivalence module's match search for the kind alone; the witness
 behind a True or a returned hit is assembled and verified once, and no
-other witness is built.
+other witness is built.  Like the class decision they read each triple's
+raw values once: the Gram filter, the Frobenius image and the match all
+run on raw values, and an invariant entry is Frobenius-fixed exactly when
+it lies in the prime field, the constants of the power basis.
 """
 
 from __future__ import annotations
@@ -25,10 +28,10 @@ from dataclasses import dataclass
 
 from .errors import NotFiniteField, NotInAmbient
 from .fields import GF, Field, can_embed
-from .quadform import GramForm, gram
+from .quadform import GramForm, _gram_upper
 from . import equivalence
 from .sampling import random_triple
-from .triples import Triple, conjugate
+from .triples import Triple, _canonical_forms
 
 
 @dataclass(frozen=True)
@@ -52,14 +55,10 @@ def galois_image(obj, ctx):
     it carries W^2 - U V = F and the symmetry of a Gram form over.
     """
     if isinstance(obj, Triple):
-        if obj.field != ctx.ambient:
-            raise NotInAmbient("triple entries are not in the ambient field")
-        if not can_embed(obj.curve.field, ctx.base):
-            raise NotInAmbient("the curve must be defined over the base field")
-        return Triple(obj.curve, obj.field,
-                      tuple(c.frobenius() for c in obj.u),
-                      tuple(c.frobenius() for c in obj.v),
-                      tuple(c.frobenius() for c in obj.w))
+        _check_image(obj, ctx)
+        field = obj.field
+        return Triple(obj.curve, field,
+                      *map(field._wrap, _frobenius_forms(field, obj._raw_forms())))
     if isinstance(obj, GramForm):
         if obj.field != ctx.ambient:
             raise NotInAmbient("form entries are not in the ambient field")
@@ -68,12 +67,36 @@ def galois_image(obj, ctx):
     raise TypeError("galois_image acts on triples and Gram forms")
 
 
+def _check_image(t, ctx):
+    """The conditions under which t has a Frobenius image over ctx."""
+    if t.field != ctx.ambient:
+        raise NotInAmbient("triple entries are not in the ambient field")
+    if not can_embed(t.curve.field, ctx.base):
+        raise NotInAmbient("the curve must be defined over the base field")
+
+
+def _frobenius_forms(field, forms):
+    """The entrywise Frobenius image of raw forms."""
+    frob = field._raw_frobenius
+    return tuple([frob(x) for x in form] for form in forms)
+
+
+def _gram_fixed(field, forms):
+    """True iff the Gram invariant of the raw forms is Frobenius-fixed.
+
+    An element is fixed iff it lies in the prime field, the constants of
+    the power basis, so only the other coordinates are read.
+    """
+    if field.m == 1:
+        return True
+    return not any(any(x[1:]) for x in _gram_upper(field, *forms))
+
+
 def class_rational_mod_conj(t, ctx):
     """True iff the Gram invariant is Frobenius-fixed (all entries in the base)."""
     if t.field != ctx.ambient:
         raise NotInAmbient("triple entries are not in the ambient field")
-    S = gram(t)
-    return all(c.frobenius() == c for row in S.entries for c in row)
+    return _gram_fixed(t.field, t._raw_forms())
 
 
 def class_rational(t, ctx):
@@ -86,10 +109,13 @@ def class_rational(t, ctx):
     runs over the ambient field itself, and the witness behind a True is
     verified once.
     """
-    image = galois_image(t, ctx)
-    if not class_rational_mod_conj(t, ctx):
+    _check_image(t, ctx)
+    field = t.field
+    forms = t._raw_forms()
+    if not _gram_fixed(field, forms):
         return False
-    return equivalence._certified(equivalence._match(t, image)) is not None
+    image = _frobenius_forms(field, forms)
+    return equivalence._certified(equivalence._match(field, forms, image)) is not None
 
 
 @dataclass(frozen=True)
@@ -118,13 +144,19 @@ def find_caveat_example(curve, ctx, budget, seed):
     if budget < 1:
         raise ValueError("the search budget must be >= 1, got %d" % budget)
     rng = random.Random(seed)
+    field = ctx.ambient
     for i in range(budget):
-        t = random_triple(curve, ctx.ambient, rng)
-        if not class_rational_mod_conj(t, ctx):
+        t = random_triple(curve, field, rng)
+        forms = t._raw_forms()
+        if not _gram_fixed(field, forms):
             continue
-        image = galois_image(t, ctx)
-        if equivalence._match(t, image) is not None:
+        _check_image(t, ctx)
+        image = _frobenius_forms(field, forms)
+        target = _canonical_forms(field, *image)
+        if equivalence._match(field, forms, image, target) is not None:
             continue
-        if equivalence._certified(equivalence._match(t, conjugate(image))) is not None:
+        record = equivalence._match(field, forms, equivalence._conjugate(field, image),
+                                    equivalence._conjugate_normal_form(field, target))
+        if equivalence._certified(record) is not None:
             return CaveatResult(True, t, i + 1, budget, seed)
     return CaveatResult(False, None, budget, budget, seed)

@@ -3,9 +3,11 @@
 Matrices are tuples of row tuples of FieldElement.  Products go through
 the field's sum-of-products kernel (:meth:`picforms.fields.Field.dot`):
 each entry of a product is one kernel call on raw values, normalised once
-and in lowest terms.  Everything else is plain Gaussian elimination with
-exact division; sizes never exceed a few rows, so no pivoting strategy
-beyond "first nonzero" is needed, and that choice keeps every result
+and in lowest terms.  ``_mat_mul_raw`` is the same product on raw rows;
+the class decision uses it directly and wraps only the witnesses it
+returns.  Everything else is plain Gaussian elimination with exact
+division; sizes never exceed a few rows, so no pivoting strategy beyond
+"first nonzero" is needed, and that choice keeps every result
 deterministic.
 """
 
@@ -24,9 +26,16 @@ def mat_mul(a, b):
     DescriptorMismatch.
     """
     field = a[0][0].field
-    dot, values = field.dot, field.values
-    cols = [values(col) for col in zip(*b)]
-    return tuple(tuple(dot(r, col) for col in cols) for r in map(values, a))
+    values = field.values
+    rows = _mat_mul_raw(field, list(map(values, a)), list(map(values, b)))
+    return tuple(map(field._wrap, rows))
+
+
+def _mat_mul_raw(field, a, b):
+    """a @ b on raw values of ``field``, as a tuple of row lists."""
+    dot = field._raw_dot
+    cols = list(zip(*b))
+    return tuple([dot(r, col, (), ()) for col in cols] for r in a)
 
 
 def mat_vec(a, v):

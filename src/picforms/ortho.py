@@ -25,7 +25,11 @@ Generator families
 
 The generators are orthogonal by construction and are built without
 re-running :func:`classify`; ``OrthogonalMatrix(rows)`` validates
-matrices that come from outside.
+matrices that come from outside.  The class decision works on raw rows:
+the reduction and swap moves come from ``_reduction_rows`` and
+``_swap_rows`` (which ``reduction_matrix`` and ``swap_matrix`` wrap), and
+its witness check calls ``_classify_raw``, the raw entry point of
+:func:`classify`.
 
 ``enumerate_special_orthogonal`` closes the proper generator families
 under multiplication over a small finite field; it serves as the
@@ -84,8 +88,13 @@ def classify(rows, field=None):
     """
     if field is None:
         field = rows[0][0].field
+    return _classify_raw(field, list(map(field.values, rows)))
+
+
+def _classify_raw(field, rows):
+    """:func:`classify` on the raw values of a 3x3 matrix over ``field``."""
     dot = field._raw_dot
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = map(field.values, rows)
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
     cols = ((a0, b0, c0), (a1, b1, c1), (a2, b2, c2))
     # twice the six distinct entries of A^T Omega A, (i, j) being
     # 2 c_i c_j - (a_i b_j + b_i a_j), against twice those of Omega
@@ -209,14 +218,31 @@ def swap_shift_matrix(b):
 def reduction_matrix(a):
     """(u, v, w) -> (u + a^2 v - 2 a w, v, w - a v); proper."""
     field = a.field
-    zero, one = field.zero(), field.one()
-    return OrthogonalMatrix._trusted(
-        ((one, a * a, -(a + a)), (zero, one, zero), (zero, -a, one)), field, True)
+    return _wrap_rows(field, _reduction_rows(field, a.value), True)
+
+
+def _reduction_rows(field, a):
+    """The raw rows of reduction_matrix(a), for a raw parameter a."""
+    zero, one = field._zero.value, field._one.value
+    return ((one, field._raw_mul(a, a), field._raw_neg(field._raw_add(a, a))),
+            (zero, one, zero),
+            (zero, field._raw_neg(a), one))
 
 
 def swap_matrix(field):
     """(u, v, w) -> (v, u, -w); proper."""
-    return _build(field, ((0, 1, 0), (1, 0, 0), (0, 0, -1)))
+    return _wrap_rows(field, _swap_rows(field), True)
+
+
+def _swap_rows(field):
+    """The raw rows of swap_matrix(field)."""
+    zero, one = field._zero.value, field._one.value
+    return ((zero, one, zero), (one, zero, zero), (zero, zero, field._raw_neg(one)))
+
+
+def _wrap_rows(field, rows, proper):
+    # internal: raw rows of a matrix that is orthogonal by construction
+    return OrthogonalMatrix._trusted(tuple(map(field._wrap, rows)), field, proper)
 
 
 def flip_matrix(field):

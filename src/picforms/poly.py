@@ -148,7 +148,7 @@ class Polynomial:
         prod = _product_coeffs(field, [c.value for c in self.coeffs],
                                [c.value for c in o.coeffs])
         # the leading coefficient is a product of two nonzero ones
-        return Polynomial._trusted(field, tuple(FieldElement(field, c) for c in prod))
+        return Polynomial._trusted(field, field._wrap(prod))
 
     __rmul__ = __mul__
 
@@ -158,20 +158,27 @@ class Polynomial:
             return NotImplemented
         if o.is_zero:
             raise DivisionByZero("polynomial division by zero")
+        # on raw values: one inverse of the divisor's leading coefficient,
+        # then one product and one difference per coefficient and step
         field = self.field
-        rem = list(self.coeffs)
-        db = o.degree
-        inv = o.coeffs[-1].inverse()
-        q = [field.zero()] * max(len(rem) - db, 0)
+        zero = field._zero.value
+        mul, sub = field._raw_mul, field._raw_sub
+        rem = [c.value for c in self.coeffs]
+        div = [c.value for c in o.coeffs]
+        db = len(div) - 1
+        inv = field._raw_inv(div[-1])
+        q = [zero] * max(len(rem) - db, 0)
         while len(rem) - 1 >= db and rem:
             k = len(rem) - 1 - db
-            f = rem[-1] * inv
+            f = mul(rem[-1], inv)
             q[k] = f
-            for i, bc in enumerate(o.coeffs):
-                rem[i + k] = rem[i + k] - f * bc
-            while rem and not rem[-1]:
+            for i, bc in enumerate(div):
+                rem[i + k] = sub(rem[i + k], mul(f, bc))
+            while rem and rem[-1] == zero:
                 rem.pop()
-        return Polynomial(field, tuple(q)), Polynomial(field, tuple(rem))
+        # the top quotient coefficient, set first, is a nonzero one
+        return (Polynomial._trusted(field, field._wrap(q)),
+                Polynomial._trusted(field, field._wrap(rem)))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]

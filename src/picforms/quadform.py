@@ -11,6 +11,12 @@ The invariant is complete on orbits of the full orthogonal group; the
 matrix carrying one triple onto another with the same Gram matrix is
 ``equivalence.recover_transform``.
 
+The entries come from one raw kernel, ``_gram_upper``, which returns the
+upper triangle as raw values: ``gram`` wraps and mirrors it into a
+``GramForm``, and the class decision and the Galois filter compare it
+unwrapped.  The diagonal split behind ``decompose`` also eliminates on raw
+values and wraps only the pieces it returns.
+
 ``decompose`` is a computational section of the invariant: it rebuilds
 some triple from a rank-2/3 form, splitting off squares and, in rank 3,
 completing a hyperbolic pair; a square root may force the canonical
@@ -30,7 +36,7 @@ from .errors import (
     NotCurveForm,
     RationalsNeedHint,
 )
-from .fields import adjoin_sqrt, embed
+from .fields import FieldElement, adjoin_sqrt, embed
 from .poly import Polynomial
 from .triples import make_triple
 
@@ -100,18 +106,28 @@ def gram(t):
     """Entry (i, j) is w_i w_j - (u_i v_j + u_j v_i)/2, one sum-of-products
     kernel call; the upper triangle is computed and mirrored."""
     field = t.field
-    dot = field.dot
-    half = field.elem(Fraction(1, 2)).value
-    hu = [field._raw_mul(half, x.value) for x in t.u]
-    v = [x.value for x in t.v]
-    w = [x.value for x in t.w]
-    n = len(v)
+    n = len(t.u)
+    upper = iter(field._wrap(_gram_upper(field, *t._raw_forms())))
     rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = next(upper)
+    return GramForm._trusted(tuple(map(tuple, rows)), field)
+
+
+def _gram_upper(field, u, v, w):
+    """The upper triangle of the Gram matrix of the raw forms (u, v, w),
+    row by row, as a list of raw values."""
+    dot, mul = field._raw_dot, field._raw_mul
+    half = field.elem(Fraction(1, 2)).value
+    hu = [mul(half, x) for x in u]
+    n = len(v)
+    out = []
     for i in range(n):
         hi, vi, wi = hu[i], v[i], w[i]
         for j in range(i, n):
-            rows[i][j] = rows[j][i] = dot((wi,), (w[j],), (hi, hu[j]), (v[j], vi))
-    return GramForm._trusted(tuple(map(tuple, rows)), field)
+            out.append(dot((wi,), (w[j],), (hi, hu[j]), (v[j], vi)))
+    return out
 
 
 def gram_to_poly(S):
@@ -150,36 +166,35 @@ def _split_diagonal(S):
 
     Returns a list of (alpha_i, ell_i) with the ell_i linearly independent
     rows; its length is the rank.  Deterministic: the split vectors are
-    the first basis vectors (or sums of two) with nonzero value.
+    the first basis vectors (or sums of two) with nonzero value.  The
+    elimination runs on raw values; only the pieces are wrapped.
     """
     field = S.field
     n = S.size
-    entries = [list(row) for row in S.entries]
-    zero, one = field.zero(), field.one()
+    zero = field._zero.value
+    add, sub, mul = field._raw_add, field._raw_sub, field._raw_mul
+    entries = [[x.value for x in row] for row in S.entries]
     pieces = []
-    while any(any(row) for row in entries):
-        vec = None
-        for i in range(n):
-            if entries[i][i]:
-                vec = tuple(one if k == i else zero for k in range(n))
-                break
-        if vec is None:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if entries[i][j]:
-                        vec = tuple(one if k in (i, j) else zero for k in range(n))
-                        break
-                if vec is not None:
-                    break
-        sv = linalg.mat_vec(entries, vec)
-        alpha = linalg.dot(vec, sv)
-        assert alpha  # char != 2: a nonzero symmetric matrix has a nonzero value
-        inv = alpha.inverse()
-        ell = tuple(x * inv for x in sv)
-        pieces.append((alpha, ell))
-        for i in range(n):
+    while any(x != zero for row in entries for x in row):
+        # the split vector e is e_i, or e_i + e_j when the diagonal vanishes;
+        # sv = S e and alpha = e^T S e
+        i = next((i for i in range(n) if entries[i][i] != zero), None)
+        if i is not None:
+            sv = [row[i] for row in entries]
+            alpha = sv[i]
+        else:
+            i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
+                        if entries[i][j] != zero)
+            sv = [add(row[i], row[j]) for row in entries]
+            alpha = add(sv[i], sv[j])
+        # char != 2: a nonzero symmetric matrix has a nonzero value
+        inv = field._raw_inv(alpha)
+        ell = [mul(x, inv) for x in sv]
+        pieces.append((FieldElement(field, alpha), field._wrap(ell)))
+        # subtract alpha ell ell^T, whose entry (i, j) is sv_i ell_j
+        for row, si in zip(entries, sv):
             for j in range(n):
-                entries[i][j] = entries[i][j] - alpha * ell[i] * ell[j]
+                row[j] = sub(row[j], mul(si, ell[j]))
     return pieces
 
 

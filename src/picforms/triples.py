@@ -17,6 +17,11 @@ of products, and each new coefficient is one call of the field's kernel
 (:meth:`picforms.fields.Field.dot`): it is normalised once, so a rational
 coefficient is one ``Fraction`` in lowest terms.  ``make_triple`` checks
 the identity coefficient by coefficient without building polynomials.
+
+A ``Triple`` holds ``FieldElement`` tuples.  The normal form has one
+kernel, ``_canonical_forms``, which takes and returns raw value lists;
+``canonicalize`` and ``canonicalize_with_matrix`` wrap its result, and
+the class decision (``picforms.equivalence``) uses it unwrapped.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .curves import (
     poly_to_form,
 )
 from .errors import NotOnCurve, RationalsUnsupported, ZeroForm
-from .fields import can_embed, common_field, embed
+from .fields import FieldElement, can_embed, common_field, embed
 from .linalg import mat_mul
 from .ortho import OrthogonalMatrix, scale_matrix, shift_matrix
 from .poly import Polynomial, _product_coeffs, roots_in_field
@@ -62,6 +67,11 @@ class Triple:
 
     def forms(self):
         return (self.u, self.v, self.w)
+
+    def _raw_forms(self):
+        """The raw values of (u, v, w), as three lists."""
+        return ([x.value for x in self.u], [x.value for x in self.v],
+                [x.value for x in self.w])
 
     def embedded(self, field):
         # embedding is a ring map fixing F, so the image satisfies the identity
@@ -155,47 +165,47 @@ def canonicalize_with_matrix(t):
     and act(M, t) equal to the canonical triple.  The scale and shift
     moves preserve the curve identity, so the result is built directly.
     """
-    (u, v, w), c, b = _canonical_forms(t.u, t.v, t.w)
-    m = shift_matrix(b) @ scale_matrix(c.inverse())
-    return Triple(t.curve, t.field, u, v, w), m
+    field = t.field
+    forms, c, b = _canonical_forms(field, *t._raw_forms())
+    m = shift_matrix(FieldElement(field, b)) @ scale_matrix(
+        FieldElement(field, field._raw_inv(c)))
+    return Triple(t.curve, field, *map(field._wrap, forms)), m
 
 
-def _canonical_forms(u, v, w):
-    """The scale-and-shift normal form of raw form tuples (no validation).
+def _canonical_forms(field, u, v, w):
+    """The scale-and-shift normal form of raw form lists over ``field``
+    (no validation).
 
-    Returns ((u, v, w), c, b): c is the top coefficient of u that the
-    scaling divides out, b the coefficient of w that the shift zeroes.
+    Returns ((u, v, w), c, b), all raw: c is the top coefficient of u that
+    the scaling divides out, b the coefficient of w that the shift zeroes.
     Each shifted coefficient is one sum-of-products kernel call.
     """
+    zero, one = field._zero.value, field._one.value
     top = len(u) - 1
-    while not u[top]:
+    while u[top] == zero:
         top -= 1
     c = u[top]
-    field = c.field
-    one = field.one()
+    mul = field._raw_mul
     scaled = c != one
     if scaled:
-        cinv = c.inverse()
-        u = tuple(cinv * x for x in u)
+        cinv = field._raw_inv(c)
+        u = [mul(cinv, x) for x in u]
     b = w[top]
-    if b:
+    if b != zero:
         # v' = c v + b^2 u - 2 b w and w' = w - b u, u being the scaled form
-        dot = field.dot
-        cr, oner = c.value, one.value
-        br, b2, b_2 = b.value, (b * b).value, (b + b).value
-        ur = [x.value for x in u]
-        wr = [x.value for x in w]
-        v = tuple(dot((cr, b2), (vi.value, ui), (b_2,), (wi,))
-                  for ui, vi, wi in zip(ur, v, wr))
-        w = tuple(dot((oner,), (wi,), (br,), (ui,)) for ui, wi in zip(ur, wr))
+        dot = field._raw_dot
+        b2, b_2 = mul(b, b), field._raw_add(b, b)
+        v = [dot((c, b2), (vi, ui), (b_2,), (wi,)) for ui, vi, wi in zip(u, v, w)]
+        w = [dot((one,), (wi,), (b,), (ui,)) for ui, wi in zip(u, w)]
     elif scaled:
-        v = tuple(c * x for x in v)
+        v = [mul(c, x) for x in v]
     return (u, v, w), c, b
 
 
 def canonicalize(t):
-    (u, v, w), _, _ = _canonical_forms(t.u, t.v, t.w)
-    return Triple(t.curve, t.field, u, v, w)
+    field = t.field
+    forms, _, _ = _canonical_forms(field, *t._raw_forms())
+    return Triple(t.curve, field, *map(field._wrap, forms))
 
 
 @dataclass(frozen=True)

@@ -107,3 +107,22 @@ def row_by_column(a, b):
             new.append(acc)
         out.append(tuple(new))
     return tuple(out)
+
+
+def long_division(a, b):
+    """divmod(a, b) step by step with the element operators * and -; the
+    reference for ``Polynomial.__divmod__``."""
+    field = a.field
+    rem = list(a.coeffs)
+    db = b.degree
+    inv = b.coeffs[-1].inverse()
+    q = [field.zero()] * max(len(rem) - db, 0)
+    while len(rem) - 1 >= db and rem:
+        k = len(rem) - 1 - db
+        f = rem[-1] * inv
+        q[k] = f
+        for i, bc in enumerate(b.coeffs):
+            rem[i + k] = rem[i + k] - f * bc
+        while rem and not rem[-1]:
+            rem.pop()
+    return Polynomial(field, tuple(q)), Polynomial(field, tuple(rem))

@@ -5,7 +5,8 @@ import time
 import pytest
 
 from picforms import cli, serialize
-from picforms.cli import EXIT_BUDGET, EXIT_DOMAIN, EXIT_INPUT, main, run_command
+from picforms.cli import (EXIT_BUDGET, EXIT_DOMAIN, EXIT_INPUT, MAX_EXT, main,
+                          run_command)
 from picforms.fields import GF
 
 
@@ -357,6 +358,13 @@ _ARGV_ERRORS = [
     ["search-caveat", "--budget"],
 ]
 
+# --ext around its cap on every subcommand that reads it: a value in range
+# must answer quickly, one outside it is an input error before any field is
+# built (--ext 200 on a GF(5) curve used to build a degree-200 extension)
+_EXT_COMMANDS = ("triple-support", "class-relation", "search-caveat")
+_EXT_VALUES = ("0", "-2", str(MAX_EXT), str(MAX_EXT + 1), "200", "1000")
+_EXT_SECONDS = 10.0
+
 _DEEP = "@@deep@@"
 
 
@@ -399,6 +407,9 @@ def _mutations(doc):
 def _fuzz_inputs(rng, per_case):
     for command, extra, docs in _FUZZ_CASES:
         yield [command] + extra, docs
+        if command in _EXT_COMMANDS:
+            for ext in _EXT_VALUES:
+                yield [command] + extra + ["--ext", ext], docs
         choices = [(option, path, new) for option, doc in docs.items()
                    for path, new in _mutations(doc)]
         for option, path, new in rng.sample(choices, min(per_case, len(choices))):
@@ -417,11 +428,19 @@ def test_cli_fuzz_ends_in_documented_exit_codes(tmp_path, capsys):
             path = tmp_path / ("%d-%s.json" % (n, option))
             path.write_text(json.dumps(doc).replace(json.dumps(_DEEP), deep))
             argv = argv + ["--" + option, str(path)]
+        start = time.perf_counter()
         code = main(argv)
+        elapsed = time.perf_counter() - start
         captured = capsys.readouterr()
         assert code in (0, 1, 2, 3), argv
         payload = json.loads(captured.out)
         assert "Traceback" not in captured.err, argv
+        if "--ext" in argv and argv[0] in _EXT_COMMANDS:
+            # the last --ext given is the one argparse keeps
+            ext = int(argv[len(argv) - 1 - argv[::-1].index("--ext") + 1])
+            assert elapsed < _EXT_SECONDS, argv
+            if not 1 <= ext <= MAX_EXT:
+                assert code == EXIT_INPUT and payload["error"]["kind"] == "InputError", argv
         if argv in _ARGV_ERRORS:
             assert code == EXIT_INPUT and payload["error"]["kind"] == "InputError", argv
             assert "usage:" in captured.err, argv

@@ -12,7 +12,7 @@ from conftest import rational_triples
 
 from picforms.curves import make_curve
 from picforms.errors import RationalsUnsupported
-from picforms.fields import GF, QQ
+from picforms.fields import GF, QQ, FieldElement
 from picforms.poly import Polynomial, gcd as poly_gcd, is_squarefree
 from picforms.quadform import gram, rank_radical
 from picforms.sampling import random_orthogonal_word, random_proper_word, random_triple
@@ -251,7 +251,9 @@ def test_constraint_gcd_degree_at_most_one(curve_q):
         for target in (t2, conjugate(t2)):
             g = _constraint_gcd(t1, target)
             assert g.degree <= 1
-            a = _parameter(t1, target)
+            field = t1.field
+            a = _parameter(field, t1._raw_forms(), target._raw_forms())
+            a = None if a is None else FieldElement(field, a)
             if g.degree == 1:
                 assert a == -g[0] / g[1]
             else:
@@ -301,7 +303,7 @@ import json, random, sys
 sys.path.insert(0, %r)
 from picforms import equivalence
 from picforms.errors import WitnessRejected
-from picforms.fields import GF, Field
+from picforms.fields import GF
 from picforms.curves import make_curve
 from picforms.galois import class_rational, find_caveat_example, galois_context
 from picforms.ortho import flip_matrix, scale_matrix
@@ -325,15 +327,16 @@ checks = [
 ]
 
 
-def field_of(arg):
-    # reduction_matrix takes a parameter, swap_matrix a field
-    return arg if isinstance(arg, Field) else arg.field
+def raw_rows(matrix):
+    return tuple(matrix.field.values(row) for row in matrix.rows)
+
 
 out = [__debug__]
 for check in checks:
-    for wrong in (lambda arg: scale_matrix(field_of(arg).elem(2)),
-                  lambda arg: flip_matrix(field_of(arg))):
-        equivalence.reduction_matrix = equivalence.swap_matrix = wrong
+    # _reduction_rows and _swap_rows take the field first (and the raw parameter)
+    for wrong in (lambda field, *a: raw_rows(scale_matrix(field.elem(2))),
+                  lambda field, *a: raw_rows(flip_matrix(field))):
+        equivalence._reduction_rows = equivalence._swap_rows = wrong
         try:
             check()
             out.append("accepted")

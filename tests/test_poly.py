@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import long_division
+
 from picforms.errors import DivisionByZero, ZeroPolynomial
-from picforms.fields import GF, QQ, embed
+from picforms.fields import GF, QQ, embed, rational_extension
 from picforms.poly import (
     Polynomial,
     crt,
@@ -25,6 +27,34 @@ def P(field, *coeffs):
 def test_divmod_factorization():
     q, r = divmod(P(QQ, -1, 0, 0, 0, 1), P(QQ, -1, 0, 1))
     assert q == P(QQ, 1, 0, 1) and r.is_zero
+
+
+def _random_coeff(field, rng):
+    """A random element, zero about one time in four."""
+    if rng.randrange(4) == 0:
+        return field.zero()
+    if field.p is not None:
+        return field.random_element(rng)
+    parts = [Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(field.m)]
+    return field.elem(parts[0] if field.m == 1 else parts)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(5, 3), rational_extension((-2, 0, 1))],
+                         ids=lambda f: f.label())
+def test_divmod_agrees_with_long_division(field):
+    rng = random.Random(20261018)
+    for _ in range(150):
+        a = P(field, *(_random_coeff(field, rng) for _ in range(rng.randint(0, 9))))
+        b = P(field, *(_random_coeff(field, rng) for _ in range(rng.randint(1, 6))))
+        if b.is_zero:
+            b = P(field, *(b.coeffs + (field.one(),)))
+        q, r = divmod(a, b)
+        ref_q, ref_r = long_division(a, b)
+        assert (q.coeffs, r.coeffs) == (ref_q.coeffs, ref_r.coeffs)
+        # same canonical values, down to the coefficient types
+        for got, want in ((q, ref_q), (r, ref_r)):
+            assert [repr(c.value) for c in got.coeffs] == [repr(c.value) for c in want.coeffs]
+        assert q * b + r == a and r.degree < b.degree
 
 
 def test_gcd_common_factor():

@@ -1,6 +1,6 @@
-"""Property tests of the polylog finite-field primitives on large fields, and
-of the triples that the sampler, the Frobenius image and embedding build
-without re-validation.
+"""Property tests of the polylog finite-field primitives on large fields, of
+the triples that the sampler, the Frobenius image and embedding build
+without re-validation, and of the class decision on moved triples.
 
 ``hypothesis`` is a test-only dependency: without it this module is
 skipped.
@@ -13,14 +13,17 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from conftest import seeded_curve  # noqa: E402
+from conftest import rational_triples, seeded_curve  # noqa: E402
 
+from picforms.curves import make_curve  # noqa: E402
+from picforms.equivalence import KIND_BOTH, KIND_CONJ, KIND_EQUAL, same_class  # noqa: E402
 from picforms.errors import DescriptorMismatch  # noqa: E402
-from picforms.fields import GF, embed, unembed  # noqa: E402
+from picforms.fields import GF, QQ, embed, unembed  # noqa: E402
 from picforms.galois import galois_context, galois_image  # noqa: E402
+from picforms.ortho import OrthogonalMatrix  # noqa: E402
 from picforms.poly import Polynomial, roots_in_field  # noqa: E402
-from picforms.sampling import random_triple  # noqa: E402
-from picforms.triples import make_triple  # noqa: E402
+from picforms.sampling import random_orthogonal_word, random_triple  # noqa: E402
+from picforms.triples import act, conjugate, make_triple  # noqa: E402
 
 P61 = 2 ** 61 - 1
 P20 = 1000033
@@ -104,3 +107,31 @@ def test_constructed_triples_pass_validation(case, seed):
     t = random_triple(curve, field, random.Random(seed))
     for out in (t, galois_image(t, galois_context(field)), t.embedded(bigger)):
         assert make_triple(out.curve, out.u, out.v, out.w, field=out.field) == out
+
+
+# (curve, field of the triples): QQ, GF(2^61 - 1) in genus 1-2, GF(1000033^2)
+DECIDED = [(make_curve([-1, 0, 0, 0, 1], QQ), QQ)] + [
+    (curve, field) for curve, field, _ in SAMPLED]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(DECIDED), st.integers(0, 2 ** 32), st.booleans())
+def test_same_class_on_moved_triples(case, seed, improper):
+    # t and act(W, t) for a proper or improper word W: the verdict must see
+    # the move, and every witness must be a proper matrix over t's field
+    # that carries t onto act(W, t), or onto its conjugate
+    curve, field = case
+    rng = random.Random(seed)
+    if field is QQ:
+        t = rational_triples(curve, rng, 1)[0]
+    else:
+        t = random_triple(curve, field, rng)
+    moved = act(random_orthogonal_word(field, rng, improper=improper), t)
+    rel = same_class(t, moved)
+    assert rel.kind in ((KIND_CONJ, KIND_BOTH) if improper else (KIND_EQUAL, KIND_BOTH))
+    for witness, target in ((rel.witness, moved), (rel.conjugate_witness, conjugate(moved))):
+        if witness is None:
+            continue
+        assert witness.field is t.field
+        assert OrthogonalMatrix(witness.rows).proper
+        assert act(witness, t) == target

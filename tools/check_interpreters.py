@@ -1,0 +1,103 @@
+"""Run the seeded class sweep under every Python 3.10+ interpreter found.
+
+    python3 tools/check_interpreters.py
+
+Looks for ``python3.N`` (N >= 10) on PATH and for every
+``<pyenv root>/versions/*/bin/python3`` (the pyenv root is $PYENV_ROOT,
+or ~/.pyenv), skipping pyenv shims and duplicates of one executable.
+Each interpreter runs ``tools/class_sweep.py --seed 1`` against this
+checkout's ``src`` and gets one line: its version, its path, the SHA-256
+of the sweep output, and whether that matches
+``tests/fixtures/class_sweep_seed1.sha256``.  The sweep needs nothing
+beyond the standard library, so no test dependency has to be installed.
+
+Exit status: 0 when every interpreter matches, 1 when one differs or
+fails, 2 when none is found.
+"""
+
+from __future__ import annotations
+
+import glob
+import hashlib
+import os
+import re
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SWEEP = os.path.join(ROOT, "tools", "class_sweep.py")
+PINNED = os.path.join(ROOT, "tests", "fixtures", "class_sweep_seed1.sha256")
+MIN_MINOR = 10
+TIMEOUT_S = 600
+
+
+def _version(path):
+    """(major, minor, micro) of the interpreter at path, or None."""
+    try:
+        done = subprocess.run(
+            [path, "-c", "import sys; print('%d %d %d' % sys.version_info[:3])"],
+            capture_output=True, text=True, timeout=30)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    if done.returncode != 0:
+        return None
+    return tuple(int(x) for x in done.stdout.split())
+
+
+def interpreters():
+    """[(version, path)] of the distinct Python 3.10+ executables found."""
+    candidates = []
+    for directory in os.environ.get("PATH", "").split(os.pathsep):
+        if not directory or os.sep + "shims" in directory:
+            continue
+        for path in glob.glob(os.path.join(directory, "python3.*")):
+            if re.fullmatch(r"python3\.\d+", os.path.basename(path)):
+                candidates.append(path)
+    pyenv = os.environ.get("PYENV_ROOT") or os.path.expanduser("~/.pyenv")
+    candidates += sorted(glob.glob(os.path.join(pyenv, "versions", "*", "bin", "python3")))
+    found, seen = [], set()
+    for path in candidates:
+        real = os.path.realpath(path)
+        if real in seen or not os.access(real, os.X_OK):
+            continue
+        seen.add(real)
+        version = _version(path)
+        if version and version[0] == 3 and version[1] >= MIN_MINOR:
+            found.append((version, path))
+    return sorted(found)
+
+
+def sweep_digest(path):
+    """The SHA-256 of the sweep output under the interpreter at path."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    done = subprocess.run([path, SWEEP, "--seed", "1"], capture_output=True, env=env,
+                          timeout=TIMEOUT_S)
+    if done.returncode != 0:
+        raise RuntimeError(done.stderr.decode(errors="replace").strip().splitlines()[-1:])
+    return hashlib.sha256(done.stdout).hexdigest()
+
+
+def main():
+    with open(PINNED) as fh:
+        pinned = fh.read().split()[0]
+    found = interpreters()
+    if not found:
+        print("no Python 3.%d+ interpreter found" % MIN_MINOR)
+        return 2
+    status = 0
+    for version, path in found:
+        label = "%d.%d.%d %s" % (version + (path,))
+        try:
+            digest = sweep_digest(path)
+        except (OSError, RuntimeError, subprocess.TimeoutExpired) as exc:
+            print("%s failed: %s" % (label, exc))
+            status = 1
+            continue
+        match = digest == pinned
+        print("%s %s %s" % (label, digest, "matches" if match else "DIFFERS"))
+        status = status or (0 if match else 1)
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())
