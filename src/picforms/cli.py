@@ -6,8 +6,9 @@ form-rank, form-decompose, galois-rational, search-caveat.
 
 Exit codes: 0 success, 1 input validation failure, 2 domain error,
 3 budget or search exhaustion.  ``--ext`` (triple-support, class-relation,
-search-caveat) must lie between 1 and ``MAX_EXT``; anything else is an
-input error.  Output is byte-stable for identical
+search-caveat) must lie between 1 and ``MAX_EXT``, and a field read
+from a document may have degree at most ``serialize.MAX_FIELD_DEGREE``;
+anything else is an input error.  Output is byte-stable for identical
 inputs and seeds.
 """
 
@@ -39,7 +40,9 @@ EXIT_BUDGET = 3
 
 # the largest --ext accepted: the extension is built (a default modulus found
 # by Rabin's test) before any answer is printed, and its degree is what bounds
-# the time of triple-support, class-relation and search-caveat
+# the time of triple-support, class-relation and search-caveat.  The degree
+# of a field read from a document is capped beside it, at
+# serialize.MAX_FIELD_DEGREE.
 MAX_EXT = 8
 
 

@@ -23,6 +23,10 @@ class ZeroPolynomial(AlgebraError):
     """The zero polynomial is not admissible here."""
 
 
+class LiftRejected(AlgebraError):
+    """A Hensel-lifted square root failed its final check: W^2 != F modulo U^e."""
+
+
 class RationalsUnsupported(AlgebraError):
     """This operation is defined for finite fields only."""
 

@@ -172,10 +172,32 @@ def _is_irreducible(mod, p):
     return h == [0, 1]
 
 
+def _irreducible_binomials(p, m):
+    """The c in increasing order with X^m + c irreducible over GF(p), m >= 2.
+
+    X^m - a, a != 0, is irreducible iff every prime r | m divides p - 1
+    with a^((p-1)/r) != 1, and p = 1 (mod 4) when 4 | m (Lidl &
+    Niederreiter, Thm. 3.75): O(log p) per binomial, and nothing at all
+    when no a can qualify.
+    """
+    primes = [r for r in range(2, m + 1) if m % r == 0 and _is_prime(r)]
+    if any((p - 1) % r for r in primes) or (m % 4 == 0 and p % 4 != 1):
+        return
+    for c in range(1, p):
+        if all(pow(p - c, (p - 1) // r, p) != 1 for r in primes):
+            yield c
+
+
 @functools.lru_cache(maxsize=None)
 def _default_modulus(p, m):
-    """Lowest monic irreducible of degree m over GF(p), lexicographic on (c0..c_{m-1})."""
-    for idx in range(p ** m):
+    """Lowest monic irreducible of degree m over GF(p), lexicographic on (c0..c_{m-1}).
+
+    The walk starts with the p binomials X^m + c, decided in closed form;
+    every later candidate is Rabin-tested.
+    """
+    for c in _irreducible_binomials(p, m):
+        return (c,) + (0,) * (m - 1) + (1,)
+    for idx in range(p, p ** m):
         cand = []
         k = idx
         for _ in range(m):

@@ -5,7 +5,9 @@ zero polynomial is the empty tuple and has degree -1 by convention, which
 keeps every degree bound uniform.  The operators +, -, *, //, %, divmod
 and ** are overloaded, polynomials are callable (evaluation), and the gcd
 is always returned monic.  Each coefficient of a product is one call of
-the field's sum-of-products kernel, so it is normalised once.
+the field's sum-of-products kernel, so it is normalised once.  Division,
+``gcdext``, ``invert_mod`` and ``crt`` wrap kernels on raw coefficient
+lists (the ``_*_coeffs`` functions), which the sampler calls directly.
 
 Root finding uses gcd(f, X^q - X) and Cantor-Zassenhaus splitting over
 finite fields, polylogarithmic in q, and the rational-root bound over QQ;
@@ -158,25 +160,9 @@ class Polynomial:
             return NotImplemented
         if o.is_zero:
             raise DivisionByZero("polynomial division by zero")
-        # on raw values: one inverse of the divisor's leading coefficient,
-        # then one product and one difference per coefficient and step
         field = self.field
-        zero = field._zero.value
-        mul, sub = field._raw_mul, field._raw_sub
-        rem = [c.value for c in self.coeffs]
-        div = [c.value for c in o.coeffs]
-        db = len(div) - 1
-        inv = field._raw_inv(div[-1])
-        q = [zero] * max(len(rem) - db, 0)
-        while len(rem) - 1 >= db and rem:
-            k = len(rem) - 1 - db
-            f = mul(rem[-1], inv)
-            q[k] = f
-            for i, bc in enumerate(div):
-                rem[i + k] = sub(rem[i + k], mul(f, bc))
-            while rem and rem[-1] == zero:
-                rem.pop()
-        # the top quotient coefficient, set first, is a nonzero one
+        q, rem = _divmod_coeffs(field, [c.value for c in self.coeffs],
+                                [c.value for c in o.coeffs])
         return (Polynomial._trusted(field, field._wrap(q)),
                 Polynomial._trusted(field, field._wrap(rem)))
 
@@ -263,38 +249,110 @@ def gcd(f, g):
 
 def gcdext(f, g):
     """(d, s, t) with d = s*f + t*g and d the monic gcd."""
-    if f.is_zero and g.is_zero:
-        raise ZeroPolynomial("gcdext(0, 0)")
     field = f.field
-    r0, r1 = f, g
-    s0, s1 = Polynomial.one(field), Polynomial.zero(field)
-    t0, t1 = Polynomial.zero(field), Polynomial.one(field)
-    while not r1.is_zero:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    lc = r0.leading().inverse()
-    return r0 * lc, s0 * lc, t0 * lc
+    a, b = [c.value for c in f.coeffs], [c.value for c in g.coeffs]
+    d, s = _bezout_coeffs(field, a, b)
+    # d - s f is an exact multiple of g (and t = 0 when g = 0)
+    t = (_divmod_coeffs(field, _sub_coeffs(field, d, _product_coeffs(field, s, a)), b)[0]
+         if b else [])
+    return tuple(Polynomial._trusted(field, field._wrap(c)) for c in (d, s, t))
 
 
 def invert_mod(f, modulus):
     """Inverse of f modulo `modulus`; raises DivisionByZero if they share a factor."""
-    d, s, _ = gcdext(f, modulus)
-    if d.degree != 0:
-        raise DivisionByZero("%r is not invertible mod %r" % (f, modulus))
-    return s % modulus
+    field = f.field
+    return Polynomial._trusted(field, field._wrap(_invert_mod_coeffs(
+        field, [c.value for c in f.coeffs], [c.value for c in modulus.coeffs])))
 
 
 def crt(residues, moduli):
     """The polynomial congruent to residues[i] mod moduli[i] (pairwise coprime)."""
-    acc, mod = residues[0] % moduli[0], moduli[0]
+    field = residues[0].field
+    acc, _ = _crt_coeffs(field, [[c.value for c in r.coeffs] for r in residues],
+                         [[c.value for c in m.coeffs] for m in moduli])
+    return Polynomial._trusted(field, field._wrap(acc))
+
+
+# ---------------------------------------------------------------------------
+# kernels on raw coefficient lists: raw values of `field`, lowest degree
+# first, no trailing zeros; the functions above wrap them
+
+def _add_coeffs(field, a, b):
+    """The raw coefficients of A + B."""
+    return _zip_coeffs(field, field._raw_add, a, b)
+
+
+def _sub_coeffs(field, a, b):
+    """The raw coefficients of A - B."""
+    return _zip_coeffs(field, field._raw_sub, a, b)
+
+
+def _zip_coeffs(field, op, a, b):
+    zero = field._zero.value
+    la, lb = len(a), len(b)
+    out = [op(a[i] if i < la else zero, b[i] if i < lb else zero)
+           for i in range(max(la, lb))]
+    while out and out[-1] == zero:
+        out.pop()
+    return out
+
+
+def _divmod_coeffs(field, a, b):
+    """(quotient, remainder) of A by the nonzero B: one inverse of B's
+    leading coefficient, then one product and one difference per
+    coefficient and step."""
+    zero = field._zero.value
+    mul, sub = field._raw_mul, field._raw_sub
+    rem = list(a)
+    db = len(b) - 1
+    inv = field._raw_inv(b[-1])
+    q = [zero] * max(len(rem) - db, 0)
+    while len(rem) - 1 >= db and rem:
+        k = len(rem) - 1 - db
+        f = mul(rem[-1], inv)
+        q[k] = f  # the top one, set first, is nonzero
+        for i, bc in enumerate(b):
+            rem[i + k] = sub(rem[i + k], mul(f, bc))
+        while rem and rem[-1] == zero:
+            rem.pop()
+    return q, rem
+
+
+def _bezout_coeffs(field, a, b):
+    """(d, s) with d the monic gcd of A and B (not both zero) and
+    d = s A (mod B), by the extended Euclidean algorithm."""
+    if not a and not b:
+        raise ZeroPolynomial("gcdext(0, 0)")
+    r0, r1 = a, b
+    s0, s1 = [field._one.value], []
+    while r1:
+        q, r = _divmod_coeffs(field, r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _sub_coeffs(field, s0, _product_coeffs(field, q, s1))
+    mul, lc = field._raw_mul, field._raw_inv(r0[-1])
+    return [mul(c, lc) for c in r0], [mul(c, lc) for c in s0]
+
+
+def _invert_mod_coeffs(field, a, m):
+    """The inverse of A modulo M; raises DivisionByZero if they share a factor."""
+    d, s = _bezout_coeffs(field, a, m)
+    if len(d) != 1:
+        raise DivisionByZero("%r is not invertible mod %r" % (
+            Polynomial(field, field._wrap(a)), Polynomial(field, field._wrap(m))))
+    return _divmod_coeffs(field, s, m)[1]
+
+
+def _crt_coeffs(field, residues, moduli):
+    """(W, M): M the product of the pairwise coprime moduli, in order, and
+    W mod M the residue congruent to residues[i] mod moduli[i]."""
+    acc, mod = _divmod_coeffs(field, residues[0], moduli[0])[1], moduli[0]
     for r, m in zip(residues[1:], moduli[1:]):
-        delta = (r - acc) % m
-        lift = (delta * invert_mod(mod, m)) % m
-        acc = acc + mod * lift
-        mod = mod * m
-    return acc % mod
+        delta = _divmod_coeffs(field, _sub_coeffs(field, r, acc), m)[1]
+        lift = _divmod_coeffs(field, _product_coeffs(
+            field, delta, _invert_mod_coeffs(field, mod, m)), m)[1]
+        acc = _add_coeffs(field, acc, _product_coeffs(field, mod, lift))
+        mod = _product_coeffs(field, mod, m)
+    return _divmod_coeffs(field, acc, mod)[1], mod
 
 
 def is_squarefree(f):

@@ -1,13 +1,23 @@
 """Seeded random generation of triples and orthogonal words.
 
-Random triples over a finite field are built from the divisor side: draw
-closed points (an affine point together with its conjugates over the
-coefficient field), an optional multiplicity, and an optional part at
-infinity, then assemble U by multiplying minimal polynomials, W by
-Lagrange interpolation / Hensel lifting / matching the branch expansion
-at infinity, and V by exact division.  A zero remainder in that division
-is the proof of F = W^2 - U V, so the triple is built without a second
+Random triples over a finite field K = GF(q) are built from the divisor
+side: draw closed points (an affine point together with its conjugates
+over K), an optional multiplicity, and an optional part at infinity, then
+assemble U as the product of the minimal polynomials, W by the Chinese
+remainder theorem, Hensel lifting and matching the branch expansion at
+infinity, and V by exact division.  A zero remainder in that division is
+the proof of F = W^2 - U V, so the triple is built without a second
 check; a configuration that leaves a remainder is simply redrawn.
+
+A closed point of degree d is a random x in GF(q^d) with F(x) = y^2.
+Its minimal polynomial U_i and the W_i of degree < d with W_i(x) = y come
+from one linear solve over GF(p): in the GF(p)-basis x^j e_l of GF(q^d),
+(e_l) the image of K's power basis, the coordinates of x^d are the
+coefficients of X^d - U_i, and those of y are the coefficients of W_i.
+The system is singular exactly when x has degree below d over K, and the
+point is then redrawn.  The polynomial arithmetic runs on raw coefficient
+lists through the kernels of :mod:`picforms.poly`; elements are built
+only for the returned triple.
 
 All randomness flows through the caller's ``random.Random`` instance,
 which keeps searches reproducible from their seed.
@@ -18,9 +28,8 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .curves import poly_to_form
-from .errors import RationalsUnsupported
-from .fields import unembed
+from .errors import LiftRejected, RationalsUnsupported
+from .fields import FieldElement, _embedding
 from .ortho import (
     flip_matrix,
     reduction_matrix,
@@ -28,98 +37,140 @@ from .ortho import (
     shift_matrix,
     swap_shift_matrix,
 )
-from .poly import Polynomial, crt, invert_mod
+from .poly import (_add_coeffs, _crt_coeffs, _divmod_coeffs, _invert_mod_coeffs,
+                   _product_coeffs, _sub_coeffs)
 from .triples import Triple
 
 
 @functools.lru_cache(maxsize=None)
-def _embedded_F(curve, field):
-    return curve.F.embedded(field)
+def _raw_F(curve, field):
+    """The raw coefficients of the curve polynomial F over `field`."""
+    return tuple(c.value for c in curve.F.embedded(field).coeffs)
 
 
-def _random_closed_point(field, rng, d, F_big, tries=40):
+def _solve(p, cols, rhs):
+    """For each r in rhs, the z over GF(p) with sum_c z_c cols[c] = r, by
+    Gauss-Jordan elimination; None when the columns are dependent."""
+    n = len(cols)
+    rows = [[col[i] for col in cols] + [r[i] for r in rhs] for i in range(n)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if rows[i][c]), None)
+        if piv is None:
+            return None
+        rows[c], rows[piv] = rows[piv], rows[c]
+        inv = pow(rows[c][c], p - 2, p)
+        top = rows[c] = [x * inv % p for x in rows[c]]
+        for i in range(n):
+            f = rows[i][c]
+            if i != c and f:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], top)]
+    return [[row[n + k] for row in rows] for k in range(len(rhs))]
+
+
+def _random_closed_point(field, rng, d, curve, tries=40):
     """(U_i, W_i mod U_i, y_is_zero) for a degree-d closed point, or None.
 
     U_i is the degree-d minimal polynomial over `field` of a random x in
-    the degree-d extension with F(x) a square there; W_i interpolates the
-    conjugate orbit of (x, y).
+    the degree-d extension with F(x) = y^2 there, and W_i(x) = y; both are
+    raw coefficient lists.
     """
     big = field.extension(d)
-    k = field.m  # x -> x^q is the k-th power of Frobenius
+    F = _raw_F(curve, big)
+    one = big._one.value
+    mul = big._raw_mul
+    m, p = field.m, field.p
+    if d > 1:
+        # the images of the power basis of `field`: e_0 = 1
+        basis = [one] if m == 1 else [e.value for e in _embedding(field, big)[0]]
     for _ in range(tries):
-        x = big.random_element(rng)
-        xs = [x]
-        while True:
-            nxt = xs[-1].frobenius(k)
-            if nxt == x:
-                break
-            xs.append(nxt)
-        if len(xs) != d:
+        x = big.random_element(rng).value
+        pows = [one, x]
+        for _ in range(max(d, len(F) - 1) - 1):
+            pows.append(mul(pows[-1], x))
+        r = big.sqrt(big.dot(F, pows[:len(F)]))
+        if r is None:
             continue
-        y = big.sqrt(F_big(x))
-        if y is None:
-            continue
+        y = r.value
+        if d == 1:
+            if rng.random() < 0.5:
+                y = big._raw_neg(y)
+            return [big._raw_neg(x), one], [y] if r else [], not r
+        cols = [pows[j] if l == 0 else mul(pows[j], basis[l])
+                for j in range(d) for l in range(m)]
+        sol = _solve(p, cols, (pows[d], y))
+        if sol is None:
+            continue  # x lies in a proper subfield
+        top, w = sol
         if rng.random() < 0.5:
-            y = -y
-        ys = [y]
-        for _ in range(d - 1):
-            ys.append(ys[-1].frobenius(k))
-        # minimal polynomial of x over `field`
-        U_big = Polynomial.one(big)
-        for xi in xs:
-            U_big = U_big * Polynomial(big, (-xi, big.one()))
-        U_i = Polynomial(field, tuple(unembed(c, field) for c in U_big.coeffs))
-        # Lagrange interpolation of the orbit, coefficients descend to `field`
-        W_big = Polynomial.zero(big)
-        for j, (xj, yj) in enumerate(zip(xs, ys)):
-            num = Polynomial.one(big)
-            den = big.one()
-            for l, xl in enumerate(xs):
-                if l == j:
-                    continue
-                num = num * Polynomial(big, (-xl, big.one()))
-                den = den * (xj - xl)
-            W_big = W_big + num * (yj / den)
-        W_i = Polynomial(field, tuple(unembed(c, field) for c in W_big.coeffs))
-        return U_i, W_i, not y
+            w = [-z % p for z in w]
+        if m == 1:
+            U_i = [-z % p for z in top] + [1]
+        else:
+            U_i = [tuple(-z % p for z in top[j:j + m]) for j in range(0, d * m, m)]
+            U_i.append(field._one.value)
+            w = [tuple(w[j:j + m]) for j in range(0, d * m, m)]
+        zero = field._zero.value
+        while w and w[-1] == zero:
+            w.pop()
+        return U_i, w, not r
     return None
 
 
-def _hensel_square_root(W, U, e, F):
-    """Lift W with W^2 = F (mod U) to the same congruence mod U^e; needs W
-    invertible mod U (the point is not a Weierstrass point)."""
-    modulus = U ** e
-    acc = W % U
-    prec = 1
+def _power(field, a, e):
+    out = a
+    for _ in range(e - 1):
+        out = _product_coeffs(field, out, a)
+    return out
+
+
+def _hensel_square_root(field, W, U, e, F):
+    """(W_e, U^e): W_e^2 = F (mod U^e) lifted from W^2 = F (mod U), on raw
+    lists; needs W invertible mod U (the point is not a Weierstrass
+    point).  A lift that fails its final check raises LiftRejected."""
+    acc = _divmod_coeffs(field, W, U)[1]
+    prec, step = 1, U
     while prec < e:
         prec = min(2 * prec, e)
-        step = U ** prec
-        inv = invert_mod((acc + acc) % step, step)
-        acc = ((acc * acc + F) * inv) % step
-    assert ((acc * acc - F) % modulus).is_zero
-    return acc
+        step = _power(field, U, prec)
+        inv = _invert_mod_coeffs(
+            field, _divmod_coeffs(field, _add_coeffs(field, acc, acc), step)[1], step)
+        acc = _divmod_coeffs(field, _product_coeffs(
+            field, _add_coeffs(field, _product_coeffs(field, acc, acc), F), inv), step)[1]
+    # step = U^e now
+    if _divmod_coeffs(field, _sub_coeffs(field, _product_coeffs(field, acc, acc), F),
+                      step)[1]:
+        raise LiftRejected("lifted W^2 - F is not divisible by U^%d" % e)
+    return acc, step
 
 
-def _complete_at_infinity(W0, U, k, F, s_top, s0):
-    """W = W0 + U*S with the branch at infinity matched to multiplicity k.
+def _complete_at_infinity(field, W0, U, k, F, s_top, s0):
+    """W = W0 + U*S with the branch at infinity matched to multiplicity k,
+    on raw lists.
 
     S's coefficients are solved top-down: the coefficient of X^(g+1+d+j)
-    of W^2 - F is affine in s_j with constant slope 2*s_top, so each step
-    kills one coefficient exactly.  s_0 stays free (the representation
-    shift) and is supplied by the caller.
+    of W^2 - F is affine in s_j with constant slope 2*s_top (U is monic),
+    so each step kills one coefficient exactly.  s_0 stays free (the
+    representation shift) and is supplied by the caller.
     """
-    field = W0.field
-    d = U.degree
-    g1 = d + k  # = g + 1
-    s_coeffs = [field.zero()] * (k + 1)
-    s_coeffs[k] = s_top
-    slope_inv = (s_top + s_top).inverse()
+    d = len(U) - 1
+    g1 = d + k  # = g + 1, the degree of W
+    one = field._one.value
+    S = [field._zero.value] * (k + 1)
+    S[k] = s_top
+    slope_inv = field._raw_inv(field._raw_add(s_top, s_top))
     for j in range(k - 1, 0, -1):
-        W = W0 + U * Polynomial(field, s_coeffs)
-        c = (W * W - F)[g1 + d + j]
-        s_coeffs[j] = -c * slope_inv
-    s_coeffs[0] = s0
-    return W0 + U * Polynomial(field, s_coeffs)
+        W = _add_coeffs(field, W0, _product_coeffs(field, U, S))
+        n = g1 + d + j
+        # coefficient n of W^2 - F: sum of W_i W_(n-i) for n - g1 <= i <= g1
+        c = field._raw_dot(W[n - g1:g1 + 1], W[g1:n - g1 - 1:-1], [F[n]], [one])
+        S[j] = field._raw_neg(field._raw_mul(c, slope_inv))
+    S[0] = s0
+    return _add_coeffs(field, W0, _product_coeffs(field, U, S))
+
+
+def _form(field, coeffs, genus):
+    """The length g + 2 linear form of raw coefficients of degree <= g + 1."""
+    return field._wrap(coeffs + [field._zero.value] * (genus + 2 - len(coeffs)))
 
 
 def random_triple(curve, field=None, rng=None, max_attempts=400):
@@ -128,55 +179,53 @@ def random_triple(curve, field=None, rng=None, max_attempts=400):
         field = curve.field
     if field.p is None:
         raise RationalsUnsupported("random triples are sampled over finite fields")
-    F = _embedded_F(curve, field)
+    F = _raw_F(curve, field)
     genus = curve.genus
     g1 = genus + 1
-    lead = F.leading()
-    r_lead = field.sqrt(lead)
+    zero, one = field._zero.value, field._one.value
+    r_lead = field.sqrt(FieldElement(field, F[-1]))
+    if r_lead is not None:
+        r_lead = r_lead.value
     for _ in range(max_attempts):
         k = rng.randint(0, g1) if r_lead is not None else 0
         remaining = g1 - k
-        parts = []
+        residues, moduli = [], []
         seen = set()
         failed = False
         while remaining > 0:
             d = rng.randint(1, remaining)
-            pt = _random_closed_point(field, rng, d, _embedded_F(curve, field.extension(d)))
+            pt = _random_closed_point(field, rng, d, curve)
             if pt is None:
                 failed = True
                 break
             U_i, W_i, y_zero = pt
-            if U_i in seen:
+            if tuple(U_i) in seen:
                 failed = True
                 break
-            seen.add(U_i)
+            seen.add(tuple(U_i))
             e = 1
             if not y_zero and remaining >= 2 * d and rng.random() < 0.3:
                 e = 2
             if e > 1:
-                W_i = _hensel_square_root(W_i, U_i, e, F)
-            parts.append((U_i ** e, W_i))
+                W_i, U_i = _hensel_square_root(field, W_i, U_i, e, F)
+            residues.append(W_i)
+            moduli.append(U_i)
             remaining -= d * e
         if failed:
             continue
-        U = Polynomial.one(field)
-        for U_e, _ in parts:
-            U = U * U_e
-        if parts:
-            W0 = crt([w for _, w in parts], [u for u, _ in parts])
-        else:
-            W0 = Polynomial.zero(field)
+        W0, U = _crt_coeffs(field, residues, moduli) if moduli else ([], [one])
         if k > 0:
-            s_top = r_lead if rng.random() < 0.5 else -r_lead
-            W = _complete_at_infinity(W0, U, k, F, s_top, field.random_element(rng))
+            s_top = r_lead if rng.random() < 0.5 else field._raw_neg(r_lead)
+            s0 = field.random_element(rng).value
+            W = _complete_at_infinity(field, W0, U, k, F, s_top, s0)
         else:
-            W = W0 + U * Polynomial(field, (field.random_element(rng),))
-        num = W * W - F
-        V, rem = divmod(num, U)
-        if not rem.is_zero or V.is_zero or V.degree > g1:
+            s0 = field.random_element(rng).value
+            W = _add_coeffs(field, W0, _product_coeffs(field, U, [s0] if s0 != zero else []))
+        V, rem = _divmod_coeffs(field, _sub_coeffs(field, _product_coeffs(field, W, W), F), U)
+        if rem or not V or len(V) - 1 > g1:
             continue
-        return Triple(curve, field, poly_to_form(U, genus), poly_to_form(V, genus),
-                      poly_to_form(W, genus))
+        return Triple(curve, field, _form(field, U, genus), _form(field, V, genus),
+                      _form(field, W, genus))
     raise RuntimeError("sampler failed to produce a triple; curve has too few points")
 
 

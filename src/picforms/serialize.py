@@ -10,7 +10,8 @@ rationals.  Matrices and Gram forms are row-major arrays of scalars.
 
 Readers accept only JSON integers (not booleans) and strings as scalars,
 and only arrays and objects where the formats above name them; anything
-else, or a zero denominator, raises ValueError.  Every document emitted
+else, a zero denominator, or a field degree m above ``MAX_FIELD_DEGREE``
+raises ValueError.  Every document emitted
 here is accepted unchanged by the matching reader, and ``dumps`` is
 byte-stable (sorted keys, fixed layout).
 """
@@ -23,9 +24,16 @@ from fractions import Fraction
 from .curves import make_curve
 from .fields import GF, QQ, rational_extension
 from .ortho import OrthogonalMatrix
-from .poly import Polynomial
 from .quadform import GramForm
 from .triples import make_triple
+
+# the largest field degree m a document may declare.  Reading a field builds
+# it (a default modulus found by Rabin's test, or a given one checked by it),
+# and square roots and embeddings then work in it and in its quadratic
+# extension, at a cost that grows steeply with m: {"p": 5, "m": 200} never
+# finished.  The cap equals cli.MAX_EXT, and GF(p^8) is built in well under a
+# second for every p up to 2^61 - 1.
+MAX_FIELD_DEGREE = 8
 
 
 def field_to_json(field):
@@ -39,6 +47,8 @@ def field_from_json(obj):
     _typed(obj, dict, "a field descriptor must be a JSON object")
     p = obj.get("p")
     m = _typed(obj.get("m", 1), int, "p and m must be JSON integers")
+    if m > MAX_FIELD_DEGREE:
+        raise ValueError("field degree m = %d exceeds %d" % (m, MAX_FIELD_DEGREE))
     modulus = obj.get("modulus")
     if p is None:
         if m == 1:
@@ -115,10 +125,6 @@ def scalars_from_json(field, arr):
 
 def poly_to_json(f):
     return scalars_to_json(f.coeffs)
-
-
-def poly_from_json(field, arr):
-    return Polynomial(field, scalars_from_json(field, arr))
 
 
 def curve_to_json(curve):

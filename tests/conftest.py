@@ -126,3 +126,31 @@ def long_division(a, b):
         while rem and not rem[-1]:
             rem.pop()
     return Polynomial(field, tuple(q)), Polynomial(field, tuple(rem))
+
+
+def element_gcdext(f, g):
+    """(d, s, t) by the extended Euclidean algorithm on element
+    polynomials; the reference for ``gcdext``."""
+    field = f.field
+    r0, r1 = f, g
+    s0, s1 = Polynomial.one(field), Polynomial.zero(field)
+    t0, t1 = Polynomial.zero(field), Polynomial.one(field)
+    while not r1.is_zero:
+        q, r = long_division(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    lc = r0.leading().inverse()
+    return r0 * lc, s0 * lc, t0 * lc
+
+
+def element_crt(residues, moduli):
+    """The Chinese remainder chain on element polynomials; the reference for
+    ``crt``."""
+    acc, mod = long_division(residues[0], moduli[0])[1], moduli[0]
+    for r, m in zip(residues[1:], moduli[1:]):
+        delta = long_division(r - acc, m)[1]
+        inv = long_division(element_gcdext(mod, m)[1], m)[1]
+        acc = acc + mod * long_division(delta * inv, m)[1]
+        mod = mod * m
+    return long_division(acc, mod)[1]

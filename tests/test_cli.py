@@ -365,6 +365,11 @@ _EXT_COMMANDS = ("triple-support", "class-relation", "search-caveat")
 _EXT_VALUES = ("0", "-2", str(MAX_EXT), str(MAX_EXT + 1), "200", "1000")
 _EXT_SECONDS = 10.0
 
+# the field degree of the curve document around its cap: a field of degree
+# above serialize.MAX_FIELD_DEGREE is an input error before it is built
+# ({"p": 5, "m": 200} used to start a default-modulus walk that never ended)
+_DEGREE_VALUES = (serialize.MAX_FIELD_DEGREE, serialize.MAX_FIELD_DEGREE + 1, 200)
+
 _DEEP = "@@deep@@"
 
 
@@ -410,6 +415,10 @@ def _fuzz_inputs(rng, per_case):
         if command in _EXT_COMMANDS:
             for ext in _EXT_VALUES:
                 yield [command] + extra + ["--ext", ext], docs
+        if "curve" in docs:
+            for m in _DEGREE_VALUES:
+                yield [command] + extra, dict(docs, curve=dict(docs["curve"],
+                                                               field={"p": 5, "m": m}))
         choices = [(option, path, new) for option, doc in docs.items()
                    for path, new in _mutations(doc)]
         for option, path, new in rng.sample(choices, min(per_case, len(choices))):
@@ -418,6 +427,14 @@ def _fuzz_inputs(rng, per_case):
         yield ["group-enumerate"] + args, {}
     for argv in _ARGV_ERRORS:
         yield argv, {}
+
+
+def _curve_degree(docs):
+    """The field degree m the curve document declares, if it is an int."""
+    curve = docs.get("curve")
+    field = curve.get("field") if isinstance(curve, dict) else None
+    m = field.get("m") if isinstance(field, dict) else None
+    return m if type(m) is int else None
 
 
 def test_cli_fuzz_ends_in_documented_exit_codes(tmp_path, capsys):
@@ -441,6 +458,10 @@ def test_cli_fuzz_ends_in_documented_exit_codes(tmp_path, capsys):
             assert elapsed < _EXT_SECONDS, argv
             if not 1 <= ext <= MAX_EXT:
                 assert code == EXIT_INPUT and payload["error"]["kind"] == "InputError", argv
+        m = _curve_degree(docs)
+        if m is not None and m > serialize.MAX_FIELD_DEGREE:
+            assert elapsed < _EXT_SECONDS, (argv, m)
+            assert code == EXIT_INPUT and payload["error"]["kind"] == "InputError", (argv, m)
         if argv in _ARGV_ERRORS:
             assert code == EXIT_INPUT and payload["error"]["kind"] == "InputError", argv
             assert "usage:" in captured.err, argv

@@ -16,6 +16,7 @@ from picforms.fields import (
     Field,
     _default_modulus,
     _fp_divmod,
+    _irreducible_binomials,
     _is_irreducible,
     _is_prime,
     adjoin_sqrt,
@@ -302,6 +303,15 @@ def test_default_modulus_unchanged():
         assert _default_modulus(p, m) == ref, (p, m)
     # pinned from the trial-division walk; every binomial is reducible here
     assert _default_modulus(1031, 3) == (4, 1, 0, 1)
+
+
+def test_binomial_criterion_matches_rabin():
+    # Lidl & Niederreiter, Thm. 3.75, against Rabin's test on every binomial
+    for p in (3, 5, 7, 11, 13, 17, 19, 29, 31, 37, 41, 43, 61, 73):
+        for m in range(2, 9):
+            rabin = [c for c in range(1, p)
+                     if _is_irreducible((c,) + (0,) * (m - 1) + (1,), p)]
+            assert list(_irreducible_binomials(p, m)) == rabin, (p, m)
 
 
 @pytest.mark.parametrize("field,degree", [(GF(5), 4), (GF(7), 3), (F25, 2), (GF(3, 3), 2)],

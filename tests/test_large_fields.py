@@ -50,7 +50,7 @@ def _gate(body):
     return seconds, out
 
 
-@pytest.mark.parametrize("p,genus", [(P61, 1), (P61, 2), (P20, 1), (P20, 2), (P20, 3)])
+@pytest.mark.parametrize("p,genus", [(P61, 1), (P61, 2), (P61, 3), (P20, 1), (P20, 2), (P20, 3)])
 def test_random_triple_draws_large_prime(p, genus):
     seconds, out = _gate("""
 field = GF(%d)
@@ -83,4 +83,17 @@ def test_gf_1031_cubed():
     # walk tests about a thousand candidates
     seconds, out = _gate("out = list(GF(1031, 3).modulus)")
     assert out == [4, 1, 0, 1]
+    assert seconds < 1.0
+
+
+@pytest.mark.parametrize("p,m,modulus", [
+    (100019, 3, [9, 1, 0, 1]),
+    (1000003, 4, [1, 1, 0, 0, 1]),
+    (P61, 4, [1, 1, 0, 0, 1]),
+])
+def test_no_binomial_walk(p, m, modulus):
+    # p = 2 (mod 3) or p = 3 (mod 4): no binomial X^m + c is irreducible,
+    # and the closed-form test skips all p of them
+    seconds, out = _gate("out = list(GF(%d, %d).modulus)" % (p, m))
+    assert out == modulus
     assert seconds < 1.0

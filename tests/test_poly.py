@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import long_division
+from conftest import element_crt, element_gcdext, long_division
 
 from picforms.errors import DivisionByZero, ZeroPolynomial
 from picforms.fields import GF, QQ, embed, rational_extension
@@ -55,6 +55,30 @@ def test_divmod_agrees_with_long_division(field):
         for got, want in ((q, ref_q), (r, ref_r)):
             assert [repr(c.value) for c in got.coeffs] == [repr(c.value) for c in want.coeffs]
         assert q * b + r == a and r.degree < b.degree
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(5, 3), rational_extension((-2, 0, 1))],
+                         ids=lambda f: f.label())
+def test_gcdext_invert_mod_crt_agree_with_element_euclid(field):
+    rng = random.Random(20261019)
+    for _ in range(60):
+        f, g = (P(field, *(_random_coeff(field, rng) for _ in range(rng.randint(0, 6))))
+                for _ in range(2))
+        if f.is_zero and g.is_zero:
+            continue
+        got, want = gcdext(f, g), element_gcdext(f, g)
+        assert [x.coeffs for x in got] == [x.coeffs for x in want]
+        d, s, t = got
+        assert s * f + t * g == d and d.leading() == field.one()
+        if g.degree > 0 and d.degree == 0:
+            assert invert_mod(f, g) == long_division(s, g)[1]
+        # pairwise coprime moduli: distinct monic linear factors, and a square
+        roots = rng.sample(range(3), 3)
+        moduli = [P(field, -roots[0], 1) ** 2, P(field, -roots[1], 1), P(field, -roots[2], 1)]
+        residues = [P(field, *(_random_coeff(field, rng) for _ in range(3))) for _ in moduli]
+        w = crt(residues, moduli)
+        assert w.coeffs == element_crt(residues, moduli).coeffs
+        assert all((w - r) % m == P(field) for r, m in zip(residues, moduli))
 
 
 def test_gcd_common_factor():

@@ -1,15 +1,17 @@
-"""Run the seeded class sweep under every Python 3.10+ interpreter found.
+"""Run the seeded class sweep and sampler digest under every Python 3.10+
+interpreter found.
 
     python3 tools/check_interpreters.py
 
 Looks for ``python3.N`` (N >= 10) on PATH and for every
 ``<pyenv root>/versions/*/bin/python3`` (the pyenv root is $PYENV_ROOT,
 or ~/.pyenv), skipping pyenv shims and duplicates of one executable.
-Each interpreter runs ``tools/class_sweep.py --seed 1`` against this
-checkout's ``src`` and gets one line: its version, its path, the SHA-256
-of the sweep output, and whether that matches
-``tests/fixtures/class_sweep_seed1.sha256``.  The sweep needs nothing
-beyond the standard library, so no test dependency has to be installed.
+Each interpreter runs ``tools/class_sweep.py --seed 1`` and
+``tools/sampler_digest.py --seed 1 --jsonl`` against this checkout's
+``src`` and gets one line per tool: its version, its path, the tool, the
+SHA-256 of the tool's output, and whether that matches the digest pinned
+in ``tests/fixtures/``.  Both tools need nothing beyond the standard
+library, so no test dependency has to be installed.
 
 Exit status: 0 when every interpreter matches, 1 when one differs or
 fails, 2 when none is found.
@@ -25,8 +27,11 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SWEEP = os.path.join(ROOT, "tools", "class_sweep.py")
-PINNED = os.path.join(ROOT, "tests", "fixtures", "class_sweep_seed1.sha256")
+# (tool, its arguments, the pinned SHA-256 of its output)
+CHECKS = (
+    ("class_sweep.py", ["--seed", "1"], "class_sweep_seed1.sha256"),
+    ("sampler_digest.py", ["--seed", "1", "--jsonl"], "sampler_draws_seed1.sha256"),
+)
 MIN_MINOR = 10
 TIMEOUT_S = 600
 
@@ -67,35 +72,38 @@ def interpreters():
     return sorted(found)
 
 
-def sweep_digest(path):
-    """The SHA-256 of the sweep output under the interpreter at path."""
+def output_digest(path, tool, args):
+    """The SHA-256 of the output of tools/<tool> under the interpreter at path."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    done = subprocess.run([path, SWEEP, "--seed", "1"], capture_output=True, env=env,
-                          timeout=TIMEOUT_S)
+    done = subprocess.run([path, os.path.join(ROOT, "tools", tool)] + args,
+                          capture_output=True, env=env, timeout=TIMEOUT_S)
     if done.returncode != 0:
         raise RuntimeError(done.stderr.decode(errors="replace").strip().splitlines()[-1:])
     return hashlib.sha256(done.stdout).hexdigest()
 
 
 def main():
-    with open(PINNED) as fh:
-        pinned = fh.read().split()[0]
+    pinned = {}
+    for tool, _, fixture in CHECKS:
+        with open(os.path.join(ROOT, "tests", "fixtures", fixture)) as fh:
+            pinned[tool] = fh.read().split()[0]
     found = interpreters()
     if not found:
         print("no Python 3.%d+ interpreter found" % MIN_MINOR)
         return 2
     status = 0
     for version, path in found:
-        label = "%d.%d.%d %s" % (version + (path,))
-        try:
-            digest = sweep_digest(path)
-        except (OSError, RuntimeError, subprocess.TimeoutExpired) as exc:
-            print("%s failed: %s" % (label, exc))
-            status = 1
-            continue
-        match = digest == pinned
-        print("%s %s %s" % (label, digest, "matches" if match else "DIFFERS"))
-        status = status or (0 if match else 1)
+        for tool, args, _ in CHECKS:
+            label = "%d.%d.%d %s %s" % (version + (path, tool))
+            try:
+                digest = output_digest(path, tool, args)
+            except (OSError, RuntimeError, subprocess.TimeoutExpired) as exc:
+                print("%s failed: %s" % (label, exc))
+                status = 1
+                continue
+            match = digest == pinned[tool]
+            print("%s %s %s" % (label, digest, "matches" if match else "DIFFERS"))
+            status = status or (0 if match else 1)
     return status
 
 
