@@ -5,10 +5,12 @@ triple-support, group-act, group-enumerate, class-relation, form-gram,
 form-rank, form-decompose, galois-rational, search-caveat.
 
 Exit codes: 0 success, 1 input validation failure, 2 domain error,
-3 budget or search exhaustion.  ``--ext`` (triple-support, class-relation,
-search-caveat) must lie between 1 and ``MAX_EXT``, and a field read
-from a document may have degree at most ``serialize.MAX_FIELD_DEGREE``;
-anything else is an input error.  Output is byte-stable for identical
+3 budget or search exhaustion.  A field read from a document may have
+degree at most ``serialize.MAX_FIELD_DEGREE``.  ``--ext`` (triple-support,
+class-relation, search-caveat) must lie between 1 and ``MAX_EXT``, and the
+extension it names, of absolute degree m * ext over GF(p^m), is capped at
+``serialize.MAX_FIELD_DEGREE`` too, so every field the CLI prints can be
+read back; anything else is an input error.  Output is byte-stable for identical
 inputs and seeds.
 """
 
@@ -21,7 +23,7 @@ import sys
 from . import serialize
 from .equivalence import orbit_oracle, same_class
 from .errors import AlgebraError, BudgetExhausted, SearchExhausted
-from .fields import GF
+from .fields import GF, common_field
 from .galois import (
     class_rational,
     class_rational_mod_conj,
@@ -40,9 +42,9 @@ EXIT_BUDGET = 3
 
 # the largest --ext accepted: the extension is built (a default modulus found
 # by Rabin's test) before any answer is printed, and its degree is what bounds
-# the time of triple-support, class-relation and search-caveat.  The degree
-# of a field read from a document is capped beside it, at
-# serialize.MAX_FIELD_DEGREE.
+# the time of triple-support, class-relation and search-caveat.  Its absolute
+# degree, like that of a field read from a document, is capped at
+# serialize.MAX_FIELD_DEGREE, so a document the CLI emits can be read back.
 MAX_EXT = 8
 
 
@@ -82,11 +84,18 @@ def _load_curve(args):
         raise InputError("invalid curve: %s: %s" % (type(exc).__name__, exc)) from exc
 
 
-def _extension(args):
-    """--ext, checked against 1 <= ext <= MAX_EXT."""
-    if not 1 <= args.ext <= MAX_EXT:
-        raise InputError("--ext must be between 1 and %d, got %d" % (MAX_EXT, args.ext))
-    return args.ext
+def _extension(args, field):
+    """--ext, checked against 1 <= ext <= MAX_EXT and, over a finite field,
+    against an absolute degree field.m * ext of at most
+    serialize.MAX_FIELD_DEGREE, so that the extension the command builds
+    is one a document may declare."""
+    ext = args.ext
+    if not 1 <= ext <= MAX_EXT:
+        raise InputError("--ext must be between 1 and %d, got %d" % (MAX_EXT, ext))
+    if field.p is not None and field.m * ext > serialize.MAX_FIELD_DEGREE:
+        raise InputError("--ext %d over %s gives a field of degree %d, above %d"
+                         % (ext, field.label(), field.m * ext, serialize.MAX_FIELD_DEGREE))
+    return ext
 
 
 def _load_triple(curve, path):
@@ -146,10 +155,9 @@ def _cmd_triple_canonical(args):
 
 
 def _cmd_triple_support(args):
-    ext = _extension(args)
     curve = _load_curve(args)
     t = _load_triple(curve, args.t1)
-    sup = support(t, ext)
+    sup = support(t, _extension(args, t.field))
     return EXIT_OK, {
         "affine": [
             {"x": serialize.scalar_to_json(x),
@@ -187,10 +195,10 @@ def _cmd_group_enumerate(args):
 
 
 def _cmd_class_relation(args):
-    ext = _extension(args)
     curve = _load_curve(args)
     t1 = _load_triple(curve, args.t1)
     t2 = _load_triple(curve, args.t2)
+    ext = _extension(args, common_field(t1.field, t2.field))
     rel = same_class(t1, t2, extension=ext)
     payload = {
         "kind": rel.kind,
@@ -271,11 +279,10 @@ def _rational_entry(c):
 
 
 def _cmd_search_caveat(args):
-    ext = _extension(args)
     curve = _load_curve(args)
     if curve.field.p is None:
         raise InputError("the caveat search runs over finite fields")
-    ambient = curve.field.extension(ext)
+    ambient = curve.field.extension(_extension(args, curve.field))
     ctx = galois_context(ambient)
     res = find_caveat_example(curve, ctx, args.budget, args.seed)
     payload = {

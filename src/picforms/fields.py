@@ -825,6 +825,24 @@ def can_embed(src, dst):
     return dst.m % src.m == 0
 
 
+def _gauss_jordan(p, rows, n):
+    """The rows of integers mod p, reduced by Gauss-Jordan elimination so
+    that their first n columns are [I; 0]; None when those columns are
+    linearly dependent."""
+    for c in range(n):
+        piv = next((i for i in range(c, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            return None
+        rows[c], rows[piv] = rows[piv], rows[c]
+        inv = pow(rows[c][c], p - 2, p)
+        top = rows[c] = [x * inv % p for x in rows[c]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != c and f:
+                rows[i] = [(x - f * y) % p for x, y in zip(row, top)]
+    return rows
+
+
 def _embedding(src, dst):
     """(powers, coords) for src = GF(p^a) inside dst = GF(p^b), cached per pair.
 
@@ -842,19 +860,10 @@ def _embedding(src, dst):
     powers = [dst.one()]
     for _ in range(src.m - 1):
         powers.append(powers[-1] * root)
-    # Gauss-Jordan on [E | I]; E has full column rank since r generates src
-    p, a, b = dst.p, src.m, dst.m
-    rows = [[pw.value[i] for pw in powers] + [int(i == j) for j in range(b)]
-            for i in range(b)]
-    for col in range(a):
-        piv = next(r for r in range(col, b) if rows[r][col])
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = pow(rows[col][col], p - 2, p)
-        rows[col] = [x * inv % p for x in rows[col]]
-        for r in range(b):
-            f = rows[r][col]
-            if r != col and f:
-                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[col])]
+    # [E | I] reduced; E has full column rank since r generates src
+    a, b = src.m, dst.m
+    rows = _gauss_jordan(dst.p, [[pw.value[i] for pw in powers]
+                                 + [int(i == j) for j in range(b)] for i in range(b)], a)
     cached = (powers, tuple(tuple(row[a:]) for row in rows))
     dst._embed_cache[src] = cached
     return cached

@@ -5,9 +5,10 @@ zero polynomial is the empty tuple and has degree -1 by convention, which
 keeps every degree bound uniform.  The operators +, -, *, //, %, divmod
 and ** are overloaded, polynomials are callable (evaluation), and the gcd
 is always returned monic.  Each coefficient of a product is one call of
-the field's sum-of-products kernel, so it is normalised once.  Division,
-``gcdext``, ``invert_mod`` and ``crt`` wrap kernels on raw coefficient
-lists (the ``_*_coeffs`` functions), which the sampler calls directly.
+the field's sum-of-products kernel, so it is normalised once.  Addition,
+subtraction, powers, division, ``gcdext``, ``invert_mod`` and ``crt`` wrap
+kernels on raw coefficient lists (the ``_*_coeffs`` functions), which the
+sampler calls directly.
 
 Root finding uses gcd(f, X^q - X) and Cantor-Zassenhaus splitting over
 finite fields, polylogarithmic in q, and the rational-root bound over QQ;
@@ -112,12 +113,15 @@ class Polynomial:
             return Polynomial(self.field, (self.field.elem(other),))
         return None
 
+    def _raw(self):
+        return [c.value for c in self.coeffs]
+
     def __add__(self, other):
         o = self._check(other)
         if o is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return Polynomial(self.field, tuple(self[i] + o[i] for i in range(n)))
+        field = self.field
+        return Polynomial._trusted(field, field._wrap(_add_coeffs(field, self._raw(), o._raw())))
 
     __radd__ = __add__
 
@@ -125,8 +129,8 @@ class Polynomial:
         o = self._check(other)
         if o is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return Polynomial(self.field, tuple(self[i] - o[i] for i in range(n)))
+        field = self.field
+        return Polynomial._trusted(field, field._wrap(_sub_coeffs(field, self._raw(), o._raw())))
 
     def __rsub__(self, other):
         o = self._check(other)
@@ -147,8 +151,7 @@ class Polynomial:
         if self.is_zero or o.is_zero:
             return Polynomial.zero(self.field)
         field = self.field
-        prod = _product_coeffs(field, [c.value for c in self.coeffs],
-                               [c.value for c in o.coeffs])
+        prod = _product_coeffs(field, self._raw(), o._raw())
         # the leading coefficient is a product of two nonzero ones
         return Polynomial._trusted(field, field._wrap(prod))
 
@@ -161,8 +164,7 @@ class Polynomial:
         if o.is_zero:
             raise DivisionByZero("polynomial division by zero")
         field = self.field
-        q, rem = _divmod_coeffs(field, [c.value for c in self.coeffs],
-                                [c.value for c in o.coeffs])
+        q, rem = _divmod_coeffs(field, self._raw(), o._raw())
         return (Polynomial._trusted(field, field._wrap(q)),
                 Polynomial._trusted(field, field._wrap(rem)))
 
@@ -175,14 +177,8 @@ class Polynomial:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        result = Polynomial.one(self.field)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        field = self.field
+        return Polynomial._trusted(field, field._wrap(_pow_coeffs(field, self._raw(), n)))
 
     def __call__(self, x):
         x = self.field.elem(x) if not isinstance(x, FieldElement) else x
@@ -250,7 +246,7 @@ def gcd(f, g):
 def gcdext(f, g):
     """(d, s, t) with d = s*f + t*g and d the monic gcd."""
     field = f.field
-    a, b = [c.value for c in f.coeffs], [c.value for c in g.coeffs]
+    a, b = f._raw(), g._raw()
     d, s = _bezout_coeffs(field, a, b)
     # d - s f is an exact multiple of g (and t = 0 when g = 0)
     t = (_divmod_coeffs(field, _sub_coeffs(field, d, _product_coeffs(field, s, a)), b)[0]
@@ -262,14 +258,13 @@ def invert_mod(f, modulus):
     """Inverse of f modulo `modulus`; raises DivisionByZero if they share a factor."""
     field = f.field
     return Polynomial._trusted(field, field._wrap(_invert_mod_coeffs(
-        field, [c.value for c in f.coeffs], [c.value for c in modulus.coeffs])))
+        field, f._raw(), modulus._raw())))
 
 
 def crt(residues, moduli):
     """The polynomial congruent to residues[i] mod moduli[i] (pairwise coprime)."""
     field = residues[0].field
-    acc, _ = _crt_coeffs(field, [[c.value for c in r.coeffs] for r in residues],
-                         [[c.value for c in m.coeffs] for m in moduli])
+    acc, _ = _crt_coeffs(field, [r._raw() for r in residues], [m._raw() for m in moduli])
     return Polynomial._trusted(field, field._wrap(acc))
 
 
@@ -295,6 +290,20 @@ def _zip_coeffs(field, op, a, b):
     while out and out[-1] == zero:
         out.pop()
     return out
+
+
+def _pow_coeffs(field, a, n):
+    """The raw coefficients of A^n, n >= 0, by square-and-multiply."""
+    if not a:
+        return [] if n else [field._one.value]
+    out, base = [field._one.value], a
+    while True:
+        if n & 1:
+            out = _product_coeffs(field, out, base)
+        n >>= 1
+        if not n:
+            return out
+        base = _product_coeffs(field, base, base)
 
 
 def _divmod_coeffs(field, a, b):

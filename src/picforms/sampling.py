@@ -29,7 +29,7 @@ import functools
 from fractions import Fraction
 
 from .errors import LiftRejected, RationalsUnsupported
-from .fields import FieldElement, _embedding
+from .fields import FieldElement, _embedding, _gauss_jordan
 from .ortho import (
     flip_matrix,
     reduction_matrix,
@@ -38,7 +38,7 @@ from .ortho import (
     swap_shift_matrix,
 )
 from .poly import (_add_coeffs, _crt_coeffs, _divmod_coeffs, _invert_mod_coeffs,
-                   _product_coeffs, _sub_coeffs)
+                   _pow_coeffs, _product_coeffs, _sub_coeffs)
 from .triples import Triple
 
 
@@ -46,25 +46,6 @@ from .triples import Triple
 def _raw_F(curve, field):
     """The raw coefficients of the curve polynomial F over `field`."""
     return tuple(c.value for c in curve.F.embedded(field).coeffs)
-
-
-def _solve(p, cols, rhs):
-    """For each r in rhs, the z over GF(p) with sum_c z_c cols[c] = r, by
-    Gauss-Jordan elimination; None when the columns are dependent."""
-    n = len(cols)
-    rows = [[col[i] for col in cols] + [r[i] for r in rhs] for i in range(n)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c]), None)
-        if piv is None:
-            return None
-        rows[c], rows[piv] = rows[piv], rows[c]
-        inv = pow(rows[c][c], p - 2, p)
-        top = rows[c] = [x * inv % p for x in rows[c]]
-        for i in range(n):
-            f = rows[i][c]
-            if i != c and f:
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], top)]
-    return [[row[n + k] for row in rows] for k in range(len(rhs))]
 
 
 def _random_closed_point(field, rng, d, curve, tries=40):
@@ -95,12 +76,15 @@ def _random_closed_point(field, rng, d, curve, tries=40):
             if rng.random() < 0.5:
                 y = big._raw_neg(y)
             return [big._raw_neg(x), one], [y] if r else [], not r
+        # solve sum_(j,l) z_jl x^j e_l = x^d and = y over GF(p)
         cols = [pows[j] if l == 0 else mul(pows[j], basis[l])
                 for j in range(d) for l in range(m)]
-        sol = _solve(p, cols, (pows[d], y))
-        if sol is None:
+        n = d * m
+        rows = _gauss_jordan(p, [[col[i] for col in cols] + [pows[d][i], y[i]]
+                                 for i in range(n)], n)
+        if rows is None:
             continue  # x lies in a proper subfield
-        top, w = sol
+        top, w = [row[n] for row in rows], [row[n + 1] for row in rows]
         if rng.random() < 0.5:
             w = [-z % p for z in w]
         if m == 1:
@@ -116,13 +100,6 @@ def _random_closed_point(field, rng, d, curve, tries=40):
     return None
 
 
-def _power(field, a, e):
-    out = a
-    for _ in range(e - 1):
-        out = _product_coeffs(field, out, a)
-    return out
-
-
 def _hensel_square_root(field, W, U, e, F):
     """(W_e, U^e): W_e^2 = F (mod U^e) lifted from W^2 = F (mod U), on raw
     lists; needs W invertible mod U (the point is not a Weierstrass
@@ -131,7 +108,7 @@ def _hensel_square_root(field, W, U, e, F):
     prec, step = 1, U
     while prec < e:
         prec = min(2 * prec, e)
-        step = _power(field, U, prec)
+        step = _pow_coeffs(field, U, prec)
         inv = _invert_mod_coeffs(
             field, _divmod_coeffs(field, _add_coeffs(field, acc, acc), step)[1], step)
         acc = _divmod_coeffs(field, _product_coeffs(

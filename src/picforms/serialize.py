@@ -31,8 +31,9 @@ from .triples import make_triple
 # it (a default modulus found by Rabin's test, or a given one checked by it),
 # and square roots and embeddings then work in it and in its quadratic
 # extension, at a cost that grows steeply with m: {"p": 5, "m": 200} never
-# finished.  The cap equals cli.MAX_EXT, and GF(p^8) is built in well under a
-# second for every p up to 2^61 - 1.
+# finished.  The cap equals cli.MAX_EXT, which also caps the absolute degree
+# of every extension the CLI builds, so each field it emits reads back; and
+# GF(p^8) is built in well under a second for every p up to 2^61 - 1.
 MAX_FIELD_DEGREE = 8
 
 

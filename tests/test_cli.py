@@ -198,17 +198,21 @@ def test_galois_rational_qq_syntactic(files):
 
 
 def test_search_caveat(files):
-    code, payload = run_command([
-        "search-caveat", "--budget", "150", "--seed", "1",
-        "--curve", files("c.json", CURVE_F5B),
-    ])
-    assert code == 0
-    assert payload["found"] is True
-    assert payload["searched"] <= 150
-    # the stored triple re-validates on its curve over the ambient field
-    curve = serialize.curve_from_json(CURVE_F5B)
-    t = serialize.triple_from_json(curve, payload["triple"])
-    assert t.field == GF(5, 2)
+    curve = files("c.json", CURVE_F5B)
+    for ext in (2, 4):
+        code, payload = run_command([
+            "search-caveat", "--budget", "150", "--seed", "1", "--curve", curve,
+            "--ext", str(ext)])
+        assert code == 0
+        assert payload["found"] is True
+        assert payload["searched"] <= 150
+        # the stored triple re-validates on its curve over the ambient field,
+        # and triple-validate reads it back
+        t = serialize.triple_from_json(serialize.curve_from_json(CURVE_F5B), payload["triple"])
+        assert t.field == GF(5, ext)
+        code, _ = run_command(["triple-validate", "--curve", curve,
+                               "--t1", files("t.json", payload["triple"])])
+        assert code == 0
 
 
 def test_exit_input_error(files):
@@ -452,6 +456,11 @@ def test_cli_fuzz_ends_in_documented_exit_codes(tmp_path, capsys):
         assert code in (0, 1, 2, 3), argv
         payload = json.loads(captured.out)
         assert "Traceback" not in captured.err, argv
+        if code == 0:
+            # every field descriptor emitted is one a document may declare
+            for _, node in _nodes(payload):
+                if isinstance(node, dict) and {"p", "m"} <= node.keys() <= {"p", "m", "modulus"}:
+                    serialize.field_from_json(node)
         if "--ext" in argv and argv[0] in _EXT_COMMANDS:
             # the last --ext given is the one argparse keeps
             ext = int(argv[len(argv) - 1 - argv[::-1].index("--ext") + 1])
@@ -465,3 +474,20 @@ def test_cli_fuzz_ends_in_documented_exit_codes(tmp_path, capsys):
         if argv in _ARGV_ERRORS:
             assert code == EXIT_INPUT and payload["error"]["kind"] == "InputError", argv
             assert "usage:" in captured.err, argv
+
+
+@pytest.mark.parametrize("command,docs,key", [
+    ("triple-support", {"t1": _F25_TRIPLE}, "field"),
+    ("class-relation", {"t1": _F25_TRIPLE, "t2": _F5_TRIPLE}, "search_domain"),
+])
+def test_ext_caps_the_absolute_degree(files, command, docs, key):
+    # over GF(5^2), --ext 4 builds GF(5^8), which a document may declare,
+    # and --ext 5 would build GF(5^10), which it may not
+    argv = [command, "--curve", files("c.json", CURVE_F5B)]
+    for option, doc in docs.items():
+        argv += ["--" + option, files(option + ".json", doc)]
+    code, payload = run_command(argv + ["--ext", "4"])
+    assert code == 0
+    assert serialize.field_from_json(payload[key]) == GF(5, 8)
+    code, payload = run_command(argv + ["--ext", "5"])
+    assert code == EXIT_INPUT and payload["error"]["kind"] == "InputError"

@@ -59,6 +59,28 @@ def test_divmod_agrees_with_long_division(field):
 
 @pytest.mark.parametrize("field", [QQ, GF(7), GF(5, 3), rational_extension((-2, 0, 1))],
                          ids=lambda f: f.label())
+def test_add_sub_pow_agree_with_coefficientwise(field):
+    rng = random.Random(11)
+    zero = P(field)
+    assert zero ** 0 == P(field, 1) and (zero ** 3).is_zero
+    for _ in range(60):
+        a = P(field, *(_random_coeff(field, rng) for _ in range(rng.randint(0, 6))))
+        b = P(field, *(_random_coeff(field, rng) for _ in range(rng.randint(0, 6))))
+        n = max(a.degree, b.degree) + 1
+        for got, want in ((a + b, [a[i] + b[i] for i in range(n)]),
+                          (a - b, [a[i] - b[i] for i in range(n)])):
+            assert got == P(field, *want)
+            assert [repr(c.value) for c in got.coeffs] == [
+                repr(c.value) for c in P(field, *want).coeffs]
+        assert (a - a).is_zero and (a + b) - b == a
+        acc = P(field, 1)
+        for k in range(5):
+            assert a ** k == acc
+            acc = acc * a
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(5, 3), rational_extension((-2, 0, 1))],
+                         ids=lambda f: f.label())
 def test_gcdext_invert_mod_crt_agree_with_element_euclid(field):
     rng = random.Random(20261019)
     for _ in range(60):

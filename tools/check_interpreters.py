@@ -7,7 +7,7 @@ Looks for ``python3.N`` (N >= 10) on PATH and for every
 ``<pyenv root>/versions/*/bin/python3`` (the pyenv root is $PYENV_ROOT,
 or ~/.pyenv), skipping pyenv shims and duplicates of one executable.
 Each interpreter runs ``tools/class_sweep.py --seed 1`` and
-``tools/sampler_digest.py --seed 1 --jsonl`` against this checkout's
+``tools/sampler_digest.py --seed 1`` against this checkout's
 ``src`` and gets one line per tool: its version, its path, the tool, the
 SHA-256 of the tool's output, and whether that matches the digest pinned
 in ``tests/fixtures/``.  Both tools need nothing beyond the standard
@@ -30,7 +30,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # (tool, its arguments, the pinned SHA-256 of its output)
 CHECKS = (
     ("class_sweep.py", ["--seed", "1"], "class_sweep_seed1.sha256"),
-    ("sampler_digest.py", ["--seed", "1", "--jsonl"], "sampler_draws_seed1.sha256"),
+    ("sampler_digest.py", ["--seed", "1"], "sampler_draws_seed1.sha256"),
 )
 MIN_MINOR = 10
 TIMEOUT_S = 600
