@@ -26,6 +26,12 @@ extensions.  The canonical total order used for deterministic searches is
 the natural order on QQ and the integer index c0 + c1*p + ... on finite
 fields.
 
+Polynomials over GF(p) have no arithmetic of their own here: Rabin's
+irreducibility test and the inverse in GF(p^m) run on the raw kernels of
+:mod:`picforms.poly` over the prime field, imported inside the functions
+since that module imports this one, and the subfield coordinates of an
+embedding come from :func:`picforms.linalg._row_reduce` over GF(p).
+
 Sums of products go through one kernel, :meth:`Field.dot`, with one
 implementation per field kind.  Over QQ it accumulates a numerator and a
 denominator as Python ints and builds one ``Fraction``; over GF(p) it
@@ -49,6 +55,7 @@ from .errors import (
     NotFiniteField,
     RationalsUnsupported,
 )
+from .linalg import _row_reduce
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -78,97 +85,38 @@ def _is_prime(n):
     return True
 
 
-# ---------------------------------------------------------------------------
-# raw polynomial helpers over GF(p), used only for modulus bookkeeping.
-# Coefficient lists are lowest degree first, trailing zeros stripped.
-
-def _fp_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _fp_divmod(a, b, p):
-    a = list(a)
-    db = len(b) - 1
-    inv = pow(b[-1], p - 2, p)
-    q = [0] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and a:
-        k = len(a) - 1 - db
-        f = a[-1] * inv % p
-        q[k] = f
-        for i, bc in enumerate(b):
-            a[i + k] = (a[i + k] - f * bc) % p
-        _fp_trim(a)
-    return q, a
-
-
-def _fp_mulmod(a, b, f, p):
-    """a * b mod the monic f over GF(p)."""
-    if not a or not b:
-        return []
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                prod[i + j] += x * y
-    n = len(f) - 1
-    for k in range(len(prod) - 1, n - 1, -1):
-        c = prod[k] % p
-        if c:
-            for i in range(n):
-                prod[k - n + i] -= c * f[i]
-    return _fp_trim([x % p for x in prod[:n]])
-
-
-def _fp_gcd(a, b, p):
-    a, b = _fp_trim(list(a)), _fp_trim(list(b))
-    while b:
-        a, b = b, _fp_divmod(a, b, p)[1]
-    return a
-
-
-def _fp_compose(h, g, f, p):
-    """h(g) mod the monic f over GF(p), by Horner's rule."""
-    acc = []
-    for c in reversed(h):
-        acc = _fp_mulmod(acc, g, f, p)
-        if c:
-            acc = acc or [0]
-            acc[0] = (acc[0] + c) % p
-            _fp_trim(acc)
-    return acc
-
-
 def _is_irreducible(mod, p):
     """Rabin's test for a monic polynomial f of degree n over GF(p).
 
     f is irreducible iff X^(p^n) = X mod f and gcd(X^(p^(n/r)) - X, f) = 1
     for every prime r dividing n (Rabin, SIAM J. Comput. 9, 1980).  The
     powers X^(p^k) come from X^p by composition, since h(X)^p = h(X^p) for
-    h over GF(p).
+    h over GF(p).  The arithmetic is that of the raw kernels of
+    :mod:`picforms.poly` over GF(p).
     """
+    from .poly import (_add_coeffs, _divmod_coeffs, _gcd_coeffs, _pow_coeffs,
+                       _product_coeffs, _sub_coeffs)  # poly imports this module
     mod = list(mod)
     n = len(mod) - 1
     if n < 1 or mod[-1] != 1:
         return False
     if n == 1:
         return True
+    base = _make_field(p, 1, None)
     checks = {n // r for r in range(2, n + 1) if n % r == 0 and _is_prime(r)}
-    xp = [1]
-    for bit in bin(p)[2:]:
-        xp = _fp_mulmod(xp, xp, mod, p)
-        if bit == "1":
-            xp = _fp_mulmod(xp, [0, 1], mod, p)
+    xp = _pow_coeffs(base, [0, 1], p, mod)
     h = xp
     for k in range(1, n + 1):
         if k > 1:
-            h = _fp_compose(h, xp, mod, p)
-        if k in checks:
-            diff = h + [0] * (2 - len(h))
-            diff[1] = (diff[1] - 1) % p
-            if len(_fp_gcd(mod, diff, p)) > 1:
-                return False
+            # h(X^p) mod f by Horner's rule
+            acc = []
+            for c in reversed(h):
+                if acc:
+                    acc = _divmod_coeffs(base, _product_coeffs(base, acc, xp), mod)[1]
+                acc = _add_coeffs(base, acc, [c])
+            h = acc
+        if k in checks and len(_gcd_coeffs(base, mod, _sub_coeffs(base, h, [0, 1]))) > 1:
+            return False
     return h == [0, 1]
 
 
@@ -385,31 +333,22 @@ class Field:
             raise DivisionByZero("inverse of zero in %s" % self.label())
         if self.m == 1:
             return pow(a, self.p - 2, self.p) if self.p else Fraction(1) / a
-        if self.p is None:
-            # quadratic extension of QQ: closed-form conjugate inverse
+        if self.m == 2:
+            # quadratic extension: closed-form conjugate inverse
             c0, c1 = self.modulus[0], self.modulus[1]
             x, y = a
             norm = x * x - x * y * c1 + y * y * c0
-            return ((x - y * c1) / norm, -y / norm)
-        # extended Euclid on coefficient lists over GF(p)
-        p = self.p
-        r0, r1 = list(self.modulus), _fp_trim(list(a))
-        s0, s1 = [], [1]
-        while r1:
-            q, r = _fp_divmod(r0, r1, p)
-            s = list(s0)
-            if len(s) < len(q) + len(s1):
-                s += [0] * (len(q) + len(s1) - len(s))
-            for i, qc in enumerate(q):
-                if qc:
-                    for j, sc in enumerate(s1):
-                        s[i + j] = (s[i + j] - qc * sc) % p
-            _fp_trim(s)
-            r0, r1, s0, s1 = r1, r, s1, s
-        inv_lead = pow(r0[-1], p - 2, p)
-        s0 = [c * inv_lead % p for c in s0]
-        s0 += [0] * (self.m - len(s0))
-        return tuple(s0[: self.m])
+            if self.p is None:
+                return ((x - y * c1) / norm, -y / norm)
+            p = self.p
+            inv = pow(norm, p - 2, p)
+            return ((x - y * c1) * inv % p, -y * inv % p)
+        # the inverse of a mod the modulus over GF(p); the sum with 0 trims
+        # the top zeros of a
+        from .poly import _add_coeffs, _invert_mod_coeffs  # poly imports this module
+        base = _make_field(self.p, 1, None)
+        inv = _invert_mod_coeffs(base, _add_coeffs(base, a, ()), self.modulus)
+        return tuple(inv) + (0,) * (self.m - len(inv))
 
     def _raw_pow(self, a, e):
         if self.m == 1 and self.p:
@@ -825,24 +764,6 @@ def can_embed(src, dst):
     return dst.m % src.m == 0
 
 
-def _gauss_jordan(p, rows, n):
-    """The rows of integers mod p, reduced by Gauss-Jordan elimination so
-    that their first n columns are [I; 0]; None when those columns are
-    linearly dependent."""
-    for c in range(n):
-        piv = next((i for i in range(c, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            return None
-        rows[c], rows[piv] = rows[piv], rows[c]
-        inv = pow(rows[c][c], p - 2, p)
-        top = rows[c] = [x * inv % p for x in rows[c]]
-        for i, row in enumerate(rows):
-            f = row[c]
-            if i != c and f:
-                rows[i] = [(x - f * y) % p for x, y in zip(row, top)]
-    return rows
-
-
 def _embedding(src, dst):
     """(powers, coords) for src = GF(p^a) inside dst = GF(p^b), cached per pair.
 
@@ -850,7 +771,9 @@ def _embedding(src, dst):
     the smallest index.  coords is a b x b matrix P over GF(p) with
     P E = [I; 0], where the columns of E are the coordinates of the powers:
     the first a entries of P e are the coordinates of e over src, and the
-    others vanish exactly when e lies in the image.
+    others vanish exactly when e lies in the image.  P is the right half of
+    [E | I] after :func:`picforms.linalg._row_reduce` over GF(p) on its
+    first a columns.
     """
     cached = dst._embed_cache.get(src)
     if cached is not None:
@@ -860,10 +783,12 @@ def _embedding(src, dst):
     powers = [dst.one()]
     for _ in range(src.m - 1):
         powers.append(powers[-1] * root)
-    # [E | I] reduced; E has full column rank since r generates src
+    # [E | I] reduced on its first a columns over GF(p); E has full column
+    # rank since r generates src
     a, b = src.m, dst.m
-    rows = _gauss_jordan(dst.p, [[pw.value[i] for pw in powers]
-                                 + [int(i == j) for j in range(b)] for i in range(b)], a)
+    rows, pivots = _row_reduce(_make_field(dst.p, 1, None), [
+        [pw.value[i] for pw in powers] + [int(i == j) for j in range(b)] for i in range(b)], a)
+    assert pivots == tuple(range(a))
     cached = (powers, tuple(tuple(row[a:]) for row in rows))
     dst._embed_cache[src] = cached
     return cached

@@ -5,10 +5,16 @@ the field's sum-of-products kernel (:meth:`picforms.fields.Field.dot`):
 each entry of a product is one kernel call on raw values, normalised once
 and in lowest terms.  ``_mat_mul_raw`` is the same product on raw rows;
 the class decision uses it directly and wraps only the witnesses it
-returns.  Everything else is plain Gaussian elimination with exact
-division; sizes never exceed a few rows, so no pivoting strategy beyond
-"first nonzero" is needed, and that choice keeps every result
-deterministic.
+returns.
+
+Everything else is Gauss-Jordan elimination with exact division, in one
+kernel on raw rows, ``_row_reduce``, which can stop at a column limit and
+carry the later columns along; ``row_reduce``, ``rank``, ``kernel_basis``
+and ``solve`` wrap it, and :mod:`picforms.fields` (subfield coordinates)
+and :mod:`picforms.sampling` (closed points) call it over GF(p).  Sizes
+never exceed a few rows, so no pivoting strategy beyond "first nonzero"
+is needed, and that choice keeps every result deterministic.  This module
+imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -52,32 +58,37 @@ def dot(u, v):
 
 def row_reduce(rows, field):
     """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [list(r) for r in rows]
     if not rows:
         return (), ()
-    ncols = len(rows[0])
+    reduced, pivots = _row_reduce(field, list(map(field.values, rows)), len(rows[0]))
+    return tuple(map(field._wrap, reduced)), pivots
+
+
+def _row_reduce(field, rows, ncols):
+    """(rows, pivots) for a list of rows of raw values of ``field``, reduced
+    in place by Gauss-Jordan elimination until its first ``ncols`` columns
+    are in reduced row echelon form; later columns (an augmented part) are
+    carried along.  pivots are the pivot column indices, in order."""
+    zero = field._zero.value
+    mul, sub = field._raw_mul, field._raw_sub
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot = i
-                break
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != zero), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        inv = field._raw_inv(rows[r][c])
+        top = rows[r] = [mul(x, inv) for x in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and f != zero:
+                rows[i] = [sub(x, mul(f, y)) for x, y in zip(row, top)]
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
-    return tuple(tuple(row) for row in rows), tuple(pivots)
+    return rows, tuple(pivots)
 
 
 def rank(rows, field):
@@ -105,15 +116,13 @@ def solve(rows, rhs, field):
     if not rows:
         return None
     ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    reduced, pivots = row_reduce(aug, field)
-    zero = field.zero()
-    for row in reduced[len(pivots):]:
-        if row[-1]:
-            return None
-    if pivots and pivots[-1] == ncols:  # pivot in the rhs column
+    zero = field._zero.value
+    aug = [field.values((*r, b)) for r, b in zip(rows, rhs)]
+    reduced, pivots = _row_reduce(field, aug, ncols)
+    # the rows below the pivots vanish on the first ncols columns
+    if any(row[-1] != zero for row in reduced[len(pivots):]):
         return None
     x = [zero] * ncols
     for r, pc in enumerate(pivots):
         x[pc] = reduced[r][-1]
-    return tuple(x)
+    return field._wrap(x)

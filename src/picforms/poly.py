@@ -5,10 +5,16 @@ zero polynomial is the empty tuple and has degree -1 by convention, which
 keeps every degree bound uniform.  The operators +, -, *, //, %, divmod
 and ** are overloaded, polynomials are callable (evaluation), and the gcd
 is always returned monic.  Each coefficient of a product is one call of
-the field's sum-of-products kernel, so it is normalised once.  Addition,
-subtraction, powers, division, ``gcdext``, ``invert_mod`` and ``crt`` wrap
-kernels on raw coefficient lists (the ``_*_coeffs`` functions), which the
-sampler calls directly.
+the field's sum-of-products kernel, so it is normalised once.
+
+Every polynomial algorithm has one kernel on raw coefficient lists, the
+``_*_coeffs`` functions: sum, difference, product, power (optionally
+modulo a polynomial), division, gcd, extended gcd, inverse modulo a
+polynomial and the Chinese remainder chain.  The operators, ``gcd``,
+``gcdext``, ``invert_mod`` and ``crt`` wrap them; root finding, the
+sampler (:mod:`picforms.sampling`), and Rabin's irreducibility test and
+the inverse in GF(p^m) (:mod:`picforms.fields`, over GF(p)) call them
+directly.
 
 Root finding uses gcd(f, X^q - X) and Cantor-Zassenhaus splitting over
 finite fields, polylogarithmic in q, and the rational-root bound over QQ;
@@ -235,12 +241,9 @@ def _product_coeffs(field, a, b, c=(), d=()):
 
 def gcd(f, g):
     """Monic greatest common divisor."""
-    if f.is_zero and g.is_zero:
-        raise ZeroPolynomial("gcd(0, 0)")
-    a, b = f, g
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    field = f.field
+    g = f._check(g)
+    return Polynomial._trusted(field, field._wrap(_gcd_coeffs(field, f._raw(), g._raw())))
 
 
 def gcdext(f, g):
@@ -292,39 +295,53 @@ def _zip_coeffs(field, op, a, b):
     return out
 
 
-def _pow_coeffs(field, a, n):
-    """The raw coefficients of A^n, n >= 0, by square-and-multiply."""
+def _pow_coeffs(field, a, n, mod=None):
+    """The raw coefficients of A^n, n >= 0, by square-and-multiply from the
+    top bit; with a nonzero modulus M, of A^n mod M, reduced after every
+    product."""
     if not a:
         return [] if n else [field._one.value]
-    out, base = [field._one.value], a
-    while True:
-        if n & 1:
-            out = _product_coeffs(field, out, base)
-        n >>= 1
-        if not n:
-            return out
-        base = _product_coeffs(field, base, base)
+    out = [field._one.value]
+    for bit in bin(n)[2:]:
+        out = _product_coeffs(field, out, out)
+        if bit == "1":
+            out = _product_coeffs(field, out, a)
+        if mod is not None:
+            out = _divmod_coeffs(field, out, mod)[1]
+            if not out:
+                return out  # M divides A^k, so every later power too
+    return out
 
 
 def _divmod_coeffs(field, a, b):
     """(quotient, remainder) of A by the nonzero B: one inverse of B's
-    leading coefficient, then one product and one difference per
-    coefficient and step."""
+    leading coefficient, none when B is monic, then one product and one
+    difference per coefficient and step."""
     zero = field._zero.value
     mul, sub = field._raw_mul, field._raw_sub
     rem = list(a)
     db = len(b) - 1
-    inv = field._raw_inv(b[-1])
+    inv = None if b[-1] == field._one.value else field._raw_inv(b[-1])
     q = [zero] * max(len(rem) - db, 0)
     while len(rem) - 1 >= db and rem:
         k = len(rem) - 1 - db
-        f = mul(rem[-1], inv)
+        f = rem[-1] if inv is None else mul(rem[-1], inv)
         q[k] = f  # the top one, set first, is nonzero
         for i, bc in enumerate(b):
             rem[i + k] = sub(rem[i + k], mul(f, bc))
         while rem and rem[-1] == zero:
             rem.pop()
     return q, rem
+
+
+def _gcd_coeffs(field, a, b):
+    """The monic gcd of A and B (not both zero), by Euclid's algorithm."""
+    if not a and not b:
+        raise ZeroPolynomial("gcd(0, 0)")
+    while b:
+        a, b = b, _divmod_coeffs(field, a, b)[1]
+    mul, lc = field._raw_mul, field._raw_inv(a[-1])
+    return [mul(c, lc) for c in a]
 
 
 def _bezout_coeffs(field, a, b):
@@ -436,16 +453,6 @@ def roots_in_field(f, field=None):
     return out
 
 
-def _powmod(f, e, modulus):
-    """f^e mod `modulus`, by square-and-multiply."""
-    result = Polynomial.one(f.field) % modulus
-    for bit in bin(e)[2:]:
-        result = (result * result) % modulus
-        if bit == "1":
-            result = (result * f) % modulus
-    return result
-
-
 def _distinct_roots(f):
     """The distinct roots of f in its finite coefficient field GF(q), in
     canonical order.
@@ -460,22 +467,25 @@ def _distinct_roots(f):
     if f.degree < 1:
         return []
     field = f.field
-    x = Polynomial.x(field)
+    zero, one = field._zero.value, field._one.value
+    x, a = [zero, one], f._raw()
     half = (field.order - 1) // 2
     rng = random.Random(0)
     roots = []
-    pending = [gcd(f, _powmod(x, field.order, f) - x)]
+    pending = [_gcd_coeffs(field, a, _sub_coeffs(field, _pow_coeffs(field, x, field.order, a), x))]
     while pending:
         g = pending.pop()
-        if g.degree == 1:
-            roots.append(-g[0])
-        elif g.degree > 1:
-            h = gcd(g, _powmod(x + field.random_element(rng), half, g) - 1)
-            if 0 < h.degree < g.degree:
-                pending += [h, g // h]
+        if len(g) == 2:
+            roots.append(field._raw_neg(g[0]))
+        elif len(g) > 2:
+            shifted = [field.random_element(rng).value, one]  # X + c
+            h = _gcd_coeffs(field, g, _sub_coeffs(
+                field, _pow_coeffs(field, shifted, half, g), [one]))
+            if 2 <= len(h) < len(g):
+                pending += [h, _divmod_coeffs(field, g, h)[0]]
             else:
                 pending.append(g)
-    return sorted(roots, key=lambda r: r.sort_key())
+    return sorted(field._wrap(roots), key=lambda r: r.sort_key())
 
 
 def _multiplicity(f, x):

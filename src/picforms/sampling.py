@@ -11,11 +11,12 @@ check; a configuration that leaves a remainder is simply redrawn.
 
 A closed point of degree d is a random x in GF(q^d) with F(x) = y^2.
 Its minimal polynomial U_i and the W_i of degree < d with W_i(x) = y come
-from one linear solve over GF(p): in the GF(p)-basis x^j e_l of GF(q^d),
-(e_l) the image of K's power basis, the coordinates of x^d are the
-coefficients of X^d - U_i, and those of y are the coefficients of W_i.
-The system is singular exactly when x has degree below d over K, and the
-point is then redrawn.  The polynomial arithmetic runs on raw coefficient
+from one linear solve over GF(p), by :func:`picforms.linalg._row_reduce`
+on the augmented system: in the GF(p)-basis x^j e_l of GF(q^d), (e_l) the
+image of K's power basis, the coordinates of x^d are the coefficients of
+X^d - U_i, and those of y are the coefficients of W_i.  The system is
+singular, a pivot is missing, exactly when x has degree below d over K,
+and the point is then redrawn.  The polynomial arithmetic runs on raw coefficient
 lists through the kernels of :mod:`picforms.poly`; elements are built
 only for the returned triple.
 
@@ -29,7 +30,8 @@ import functools
 from fractions import Fraction
 
 from .errors import LiftRejected, RationalsUnsupported
-from .fields import FieldElement, _embedding, _gauss_jordan
+from .fields import GF, FieldElement, _embedding
+from .linalg import _row_reduce
 from .ortho import (
     flip_matrix,
     reduction_matrix,
@@ -63,6 +65,7 @@ def _random_closed_point(field, rng, d, curve, tries=40):
     if d > 1:
         # the images of the power basis of `field`: e_0 = 1
         basis = [one] if m == 1 else [e.value for e in _embedding(field, big)[0]]
+        prime = GF(p)
     for _ in range(tries):
         x = big.random_element(rng).value
         pows = [one, x]
@@ -80,9 +83,9 @@ def _random_closed_point(field, rng, d, curve, tries=40):
         cols = [pows[j] if l == 0 else mul(pows[j], basis[l])
                 for j in range(d) for l in range(m)]
         n = d * m
-        rows = _gauss_jordan(p, [[col[i] for col in cols] + [pows[d][i], y[i]]
-                                 for i in range(n)], n)
-        if rows is None:
+        rows, pivots = _row_reduce(prime, [[col[i] for col in cols] + [pows[d][i], y[i]]
+                                           for i in range(n)], n)
+        if pivots != tuple(range(n)):
             continue  # x lies in a proper subfield
         top, w = [row[n] for row in rows], [row[n + 1] for row in rows]
         if rng.random() < 0.5:

@@ -231,7 +231,8 @@ def divisor_data(t):
         w_top = W[genus + 1]
         inf = infinity_points(t.curve)
         r_plus = embed(inf.roots[0], canon.field)
-        assert w_top * w_top == embed(inf.leading, canon.field)
+        if w_top * w_top != embed(inf.leading, canon.field):
+            raise NotOnCurve("the top coefficient of W does not square to F's leading one")
         sign = "+" if w_top == r_plus else "-"
     return DivisorData(U, W, V, mult, sign)
 

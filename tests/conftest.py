@@ -94,6 +94,34 @@ def det(rows, field):
     return acc
 
 
+def element_row_reduce(rows, ncols):
+    """(rows, pivots): Gauss-Jordan elimination with the element operators
+    on the first ncols columns; the reference for ``linalg._row_reduce``."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
 def row_by_column(a, b):
     """a @ b entry by entry with the element operators * and +; the
     reference for ``linalg.mat_mul``."""

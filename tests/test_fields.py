@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import long_division
+
 from picforms.errors import (
     CharacteristicTwo,
     DescriptorMismatch,
@@ -15,7 +17,6 @@ from picforms.fields import (
     QQ,
     Field,
     _default_modulus,
-    _fp_divmod,
     _irreducible_binomials,
     _is_irreducible,
     _is_prime,
@@ -115,7 +116,7 @@ def test_frobenius_rejects_rationals():
         QQ.elem(1).frobenius()
 
 
-@pytest.mark.parametrize("field", [F5, F25, GF(7), QQ])
+@pytest.mark.parametrize("field", [F5, F25, GF(7), QQ, GF(5, 3), GF(3, 4), GF(2 ** 61 - 1, 2)])
 def test_field_axioms_on_samples(field):
     rng = random.Random(7)
 
@@ -236,9 +237,10 @@ def _trial_division_irreducible(mod, p):
     deg = len(mod) - 1
     if deg < 1 or mod[-1] != 1:
         return False
+    f = Polynomial(GF(p), mod)
     for d in range(1, deg // 2 + 1):
         for div in _monic_polys(p, d):
-            if not _fp_divmod(mod, div, p)[1]:
+            if long_division(f, Polynomial(GF(p), div))[1].is_zero:
                 return False
     return True
 

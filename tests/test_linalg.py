@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import det, row_by_column
+from conftest import det, element_row_reduce, row_by_column
 
 from picforms import linalg
 from picforms.errors import DescriptorMismatch
@@ -20,6 +20,29 @@ def test_row_reduce_and_rank():
     rows, pivots = linalg.row_reduce(_m(QQ, ((1, 2, 3), (2, 4, 6), (0, 1, 1))), QQ)
     assert pivots == (0, 1)
     assert linalg.rank(_m(QQ, ((1, 2, 3), (2, 4, 6), (0, 1, 1))), QQ) == 2
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(5, 3), rational_extension((-2, 0, 1))],
+                         ids=lambda f: f.label())
+def test_row_reduce_agrees_with_element_elimination(field):
+    # seeded n x k matrices, some with a row repeated (rank-deficient) or a
+    # column zeroed (a missing pivot, the sampler's singular case), reduced
+    # on all columns and on the first ncols < k only
+    rng = random.Random(20261019)
+    for n, k in ((1, 1), (2, 3), (3, 3), (3, 5), (4, 6), (5, 3)):
+        for _ in range(6):
+            rows = [[_random_entry(field, rng) for _ in range(k)] for _ in range(n)]
+            if n > 1 and rng.random() < 0.5:
+                rows[-1] = [x * _random_entry(field, rng) for x in rows[0]]
+            if rng.random() < 0.5:
+                zeroed = rng.randrange(k)
+                for row in rows:
+                    row[zeroed] = field.zero()
+            rows = tuple(map(tuple, rows))
+            assert linalg.row_reduce(rows, field) == element_row_reduce(rows, k)
+            ncols = rng.randint(1, k)
+            reduced, pivots = linalg._row_reduce(field, list(map(field.values, rows)), ncols)
+            assert (tuple(map(field._wrap, reduced)), pivots) == element_row_reduce(rows, ncols)
 
 
 def test_kernel_basis():

@@ -9,6 +9,7 @@ from picforms.errors import DivisionByZero, ZeroPolynomial
 from picforms.fields import GF, QQ, embed, rational_extension
 from picforms.poly import (
     Polynomial,
+    _pow_coeffs,
     crt,
     gcd,
     gcdext,
@@ -76,6 +77,10 @@ def test_add_sub_pow_agree_with_coefficientwise(field):
         acc = P(field, 1)
         for k in range(5):
             assert a ** k == acc
+            if b.degree > 0:
+                # the power modulo B, reduced after every product
+                got = _pow_coeffs(field, a._raw(), k, b._raw())
+                assert field._wrap(got) == long_division(acc, b)[1].coeffs
             acc = acc * a
 
 
@@ -90,6 +95,7 @@ def test_gcdext_invert_mod_crt_agree_with_element_euclid(field):
             continue
         got, want = gcdext(f, g), element_gcdext(f, g)
         assert [x.coeffs for x in got] == [x.coeffs for x in want]
+        assert gcd(f, g).coeffs == want[0].coeffs
         d, s, t = got
         assert s * f + t * g == d and d.leading() == field.one()
         if g.degree > 0 and d.degree == 0:

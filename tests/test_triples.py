@@ -1,4 +1,8 @@
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -173,3 +177,36 @@ def test_triple_over_extension(curve_f5b):
     lifted = base.embedded(F25)
     assert lifted.field == F25
     assert lifted.u == tuple(embed(c, F25) for c in base.u)
+
+
+_BAD_TOP = """
+import json, sys
+sys.path.insert(0, %r)
+from picforms.curves import make_curve
+from picforms.errors import NotOnCurve
+from picforms.fields import QQ
+from picforms.triples import Triple, divisor_data
+
+# built directly, past make_triple's check: deg U = 0 < g + 1 and W's top
+# coefficient 2 does not square to F's leading coefficient 1
+curve = make_curve([-1, 0, 0, 0, 1], QQ)
+t = Triple(curve, QQ, QQ._wrap([1, 0, 0]), QQ._wrap([1, 0, 0]), QQ._wrap([0, 0, 2]))
+out = [__debug__]
+try:
+    divisor_data(t)
+    out.append("accepted")
+except NotOnCurve as exc:
+    out.append(str(exc))
+print(json.dumps(out))
+"""
+
+
+def test_divisor_data_check_survives_optimize():
+    # under python -O every assert vanishes; the check on W's top
+    # coefficient must not
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    done = subprocess.run([sys.executable, "-O", "-c", _BAD_TOP % os.path.join(root, "src")],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [
+        False, "the top coefficient of W does not square to F's leading one"]
