@@ -36,10 +36,21 @@ Values are raw from start to finish: ``same_class``, ``recover_transform``
 and the Galois predicates read each triple's raw coefficient lists once
 (``Triple._raw_forms``), and the Gram comparison, the normal forms, the
 parameter, the reduced forms, the match record and the witness check all
-run on raw values through the field's sum-of-products kernel.
+run on raw values through the field's sum-of-products kernel and its
+vector form, one call per new form or matrix row.
 ``FieldElement`` values are built only for the witness matrices that are
 returned; every input and output at the API boundary is still a
 ``Triple``, an ``OrthogonalMatrix`` or a ``ClassRelation``.
+
+The curve identity W^2 - U V = F spares two comparisons.  Two triples on
+one curve have equal Gram matrices iff their entries (i, j) with
+j >= i + 2 agree, since F fixes the rest of each antidiagonal (see
+:func:`picforms.quadform._gram_upper`); that is 1, 3 and 6 entries in
+genus 1, 2 and 3 instead of 6, 10 and 15.  And two normal forms are equal
+iff their u and w agree, since u is monic and v = (w^2 - F) / u; so the
+search never computes a normal-form v, and the normal form of swap . t1
+is computed once per decision.  The witness check still compares all
+three forms.
 
 ``orbit_oracle`` is the independent brute-force check: it exhausts the
 full enumerated proper group over a small field.
@@ -64,7 +75,7 @@ from .ortho import (
     swap_matrix,
 )
 from .quadform import _gram_upper
-from .triples import _canonical_forms, act
+from .triples import _canonical_forms, _normal_uw, act
 
 KIND_EQUAL = "equal"
 KIND_BOTH = "equal-and-self-conjugate"
@@ -113,12 +124,11 @@ def swap_step(t):
 # for the witness matrices that are returned.
 
 def _reduced_forms(field, u, v, w, a):
-    """(u + a^2 v - 2 a w, v, w - a v), one kernel call per coefficient."""
-    dot = field._raw_dot
+    """(u + a^2 v - 2 a w, v, w - a v), one vector-kernel call per new form."""
+    comb, neg = field._raw_comb, field._raw_neg
     one = field._one.value
     a2, a_2 = field._raw_mul(a, a), field._raw_add(a, a)
-    return ([dot((one, a2), (ui, vi), (a_2,), (wi,)) for ui, vi, wi in zip(u, v, w)], v,
-            [dot((one,), (wi,), (a,), (vi,)) for vi, wi in zip(v, w)])
+    return comb((one, a2, neg(a_2)), (u, v, w)), v, comb((one, neg(a)), (w, v))
 
 
 def _witness_from(record, flip=False):
@@ -150,38 +160,57 @@ def _witness_from(record, flip=False):
     return _wrap_rows(field, rows, not flip)
 
 
+def _negated(field, form):
+    return field._raw_comb((field._raw_neg(field._one.value),), (form,))
+
+
 def _conjugate(field, forms):
     """The raw forms of conj(t), (u, v, -w)."""
     u, v, w = forms
-    return u, v, [field._raw_neg(x) for x in w]
+    return u, v, _negated(field, w)
+
+
+def _normal_form(field, forms):
+    """The normal form (u', w', c, b) of the raw forms (see
+    :func:`picforms.triples._normal_uw`)."""
+    return _normal_uw(field, forms[0], forms[2])
+
+
+def _swapped_normal_form(field, forms):
+    """The normal form of swap . t = (v, u, -w)."""
+    return _normal_uw(field, forms[1], _negated(field, forms[2]))
 
 
 def _conjugate_normal_form(field, form):
     """The normal form of conj(t) from that of t: negating w keeps the
     scaling and negates both the shift and the shifted w."""
-    forms, c, b = form
-    return _conjugate(field, forms), c, field._raw_neg(b)
+    u, w, c, b = form
+    return u, _negated(field, w), c, field._raw_neg(b)
 
 
-def _match(field, t1, t2, target=None):
+def _match(field, t1, t2, target, swapped):
     """The match record of a proper move carrying the raw forms t1 onto
     t2's representation orbit, or None.
 
     The record is (field, move, t1, t2, c, b, c2, b2), with the raw move
     and the normal-form parameters that :func:`_witness_from` turns into a
-    verified witness.  ``target`` is t2's normal form when the caller has
-    it already.  The only reduction parameter that can match comes from
+    verified witness.  ``target`` is t2's normal form and ``swapped`` that
+    of swap . t1 (:func:`_normal_form`, :func:`_swapped_normal_form`).
+    The only reduction parameter that can match comes from
     :func:`_parameter`; after it the plain swap is tried.
+
+    Normal forms are compared on (u', w') alone: on one curve u' is monic
+    and v' = (w'^2 - F) / u', so v' is never computed here.
     """
-    u1, v1, w1 = t1
-    key2, c2, b2 = _canonical_forms(field, *t2) if target is None else target
+    u2, w2, c2, b2 = target
     a = _parameter(field, t1, t2)
     if a is not None:
-        key, c, b = _canonical_forms(field, *_reduced_forms(field, u1, v1, w1, a))
-        if key == key2:
+        u, _, w = _reduced_forms(field, *t1, a)
+        u, w, c, b = _normal_uw(field, u, w)
+        if u == u2 and w == w2:
             return field, _reduction_rows(field, a), t1, t2, c, b, c2, b2
-    key, c, b = _canonical_forms(field, v1, u1, [field._raw_neg(x) for x in w1])
-    if key == key2:
+    u, w, c, b = swapped
+    if u == u2 and w == w2:
         return field, _swap_rows(field), t1, t2, c, b, c2, b2
     return None
 
@@ -274,12 +303,12 @@ def same_class(t1, t2, extension=2):
         raise RationalsUnsupported(
             "the class search takes triples over QQ or a finite field")
     r1, r2 = t1._raw_forms(), t2._raw_forms()
-    if _gram_upper(field, *r1) != _gram_upper(field, *r2):
+    if _gram_upper(field, *r1, 2) != _gram_upper(field, *r2, 2):
         return ClassRelation(KIND_DISTINCT, field=field, extension=extension)
-    target = _canonical_forms(field, *r2)
-    witness = _certified(_match(field, r1, r2, target))
+    target, swapped = _normal_form(field, r2), _swapped_normal_form(field, r1)
+    witness = _certified(_match(field, r1, r2, target, swapped))
     conj_witness = _certified(_match(field, r1, _conjugate(field, r2),
-                                     _conjugate_normal_form(field, target)))
+                                     _conjugate_normal_form(field, target), swapped))
     if witness is not None and conj_witness is not None:
         kind = KIND_BOTH
     elif witness is not None:
@@ -302,13 +331,14 @@ def recover_transform(t1, t2):
     t1, t2 = _on_common_field(t1, t2)
     field = t1.field
     r1, r2 = t1._raw_forms(), t2._raw_forms()
-    if _gram_upper(field, *r1) != _gram_upper(field, *r2):
+    if _gram_upper(field, *r1, 2) != _gram_upper(field, *r2, 2):
         raise GramMismatch("the triples have different Gram matrices")
-    target = _canonical_forms(field, *r2)
-    record = _match(field, r1, r2, target)
+    target, swapped = _normal_form(field, r2), _swapped_normal_form(field, r1)
+    record = _match(field, r1, r2, target, swapped)
     if record is not None:
         return _witness_from(record)
-    record = _match(field, r1, _conjugate(field, r2), _conjugate_normal_form(field, target))
+    record = _match(field, r1, _conjugate(field, r2),
+                    _conjugate_normal_form(field, target), swapped)
     if record is None:
         # excluded: the Gram matrix is a complete invariant of the full orbit
         raise SearchExhausted("equal Gram matrices but neither orbit matched")

@@ -39,6 +39,15 @@ sums int products and takes one ``% p``; over an extension, GF(p^m) or
 QQ(sqrt d), it accumulates the unreduced convolutions and reduces once by
 the modulus, and by p in a finite field.  Each call therefore normalises
 once, and its value is in the canonical form above.
+
+Linear combinations of vectors go through its vector form,
+``Field._raw_comb(cs, vs)``, the list of sums cs[0] vs[0][i] + cs[1]
+vs[1][i] + ... over the entries i of equal-length raw vectors vs.  It is
+bound per field kind beside ``_raw_dot``: over GF(p) one ``% p`` per
+entry, over QQ one ``Fraction`` per entry with each coefficient's ratio
+read once, and over an extension one convolution kernel call per entry.
+A matrix product, a Gram row or a form move is thus one call, and each
+of its entries is normalised once, to the same value ``_raw_dot`` gives.
 """
 
 from __future__ import annotations
@@ -164,7 +173,8 @@ class Field:
 
     __slots__ = (
         "p", "m", "modulus", "char", "order",
-        "_red", "_zero", "_one", "_ts", "_frob", "_embed_cache", "_raw_dot",
+        "_red", "_zero", "_one", "_half", "_ts", "_frob", "_embed_cache",
+        "_raw_dot", "_raw_comb",
     )
 
     def __init__(self, p, m, modulus):
@@ -193,10 +203,14 @@ class Field:
             self._red = None
         self._zero = FieldElement(self, self._raw_zero())
         self._one = FieldElement(self, self._raw_one())
+        half = Fraction(1, 2) if p is None else (p + 1) // 2
+        self._half = half if m == 1 else (half,) + self._raw_zero()[1:]
         if m > 1:
-            self._raw_dot = self._dot_convolved
+            self._raw_dot, self._raw_comb = self._dot_convolved, self._comb_convolved
+        elif p is None:
+            self._raw_dot, self._raw_comb = self._dot_rational, self._comb_rational
         else:
-            self._raw_dot = self._dot_rational if p is None else self._dot_prime
+            self._raw_dot, self._raw_comb = self._dot_prime, self._comb_prime
 
     def __repr__(self):
         return self.label()
@@ -327,6 +341,32 @@ class Field:
                         for j, yj in enumerate(y):
                             prod[i + j] += xi * yj
         return self._fold(prod)
+
+    def _comb_rational(self, cs, vs):
+        # each entry as in _dot_rational, with the coefficient ratios read once
+        ratios = [c.as_integer_ratio() for c in cs]
+        out = []
+        for col in zip(*vs):
+            n, d = 0, 1
+            for (a, b), y in zip(ratios, col):
+                c, e = y.as_integer_ratio()
+                if a and c:
+                    t = b * e
+                    if t == d:
+                        n += a * c
+                    else:
+                        n = n * t + a * c * d
+                        d *= t
+            out.append(Fraction(n, d))
+        return out
+
+    def _comb_prime(self, cs, vs):
+        p = self.p
+        return [sum(map(mul, cs, col)) % p for col in zip(*vs)]
+
+    def _comb_convolved(self, cs, vs):
+        dot = self._dot_convolved
+        return [dot(cs, col, (), ()) for col in zip(*vs)]
 
     def _raw_inv(self, a):
         if not self._raw_nonzero(a):

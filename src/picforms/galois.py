@@ -31,7 +31,7 @@ from .fields import GF, Field, can_embed
 from .quadform import GramForm, _gram_upper
 from . import equivalence
 from .sampling import random_triple
-from .triples import Triple, _canonical_forms
+from .triples import Triple
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,9 @@ def class_rational(t, ctx):
     if not _gram_fixed(field, forms):
         return False
     image = _frobenius_forms(field, forms)
-    return equivalence._certified(equivalence._match(field, forms, image)) is not None
+    record = equivalence._match(field, forms, image, equivalence._normal_form(field, image),
+                                equivalence._swapped_normal_form(field, forms))
+    return equivalence._certified(record) is not None
 
 
 @dataclass(frozen=True)
@@ -152,11 +154,13 @@ def find_caveat_example(curve, ctx, budget, seed):
             continue
         _check_image(t, ctx)
         image = _frobenius_forms(field, forms)
-        target = _canonical_forms(field, *image)
-        if equivalence._match(field, forms, image, target) is not None:
+        target = equivalence._normal_form(field, image)
+        swapped = equivalence._swapped_normal_form(field, forms)
+        if equivalence._match(field, forms, image, target, swapped) is not None:
             continue
         record = equivalence._match(field, forms, equivalence._conjugate(field, image),
-                                    equivalence._conjugate_normal_form(field, target))
+                                    equivalence._conjugate_normal_form(field, target),
+                                    swapped)
         if equivalence._certified(record) is not None:
             return CaveatResult(True, t, i + 1, budget, seed)
     return CaveatResult(False, None, budget, budget, seed)

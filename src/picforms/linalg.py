@@ -1,11 +1,13 @@
 """Small exact linear algebra over field elements.
 
 Matrices are tuples of row tuples of FieldElement.  Products go through
-the field's sum-of-products kernel (:meth:`picforms.fields.Field.dot`):
-each entry of a product is one kernel call on raw values, normalised once
-and in lowest terms.  ``_mat_mul_raw`` is the same product on raw rows;
-the class decision uses it directly and wraps only the witnesses it
-returns.
+the field's vector kernel (``Field._raw_comb``, the vector form of
+:meth:`picforms.fields.Field.dot`): each row of a product is one kernel
+call on raw values, the combination of the rows of the right factor with
+the entries of the left row as coefficients, and each entry is
+normalised once and in lowest terms.  ``_mat_mul_raw`` is that product
+on raw rows; the class decision uses it directly and wraps only the
+witnesses it returns.
 
 Everything else is Gauss-Jordan elimination with exact division, in one
 kernel on raw rows, ``_row_reduce``, which can stop at a column limit and
@@ -38,10 +40,10 @@ def mat_mul(a, b):
 
 
 def _mat_mul_raw(field, a, b):
-    """a @ b on raw values of ``field``, as a tuple of row lists."""
-    dot = field._raw_dot
-    cols = list(zip(*b))
-    return tuple([dot(r, col, (), ()) for col in cols] for r in a)
+    """a @ b on raw values of ``field``, as a tuple of row lists; row i is
+    one vector-kernel call, sum_k a[i][k] b[k]."""
+    comb = field._raw_comb
+    return tuple([comb(r, b) for r in a])
 
 
 def mat_vec(a, v):

@@ -222,13 +222,16 @@ class Polynomial:
 
 def _product_coeffs(field, a, b, c=(), d=()):
     """The raw coefficients of A B - C D, lowest degree first, from raw
-    coefficient sequences a, b and optional c, d of the same lengths.
+    coefficient sequences a, b and optional c, d of the same lengths; []
+    when a or b is empty.
 
     Each coefficient is one call of the field's sum-of-products kernel,
     sum a_i b_(k-i) - sum c_i d_(k-i), so it is reduced once.
     """
-    dot = field._raw_dot
     la, lb = len(a), len(b)
+    if not la or not lb:
+        return []
+    dot = field._raw_dot
     br, dr = b[::-1], d[::-1]
     out = []
     for k in range(la + lb - 1):
@@ -349,8 +352,11 @@ def _bezout_coeffs(field, a, b):
     d = s A (mod B), by the extended Euclidean algorithm."""
     if not a and not b:
         raise ZeroPolynomial("gcdext(0, 0)")
-    r0, r1 = a, b
-    s0, s1 = [field._one.value], []
+    if len(a) < len(b):
+        # the first division would only swap the pair: A = 0 B + A
+        r0, r1, s0, s1 = b, a, [], [field._one.value]
+    else:
+        r0, r1, s0, s1 = a, b, [field._one.value], []
     while r1:
         q, r = _divmod_coeffs(field, r0, r1)
         r0, r1 = r1, r
@@ -360,12 +366,17 @@ def _bezout_coeffs(field, a, b):
 
 
 def _invert_mod_coeffs(field, a, m):
-    """The inverse of A modulo M; raises DivisionByZero if they share a factor."""
+    """The inverse of A modulo M; raises DivisionByZero if they share a factor.
+
+    The Bezout coefficient s is already reduced: the extended Euclidean
+    algorithm gives deg s < deg M - deg d for a nonconstant M, and s = 0
+    for a constant one.
+    """
     d, s = _bezout_coeffs(field, a, m)
     if len(d) != 1:
         raise DivisionByZero("%r is not invertible mod %r" % (
             Polynomial(field, field._wrap(a)), Polynomial(field, field._wrap(m))))
-    return _divmod_coeffs(field, s, m)[1]
+    return s
 
 
 def _crt_coeffs(field, residues, moduli):

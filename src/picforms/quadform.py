@@ -12,10 +12,12 @@ matrix carrying one triple onto another with the same Gram matrix is
 ``equivalence.recover_transform``.
 
 The entries come from one raw kernel, ``_gram_upper``, which returns the
-upper triangle as raw values: ``gram`` wraps and mirrors it into a
-``GramForm``, and the class decision and the Galois filter compare it
-unwrapped.  The diagonal split behind ``decompose`` also eliminates on raw
-values and wraps only the pieces it returns.
+upper triangle, or a band of it, as raw values: ``gram`` wraps and
+mirrors the triangle into a ``GramForm``, the Galois filter reads it
+unwrapped, and the class decision compares only the entries two or more
+places off the diagonal, which decide the rest for triples on one curve.
+The diagonal split behind ``decompose`` also eliminates on raw values and
+wraps only the pieces it returns.
 
 ``decompose`` is a computational section of the invariant: it rebuilds
 some triple from a rank-2/3 form, splitting off squares and, in rank 3,
@@ -25,8 +27,6 @@ isotropic vector supplied by the caller.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from . import linalg
 from .errors import (
@@ -103,8 +103,8 @@ class GramForm:
 
 
 def gram(t):
-    """Entry (i, j) is w_i w_j - (u_i v_j + u_j v_i)/2, one sum-of-products
-    kernel call; the upper triangle is computed and mirrored."""
+    """Entry (i, j) is w_i w_j - (u_i v_j + u_j v_i)/2; the upper triangle
+    is computed, one vector-kernel call per row, and mirrored."""
     field = t.field
     n = len(t.u)
     upper = iter(field._wrap(_gram_upper(field, *t._raw_forms())))
@@ -115,18 +115,26 @@ def gram(t):
     return GramForm._trusted(tuple(map(tuple, rows)), field)
 
 
-def _gram_upper(field, u, v, w):
-    """The upper triangle of the Gram matrix of the raw forms (u, v, w),
-    row by row, as a list of raw values."""
-    dot, mul = field._raw_dot, field._raw_mul
-    half = field.elem(Fraction(1, 2)).value
-    hu = [mul(half, x) for x in u]
-    n = len(v)
+def _gram_upper(field, u, v, w, band=0):
+    """The entries (i, j), j >= i + band, of the Gram matrix of the raw
+    forms (u, v, w), row by row, as a list of raw values: the upper
+    triangle for band 0.
+
+    Row i is one vector-kernel call, w_i w - (u_i/2) v - v_i (u/2) on the
+    columns j >= i + band.
+
+    Band 2 is the whole invariant for triples on one curve.  Substituting
+    x_i = X^i gives sum_(i+j=k) S_ij = F_k on every antidiagonal k, and the
+    antidiagonal holds one entry, or one pair S_(i,i+1) = S_(i+1,i), with
+    |i - j| <= 1; in odd characteristic it is fixed by F and the others.
+    """
+    comb = field._raw_comb
+    nh = field._raw_neg(field._half)
+    nhu = comb((nh,), (u,))
     out = []
-    for i in range(n):
-        hi, vi, wi = hu[i], v[i], w[i]
-        for j in range(i, n):
-            out.append(dot((wi,), (w[j],), (hi, hu[j]), (v[j], vi)))
+    for i in range(len(v) - band):
+        j = i + band
+        out += comb((w[i], nhu[i], v[i]), (w[j:], v[j:], nhu[j:]))
     return out
 
 

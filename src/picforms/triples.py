@@ -13,15 +13,20 @@ coefficients embed upward.  The u and v components must be nonzero
 divisors supported on Weierstrass points.
 
 The identity, the group action and the shift of the normal form are sums
-of products, and each new coefficient is one call of the field's kernel
-(:meth:`picforms.fields.Field.dot`): it is normalised once, so a rational
-coefficient is one ``Fraction`` in lowest terms.  ``make_triple`` checks
-the identity coefficient by coefficient without building polynomials.
+of products: the identity is one call of the field's kernel
+(:meth:`picforms.fields.Field.dot`) per coefficient, and each new form of
+the action or the normal form is one call of its vector form
+(``Field._raw_comb``).  Every coefficient is normalised once, so a
+rational coefficient is one ``Fraction`` in lowest terms.
+``make_triple`` checks the identity coefficient by coefficient without
+building polynomials.
 
 A ``Triple`` holds ``FieldElement`` tuples.  The normal form has one
-kernel, ``_canonical_forms``, which takes and returns raw value lists;
-``canonicalize`` and ``canonicalize_with_matrix`` wrap its result, and
-the class decision (``picforms.equivalence``) uses it unwrapped.
+kernel on raw value lists in two steps: ``_normal_uw`` scales u and
+shifts w, and ``_canonical_forms`` adds v on top of it.
+``canonicalize`` and ``canonicalize_with_matrix`` wrap the full form; the
+class decision (``picforms.equivalence``) compares normal forms by their
+u and w alone, which determine v for triples on one curve.
 """
 
 from __future__ import annotations
@@ -172,34 +177,41 @@ def canonicalize_with_matrix(t):
     return Triple(t.curve, field, *map(field._wrap, forms)), m
 
 
-def _canonical_forms(field, u, v, w):
-    """The scale-and-shift normal form of raw form lists over ``field``
-    (no validation).
+def _normal_uw(field, u, w):
+    """The u and w of the scale-and-shift normal form of raw form lists
+    over ``field`` (no validation), and its parameters.
 
-    Returns ((u, v, w), c, b), all raw: c is the top coefficient of u that
+    Returns (u', w', c, b), all raw: c is the top coefficient of u that
     the scaling divides out, b the coefficient of w that the shift zeroes.
-    Each shifted coefficient is one sum-of-products kernel call.
+    On one curve they determine the normal form: u' is monic and
+    v' = (w'^2 - F) / u'.  Each new form is one vector-kernel call.
     """
     zero, one = field._zero.value, field._one.value
     top = len(u) - 1
     while u[top] == zero:
         top -= 1
     c = u[top]
-    mul = field._raw_mul
-    scaled = c != one
-    if scaled:
-        cinv = field._raw_inv(c)
-        u = [mul(cinv, x) for x in u]
+    comb = field._raw_comb
+    if c != one:
+        u = comb((field._raw_inv(c),), (u,))
     b = w[top]
     if b != zero:
-        # v' = c v + b^2 u - 2 b w and w' = w - b u, u being the scaled form
-        dot = field._raw_dot
-        b2, b_2 = mul(b, b), field._raw_add(b, b)
-        v = [dot((c, b2), (vi, ui), (b_2,), (wi,)) for ui, vi, wi in zip(u, v, w)]
-        w = [dot((one,), (wi,), (b,), (ui,)) for ui, wi in zip(u, w)]
-    elif scaled:
-        v = [mul(c, x) for x in v]
-    return (u, v, w), c, b
+        w = comb((one, field._raw_neg(b)), (w, u))
+    return u, w, c, b
+
+
+def _canonical_forms(field, u, v, w):
+    """The scale-and-shift normal form of raw form lists over ``field``
+    (no validation): ((u', v', w'), c, b), all raw, with u', w', c and b
+    from :func:`_normal_uw` and v' = c v + b^2 u' - 2 b w, one
+    vector-kernel call."""
+    nu, nw, c, b = _normal_uw(field, u, w)
+    if b != field._zero.value:
+        b_2 = field._raw_neg(field._raw_add(b, b))
+        v = field._raw_comb((c, field._raw_mul(b, b), b_2), (v, nu, w))
+    elif c != field._one.value:
+        v = field._raw_comb((c,), (v,))
+    return (nu, v, nw), c, b
 
 
 def canonicalize(t):

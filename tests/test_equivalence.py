@@ -14,7 +14,7 @@ from picforms.curves import make_curve
 from picforms.errors import RationalsUnsupported
 from picforms.fields import GF, QQ, FieldElement
 from picforms.poly import Polynomial, gcd as poly_gcd, is_squarefree
-from picforms.quadform import gram, rank_radical
+from picforms.quadform import _gram_upper, gram, rank_radical
 from picforms.sampling import random_orthogonal_word, random_proper_word, random_triple
 from picforms.equivalence import (
     KIND_BOTH,
@@ -159,6 +159,16 @@ def test_oracle_distinct_gram(curve_f5a):
     assert same_class(t1, t2).kind == KIND_DISTINCT
 
 
+def _gram_views_agree(t1, t2):
+    """Whether t1 and t2 have equal Gram matrices, after checking that the
+    full matrix, its band j >= i + 2 and the class decision all agree."""
+    field = t1.field
+    band1, band2 = (_gram_upper(field, *t._raw_forms(), 2) for t in (t1, t2))
+    equal = gram(t1) == gram(t2)
+    assert (band1 == band2) == equal == (same_class(t1, t2).kind != KIND_DISTINCT)
+    return equal
+
+
 def test_gram_equality_iff_not_distinct(curve_f5a):
     rng = random.Random(38)
     ts = [random_triple(curve_f5a, F5, rng) for _ in range(12)]
@@ -166,6 +176,17 @@ def test_gram_equality_iff_not_distinct(curve_f5a):
         for j in range(len(ts)):
             kind = orbit_oracle(ts[i], ts[j])
             assert (gram(ts[i]) != gram(ts[j])) == (kind == KIND_DISTINCT)
+            _gram_views_agree(ts[i], ts[j])
+    # genus 2 over GF(7^2) and genus 3 over GF(3): independent draws and
+    # their images under proper and improper words
+    for field, genus, seed in ((GF(7, 2), 2, 41), (GF(3), 3, 42)):
+        curve = _squarefree_curve(field, genus, seed)
+        ts = []
+        for k in range(6):
+            t = random_triple(curve, field, rng)
+            ts += [t, act(random_orthogonal_word(field, rng, improper=k % 2 == 1), t)]
+        equal = sum(_gram_views_agree(t1, t2) for t1 in ts for t2 in ts)
+        assert len(ts) <= equal < len(ts) ** 2
 
 
 def test_rational_triples_same_vs_distinct(curve_q):

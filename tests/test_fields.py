@@ -388,3 +388,29 @@ def test_no_element_scans(monkeypatch):
             f = f * Polynomial(field, (-r, field.one()))
         assert [x for x, _ in roots_in_field(f)] == sorted(set(roots), key=lambda e: e.sort_key())
     assert scanned == []
+
+
+def _raw_value(field, rng):
+    """A random raw value of `field`, zero about one time in five."""
+    if rng.randrange(5) == 0:
+        return field.zero().value
+    if field.p is not None:
+        return field.random_element(rng).value
+    parts = [Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 4))
+             for _ in range(field.m)]
+    return field.elem(parts[0] if field.m == 1 else parts).value
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(5, 3), rational_extension((-2, 0, 1))],
+                         ids=lambda f: f.label())
+def test_comb_agrees_with_dot(field):
+    # entry i of the vector kernel is the scalar kernel on the i-th column,
+    # down to the canonical value's representation
+    rng = random.Random(20261019)
+    for _ in range(80):
+        k, n = rng.randint(1, 4), rng.randint(0, 6)
+        cs = [_raw_value(field, rng) for _ in range(k)]
+        vs = [[_raw_value(field, rng) for _ in range(n)] for _ in range(k)]
+        got = field._raw_comb(cs, vs)
+        want = [field._raw_dot(cs, [v[i] for v in vs], (), ()) for i in range(n)]
+        assert [repr(x) for x in got] == [repr(x) for x in want]

@@ -10,6 +10,7 @@ from picforms.fields import GF, QQ, embed, rational_extension
 from picforms.poly import (
     Polynomial,
     _pow_coeffs,
+    _product_coeffs,
     crt,
     gcd,
     gcdext,
@@ -64,6 +65,10 @@ def test_add_sub_pow_agree_with_coefficientwise(field):
     rng = random.Random(11)
     zero = P(field)
     assert zero ** 0 == P(field, 1) and (zero ** 3).is_zero
+    # a product with an empty operand has no coefficients
+    cubic = P(field, 1, 2, 3)._raw()
+    for a, b in (([], cubic), (cubic, []), ([], [])):
+        assert _product_coeffs(field, a, b) == []
     for _ in range(60):
         a = P(field, *(_random_coeff(field, rng) for _ in range(rng.randint(0, 6))))
         b = P(field, *(_random_coeff(field, rng) for _ in range(rng.randint(0, 6))))
