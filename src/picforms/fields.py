@@ -43,9 +43,8 @@ once, and its value is in the canonical form above.
 Linear combinations of vectors go through its vector form,
 ``Field._raw_comb(cs, vs)``, the list of sums cs[0] vs[0][i] + cs[1]
 vs[1][i] + ... over the entries i of equal-length raw vectors vs.  It is
-bound per field kind beside ``_raw_dot``: over GF(p) one ``% p`` per
-entry, over QQ one ``Fraction`` per entry with each coefficient's ratio
-read once, and over an extension one convolution kernel call per entry.
+bound beside ``_raw_dot``: over GF(p) it takes one ``% p`` per entry,
+and over QQ or an extension it calls ``_raw_dot`` once per entry.
 A matrix product, a Gram row or a form move is thus one call, and each
 of its entries is normalised once, to the same value ``_raw_dot`` gives.
 """
@@ -206,9 +205,9 @@ class Field:
         half = Fraction(1, 2) if p is None else (p + 1) // 2
         self._half = half if m == 1 else (half,) + self._raw_zero()[1:]
         if m > 1:
-            self._raw_dot, self._raw_comb = self._dot_convolved, self._comb_convolved
+            self._raw_dot, self._raw_comb = self._dot_convolved, self._comb_generic
         elif p is None:
-            self._raw_dot, self._raw_comb = self._dot_rational, self._comb_rational
+            self._raw_dot, self._raw_comb = self._dot_rational, self._comb_generic
         else:
             self._raw_dot, self._raw_comb = self._dot_prime, self._comb_prime
 
@@ -342,30 +341,12 @@ class Field:
                             prod[i + j] += xi * yj
         return self._fold(prod)
 
-    def _comb_rational(self, cs, vs):
-        # each entry as in _dot_rational, with the coefficient ratios read once
-        ratios = [c.as_integer_ratio() for c in cs]
-        out = []
-        for col in zip(*vs):
-            n, d = 0, 1
-            for (a, b), y in zip(ratios, col):
-                c, e = y.as_integer_ratio()
-                if a and c:
-                    t = b * e
-                    if t == d:
-                        n += a * c
-                    else:
-                        n = n * t + a * c * d
-                        d *= t
-            out.append(Fraction(n, d))
-        return out
-
     def _comb_prime(self, cs, vs):
         p = self.p
         return [sum(map(mul, cs, col)) % p for col in zip(*vs)]
 
-    def _comb_convolved(self, cs, vs):
-        dot = self._dot_convolved
+    def _comb_generic(self, cs, vs):
+        dot = self._raw_dot
         return [dot(cs, col, (), ()) for col in zip(*vs)]
 
     def _raw_inv(self, a):
