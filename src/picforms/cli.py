@@ -2,7 +2,9 @@
 
 Subcommands: curve-validate, triple-validate, triple-canonical,
 triple-support, group-act, group-enumerate, class-relation, form-gram,
-form-rank, form-decompose, galois-rational, search-caveat.
+form-rank, form-decompose, galois-rational, search-caveat.  Each takes
+``--out`` and the options its handler reads (``_HANDLERS``), unabbreviated;
+any other option is an input error.
 
 Exit codes: 0 success, 1 input validation failure, 2 domain error,
 3 budget or search exhaustion.  A field read from a document may have
@@ -298,19 +300,40 @@ def _cmd_search_caveat(args):
     return EXIT_OK, payload
 
 
+# each subcommand's handler and the options it reads; every subcommand takes
+# --out too, and any other option is an input error
 _HANDLERS = {
-    "curve-validate": _cmd_curve_validate,
-    "triple-validate": _cmd_triple_validate,
-    "triple-canonical": _cmd_triple_canonical,
-    "triple-support": _cmd_triple_support,
-    "group-act": _cmd_group_act,
-    "group-enumerate": _cmd_group_enumerate,
-    "class-relation": _cmd_class_relation,
-    "form-gram": _cmd_form_gram,
-    "form-rank": _cmd_form_rank,
-    "form-decompose": _cmd_form_decompose,
-    "galois-rational": _cmd_galois_rational,
-    "search-caveat": _cmd_search_caveat,
+    "curve-validate": (_cmd_curve_validate, "curve"),
+    "triple-validate": (_cmd_triple_validate, "curve t1"),
+    "triple-canonical": (_cmd_triple_canonical, "curve t1"),
+    "triple-support": (_cmd_triple_support, "curve t1 ext"),
+    "group-act": (_cmd_group_act, "curve t1 matrix"),
+    "group-enumerate": (_cmd_group_enumerate, "p m full"),
+    "class-relation": (_cmd_class_relation, "curve t1 t2 ext oracle"),
+    "form-gram": (_cmd_form_gram, "curve t1"),
+    "form-rank": (_cmd_form_rank, "curve form"),
+    "form-decompose": (_cmd_form_decompose, "curve form hint budget"),
+    "galois-rational": (_cmd_galois_rational, "curve t1 mode"),
+    "search-caveat": (_cmd_search_caveat, "curve ext budget seed"),
+}
+
+_OPTIONS = {
+    "curve": dict(help="path to curve JSON"),
+    "t1": dict(help="path to first triple JSON"),
+    "t2": dict(help="path to second triple JSON"),
+    "matrix": dict(help="path to matrix JSON"),
+    "form": dict(help="path to Gram form JSON"),
+    "hint": dict(help="path to isotropic-vector JSON (rank-3 over QQ)"),
+    "mode": dict(choices=["class", "mod-conj"], default="class", help="rationality predicate"),
+    "ext": dict(type=int, default=2,
+                help="ambient/search extension degree, 1 to %d (default 2)" % MAX_EXT),
+    "budget": dict(type=int, default=10000),
+    "seed": dict(type=int, default=0),
+    "p": dict(type=int, help="prime"),
+    "m": dict(type=int, default=1, help="extension degree"),
+    "full": dict(action="store_true", help="include all matrices"),
+    "oracle": dict(action="store_true", help="cross-check with the exhaustive oracle"),
+    "out": dict(help="output path (default stdout)"),
 }
 
 
@@ -321,28 +344,10 @@ def build_parser():
                     "linear forms: validation, canonical forms, group actions, "
                     "class equivalence, quadratic-form invariants, Galois checks.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--curve", help="path to curve JSON")
-        sp.add_argument("--t1", help="path to first triple JSON")
-        sp.add_argument("--t2", help="path to second triple JSON")
-        sp.add_argument("--matrix", help="path to matrix JSON")
-        sp.add_argument("--form", help="path to Gram form JSON")
-        sp.add_argument("--hint", help="path to isotropic-vector JSON (rank-3 over QQ)")
-        sp.add_argument("--mode", choices=["class", "mod-conj"], default="class",
-                        help="galois-rational: which rationality predicate")
-        sp.add_argument("--ext", type=int, default=2,
-                        help="ambient/search extension degree, 1 to %d (default 2)"
-                             % MAX_EXT)
-        sp.add_argument("--budget", type=int, default=10000)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--p", type=int, help="prime for group-enumerate")
-        sp.add_argument("--m", type=int, default=1, help="extension degree for group-enumerate")
-        sp.add_argument("--full", action="store_true",
-                        help="group-enumerate: include all matrices")
-        sp.add_argument("--oracle", action="store_true",
-                        help="class-relation: cross-check with the exhaustive oracle")
-        sp.add_argument("--out", help="output path (default stdout)")
+    for name, (_, options) in _HANDLERS.items():
+        sp = sub.add_parser(name, allow_abbrev=False)  # else --m means --matrix on group-act
+        for option in options.split() + ["out"]:
+            sp.add_argument("--" + option, **_OPTIONS[option])
     return parser
 
 
@@ -351,7 +356,7 @@ def _error(kind, exc):
 
 
 def _dispatch(args):
-    handler = _HANDLERS[args.command]
+    handler = _HANDLERS[args.command][0]
     try:
         return handler(args)
     except InputError as exc:

@@ -13,6 +13,10 @@ conjugate of the target.  The verdict is one of
 and each positive verdict carries an explicit proper witness matrix that
 is verified once (orthogonality and exact action) before it is returned.
 
+Every class decision, here and in :mod:`picforms.galois`, goes through
+one private entry, :func:`_records`: the match record of t1 onto t2, and
+then, only when asked, that of t1 onto conj(t2).
+
 ``recover_transform`` is the constructive orbit statement for the full
 orthogonal group, built from the same two match records: equal Gram
 matrices put t2 in the orthogonal orbit of t1, proper matrices preserve
@@ -48,9 +52,9 @@ j >= i + 2 agree, since F fixes the rest of each antidiagonal (see
 :func:`picforms.quadform._gram_upper`); that is 1, 3 and 6 entries in
 genus 1, 2 and 3 instead of 6, 10 and 15.  And two normal forms are equal
 iff their u and w agree, since u is monic and v = (w^2 - F) / u; so the
-search never computes a normal-form v, and the normal form of swap . t1
-is computed once per decision.  The witness check still compares all
-three forms.
+search never computes a normal-form v, and the normal forms of t2 and of
+swap . t1 are computed once per decision.  The witness check still
+compares all three forms.
 
 ``orbit_oracle`` is the independent brute-force check: it exhausts the
 full enumerated proper group over a small field.
@@ -170,24 +174,6 @@ def _conjugate(field, forms):
     return u, v, _negated(field, w)
 
 
-def _normal_form(field, forms):
-    """The normal form (u', w', c, b) of the raw forms (see
-    :func:`picforms.triples._normal_uw`)."""
-    return _normal_uw(field, forms[0], forms[2])
-
-
-def _swapped_normal_form(field, forms):
-    """The normal form of swap . t = (v, u, -w)."""
-    return _normal_uw(field, forms[1], _negated(field, forms[2]))
-
-
-def _conjugate_normal_form(field, form):
-    """The normal form of conj(t) from that of t: negating w keeps the
-    scaling and negates both the shift and the shifted w."""
-    u, w, c, b = form
-    return u, _negated(field, w), c, field._raw_neg(b)
-
-
 def _match(field, t1, t2, target, swapped):
     """The match record of a proper move carrying the raw forms t1 onto
     t2's representation orbit, or None.
@@ -195,7 +181,7 @@ def _match(field, t1, t2, target, swapped):
     The record is (field, move, t1, t2, c, b, c2, b2), with the raw move
     and the normal-form parameters that :func:`_witness_from` turns into a
     verified witness.  ``target`` is t2's normal form and ``swapped`` that
-    of swap . t1 (:func:`_normal_form`, :func:`_swapped_normal_form`).
+    of swap . t1 (see :func:`_records`).
     The only reduction parameter that can match comes from
     :func:`_parameter`; after it the plain swap is tried.
 
@@ -213,6 +199,18 @@ def _match(field, t1, t2, target, swapped):
     if u == u2 and w == w2:
         return field, _swap_rows(field), t1, t2, c, b, c2, b2
     return None
+
+
+def _records(field, r1, r2):
+    """The match records (or None) of the raw forms r1 onto r2 and then,
+    computed only when asked for, onto conj(r2).  The normal form of
+    conj(t2) is t2's with the shifted w and the shift negated."""
+    target = _normal_uw(field, r2[0], r2[2])
+    swapped = _normal_uw(field, r1[1], _negated(field, r1[2]))
+    yield _match(field, r1, r2, target, swapped)
+    u, w, c, b = target
+    yield _match(field, r1, _conjugate(field, r2),
+                 (u, _negated(field, w), c, field._raw_neg(b)), swapped)
 
 
 def _parameter(field, t1, t2):
@@ -283,10 +281,6 @@ def _on_common_field(t1, t2):
     return t1, t2
 
 
-def _certified(record):
-    return None if record is None else _witness_from(record)
-
-
 def same_class(t1, t2, extension=2):
     """The relation between the divisor classes of t1 and t2.
 
@@ -305,10 +299,8 @@ def same_class(t1, t2, extension=2):
     r1, r2 = t1._raw_forms(), t2._raw_forms()
     if _gram_upper(field, *r1, 2) != _gram_upper(field, *r2, 2):
         return ClassRelation(KIND_DISTINCT, field=field, extension=extension)
-    target, swapped = _normal_form(field, r2), _swapped_normal_form(field, r1)
-    witness = _certified(_match(field, r1, r2, target, swapped))
-    conj_witness = _certified(_match(field, r1, _conjugate(field, r2),
-                                     _conjugate_normal_form(field, target), swapped))
+    witness, conj_witness = (None if record is None else _witness_from(record)
+                             for record in _records(field, r1, r2))
     if witness is not None and conj_witness is not None:
         kind = KIND_BOTH
     elif witness is not None:
@@ -333,12 +325,11 @@ def recover_transform(t1, t2):
     r1, r2 = t1._raw_forms(), t2._raw_forms()
     if _gram_upper(field, *r1, 2) != _gram_upper(field, *r2, 2):
         raise GramMismatch("the triples have different Gram matrices")
-    target, swapped = _normal_form(field, r2), _swapped_normal_form(field, r1)
-    record = _match(field, r1, r2, target, swapped)
+    records = _records(field, r1, r2)
+    record = next(records)
     if record is not None:
         return _witness_from(record)
-    record = _match(field, r1, _conjugate(field, r2),
-                    _conjugate_normal_form(field, target), swapped)
+    record = next(records)
     if record is None:
         # excluded: the Gram matrix is a complete invariant of the full orbit
         raise SearchExhausted("equal Gram matrices but neither orbit matched")

@@ -14,9 +14,12 @@ class to its distinct conjugate.  Absence within a budget is a report,
 not an error, and the seeded search is reproducible.
 
 Both the class predicate and the search filter on the Gram test and then
-ask the equivalence module's match search for the kind alone; the witness
-behind a True or a returned hit is assembled and verified once, and no
-other witness is built.  Like the class decision they read each triple's
+take the match records of t onto its Frobenius image from the equivalence
+module's one entry, the search asking for the conjugate record only when
+the direct one fails; the witness behind a True or a returned hit is
+assembled and verified once, and no other witness is built.  The search
+checks the curve against the base once, before it samples.  Like the
+class decision they read each triple's
 raw values once: the Gram filter, the Frobenius image and the match all
 run on raw values, and an invariant entry is Frobenius-fixed exactly when
 it lies in the prime field, the constants of the power basis.
@@ -28,8 +31,8 @@ from dataclasses import dataclass
 
 from .errors import NotFiniteField, NotInAmbient
 from .fields import GF, Field, can_embed
+from .equivalence import _records, _witness_from
 from .quadform import GramForm, _gram_upper
-from . import equivalence
 from .sampling import random_triple
 from .triples import Triple
 
@@ -114,10 +117,8 @@ def class_rational(t, ctx):
     forms = t._raw_forms()
     if not _gram_fixed(field, forms):
         return False
-    image = _frobenius_forms(field, forms)
-    record = equivalence._match(field, forms, image, equivalence._normal_form(field, image),
-                                equivalence._swapped_normal_form(field, forms))
-    return equivalence._certified(record) is not None
+    record = next(_records(field, forms, _frobenius_forms(field, forms)))
+    return record is not None and _witness_from(record) is not None
 
 
 @dataclass(frozen=True)
@@ -140,11 +141,14 @@ def find_caveat_example(curve, ctx, budget, seed):
     seed).  A sample is a hit when its Frobenius image matches its
     conjugate and not itself; only the witness behind the returned hit is
     built and verified.  A miss is reported with the searched count.  The
-    budget must be at least 1.
+    budget must be at least 1, and the curve must lie over the base field
+    (``NotInAmbient`` otherwise, whatever the budget).
     """
     import random
     if budget < 1:
         raise ValueError("the search budget must be >= 1, got %d" % budget)
+    if not can_embed(curve.field, ctx.base):
+        raise NotInAmbient("the curve must be defined over the base field")
     rng = random.Random(seed)
     field = ctx.ambient
     for i in range(budget):
@@ -152,15 +156,8 @@ def find_caveat_example(curve, ctx, budget, seed):
         forms = t._raw_forms()
         if not _gram_fixed(field, forms):
             continue
-        _check_image(t, ctx)
-        image = _frobenius_forms(field, forms)
-        target = equivalence._normal_form(field, image)
-        swapped = equivalence._swapped_normal_form(field, forms)
-        if equivalence._match(field, forms, image, target, swapped) is not None:
-            continue
-        record = equivalence._match(field, forms, equivalence._conjugate(field, image),
-                                    equivalence._conjugate_normal_form(field, target),
-                                    swapped)
-        if equivalence._certified(record) is not None:
+        records = _records(field, forms, _frobenius_forms(field, forms))
+        if next(records) is None and (record := next(records)) is not None:
+            _witness_from(record)
             return CaveatResult(True, t, i + 1, budget, seed)
     return CaveatResult(False, None, budget, budget, seed)

@@ -44,13 +44,19 @@ from .poly import (_add_coeffs, _crt_coeffs, _divmod_coeffs, _invert_mod_coeffs,
 from .triples import Triple
 
 
+# configurations drawn by random_triple, and x values drawn per closed point,
+# before giving up
+MAX_ATTEMPTS = 400
+CLOSED_POINT_TRIES = 40
+
+
 @functools.lru_cache(maxsize=None)
 def _raw_F(curve, field):
     """The raw coefficients of the curve polynomial F over `field`."""
     return tuple(c.value for c in curve.F.embedded(field).coeffs)
 
 
-def _random_closed_point(field, rng, d, curve, tries=40):
+def _random_closed_point(field, rng, d, curve):
     """(U_i, W_i mod U_i, y_is_zero) for a degree-d closed point, or None.
 
     U_i is the degree-d minimal polynomial over `field` of a random x in
@@ -66,7 +72,7 @@ def _random_closed_point(field, rng, d, curve, tries=40):
         # the images of the power basis of `field`: e_0 = 1
         basis = [one] if m == 1 else [e.value for e in _embedding(field, big)[0]]
         prime = GF(p)
-    for _ in range(tries):
+    for _ in range(CLOSED_POINT_TRIES):
         x = big.random_element(rng).value
         pows = [one, x]
         for _ in range(max(d, len(F) - 1) - 1):
@@ -153,10 +159,8 @@ def _form(field, coeffs, genus):
     return field._wrap(coeffs + [field._zero.value] * (genus + 2 - len(coeffs)))
 
 
-def random_triple(curve, field=None, rng=None, max_attempts=400):
+def random_triple(curve, field, rng):
     """A pseudo-random valid triple over `field` (finite), seeded by `rng`."""
-    if field is None:
-        field = curve.field
     if field.p is None:
         raise RationalsUnsupported("random triples are sampled over finite fields")
     F = _raw_F(curve, field)
@@ -166,7 +170,7 @@ def random_triple(curve, field=None, rng=None, max_attempts=400):
     r_lead = field.sqrt(FieldElement(field, F[-1]))
     if r_lead is not None:
         r_lead = r_lead.value
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         k = rng.randint(0, g1) if r_lead is not None else 0
         remaining = g1 - k
         residues, moduli = [], []

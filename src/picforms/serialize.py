@@ -157,41 +157,38 @@ def triple_from_json(curve, obj):
                        field=field)
 
 
+def _rows_to_json(rows, field):
+    return {"entries": [scalars_to_json(row) for row in rows], "field": field_to_json(field)}
+
+
+def _rows_from_json(obj, default_field, what):
+    """(rows, field) of a row-major document: a bare array of rows, or
+    {"entries": rows, "field": ...?}, with the field defaulting to
+    `default_field`."""
+    if isinstance(obj, list):
+        entries, field = obj, default_field
+    else:
+        entries = obj["entries"]
+        field = field_from_json(obj["field"]) if "field" in obj else default_field
+    if field is None:
+        raise ValueError("%s JSON needs a field (explicit or from context)" % what)
+    return tuple(scalars_from_json(field, row) for row in _array(entries)), field
+
+
 def matrix_to_json(m):
-    return {
-        "entries": [scalars_to_json(row) for row in m.rows],
-        "field": field_to_json(m.field),
-    }
+    return _rows_to_json(m.rows, m.field)
 
 
 def matrix_from_json(obj, default_field=None):
-    if isinstance(obj, list):
-        entries, field = obj, default_field
-    else:
-        entries = obj["entries"]
-        field = field_from_json(obj["field"]) if "field" in obj else default_field
-    if field is None:
-        raise ValueError("matrix JSON needs a field (explicit or from context)")
-    rows = tuple(scalars_from_json(field, row) for row in _array(entries))
-    return OrthogonalMatrix(rows, field)
+    return OrthogonalMatrix(*_rows_from_json(obj, default_field, "matrix"))
 
 
 def gram_to_json(S):
-    return {
-        "entries": [scalars_to_json(row) for row in S.entries],
-        "field": field_to_json(S.field),
-    }
+    return _rows_to_json(S.entries, S.field)
 
 
 def gram_from_json(obj, default_field=None):
-    if isinstance(obj, list):
-        entries, field = obj, default_field
-    else:
-        entries = obj["entries"]
-        field = field_from_json(obj["field"]) if "field" in obj else default_field
-    if field is None:
-        raise ValueError("form JSON needs a field (explicit or from context)")
-    return GramForm(tuple(scalars_from_json(field, row) for row in _array(entries)), field)
+    return GramForm(*_rows_from_json(obj, default_field, "form"))
 
 
 def dumps(payload):

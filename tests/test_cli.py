@@ -491,3 +491,83 @@ def test_ext_caps_the_absolute_degree(files, command, docs, key):
     assert serialize.field_from_json(payload[key]) == GF(5, 8)
     code, payload = run_command(argv + ["--ext", "5"])
     assert code == EXIT_INPUT and payload["error"]["kind"] == "InputError"
+
+
+# -- each subcommand takes only the options it reads -----------------------------
+
+# the options each subcommand reads, besides --out
+_READS = {
+    "curve-validate": {"curve"},
+    "triple-validate": {"curve", "t1"},
+    "triple-canonical": {"curve", "t1"},
+    "triple-support": {"curve", "t1", "ext"},
+    "group-act": {"curve", "t1", "matrix"},
+    "group-enumerate": {"p", "m", "full"},
+    "class-relation": {"curve", "t1", "t2", "ext", "oracle"},
+    "form-gram": {"curve", "t1"},
+    "form-rank": {"curve", "form"},
+    "form-decompose": {"curve", "form", "hint", "budget"},
+    "galois-rational": {"curve", "t1", "mode"},
+    "search-caveat": {"curve", "ext", "budget", "seed"},
+}
+
+# a command line of each subcommand that exits 0
+_VALID = {
+    "curve-validate": {"curve": CURVE_F5B},
+    "triple-validate": {"curve": CURVE_F5B, "t1": _F5_TRIPLE},
+    "triple-canonical": {"curve": CURVE_F5B, "t1": _F5_TRIPLE},
+    "triple-support": {"curve": CURVE_F5B, "t1": _F5_TRIPLE, "ext": "1"},
+    "group-act": {"curve": CURVE_Q, "t1": TRIPLE_A, "matrix": _QQ_SWAP},
+    "group-enumerate": {"p": "3"},
+    "class-relation": {"curve": CURVE_Q, "t1": TRIPLE_A, "t2": TRIPLE_B},
+    "form-gram": {"curve": CURVE_F5B, "t1": _F5_TRIPLE},
+    "form-rank": {"form": _F5_FORM},
+    "form-decompose": {"curve": CURVE_F5B, "form": _F5_FORM},
+    "galois-rational": {"curve": CURVE_F5B, "t1": _F5_TRIPLE},
+    "search-caveat": {"curve": CURVE_F5B, "budget": "5", "seed": "1"},
+}
+
+# a value each option would accept, and the flags that take none
+_VALUES = {"curve": CURVE_F5B, "t1": _F5_TRIPLE, "t2": _F5_TRIPLE, "matrix": _QQ_SWAP,
+           "form": _F5_FORM, "hint": ["1", "1", "1"], "mode": "class", "ext": "1",
+           "budget": "5", "seed": "1", "p": "3", "m": "1", "full": None, "oracle": None}
+
+
+def _argv(files, command, options):
+    argv = [command]
+    for option, value in options.items():
+        argv.append("--" + option)
+        if isinstance(value, (dict, list)):
+            argv.append(files("%s-%s.json" % (command, option), value))
+        elif value is not None:
+            argv.append(value)
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(_READS))
+def test_unread_options_are_input_errors(files, tmp_path, capsys, command):
+    valid = _argv(files, command, _VALID[command])
+    out = str(tmp_path / "out.json")
+    assert main(valid + ["--out", out]) == 0
+    capsys.readouterr()
+    for option in sorted(set(_VALUES) - _READS[command]):
+        argv = valid + _argv(files, command, {option: _VALUES[option]})[1:]
+        assert main(argv) == EXIT_INPUT, argv
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["error"]["kind"] == "InputError", argv
+        assert "usage:" in captured.err, argv
+
+
+@pytest.mark.parametrize("coeffs", [
+    [[2, 0], [0, 0], [4, 0], [0, 0], [1, 0]],  # over GF(25), every coefficient in GF(5)
+    [[2, 1], [0, 0], [4, 0], [0, 0], [1, 0]],  # f_0 = 2 + T, outside GF(5)
+])
+def test_search_caveat_rejects_curve_off_the_base_at_any_budget(files, coeffs):
+    # the curve is checked once, before any sample, so the exit code does not
+    # depend on whether a sample passes the Gram filter within the budget
+    curve = files("c.json", {"field": {"p": 5, "m": 2}, "coeffs": coeffs})
+    for budget in ("1", "50"):
+        code, payload = run_command(["search-caveat", "--curve", curve, "--ext", "2",
+                                     "--seed", "1", "--budget", budget])
+        assert code == EXIT_DOMAIN, budget
+        assert payload["error"]["kind"] == "NotInAmbient"

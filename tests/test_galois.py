@@ -243,33 +243,60 @@ def _fixture_search(p, coeffs):
     raise AssertionError("fixture curve not found")
 
 
+def _expected_matches(curve, ctx, samples, seed):
+    """The match searches the caveat search should make over its first
+    `samples` draws: one per sample that passes the Gram filter, plus one
+    (onto the conjugate image) per such sample with no direct match."""
+    rng = random.Random(seed)
+    count = 0
+    for _ in range(samples):
+        t = random_triple(curve, ctx.ambient, rng)
+        if class_rational_mod_conj(t, ctx):
+            kind = same_class(t, galois_image(t, ctx), extension=1).kind
+            count += 1 if kind in (KIND_EQUAL, KIND_BOTH) else 2
+    return count
+
+
 def test_caveat_hit_builds_one_witness(monkeypatch):
     curve, ctx, budget, seed, entry = _fixture_search(3, [2, 0, 0, 0, 1])
+    expected = _expected_matches(curve, ctx, entry["searched"], seed)
+    matches = _count_calls(monkeypatch, equivalence, "_match")
     witnesses = _count_calls(monkeypatch, equivalence, "_witness_from")
     validations = _count_calls(monkeypatch, triples, "make_triple")
     res = find_caveat_example(curve, ctx, budget, seed)
     assert res.found and res.searched == entry["searched"]
+    assert len(matches) == expected
     assert len(witnesses) == 1
     assert len(validations) == 0
 
 
 def test_caveat_miss_builds_no_witness(monkeypatch):
     curve, ctx, _, seed, _ = _fixture_search(5, [4, 0, 0, 0, 1])
+    expected = _expected_matches(curve, ctx, 1000, seed)
+    matches = _count_calls(monkeypatch, equivalence, "_match")
     witnesses = _count_calls(monkeypatch, equivalence, "_witness_from")
     res = find_caveat_example(curve, ctx, 1000, seed)
     assert not res.found and res.searched == 1000
+    assert len(matches) == expected > 0
     assert len(witnesses) == 0
 
 
 def test_class_rational_builds_at_most_one_witness(monkeypatch, curve_f5a, curve_f5b, ctx):
+    # one match search per triple that passes the Gram filter, none otherwise
+    matches = _count_calls(monkeypatch, equivalence, "_match")
     witnesses = _count_calls(monkeypatch, equivalence, "_witness_from")
     rng = random.Random(59)
     seen = set()
+    filtered = set()
     for curve in (curve_f5a, curve_f5b):
         for _ in range(60):
             t = random_triple(curve, F25, rng)
-            before = len(witnesses)
+            passes = class_rational_mod_conj(t, ctx)
+            before, matches_before = len(witnesses), len(matches)
             verdict = class_rational(t, ctx)
             assert len(witnesses) - before == int(verdict)
+            assert len(matches) - matches_before == int(passes)
             seen.add(verdict)
+            filtered.add(passes)
     assert seen == {True, False}
+    assert filtered == {True, False}
