@@ -4,7 +4,7 @@ Subcommands: curve-validate, triple-validate, triple-canonical,
 triple-support, group-act, group-enumerate, class-relation, form-gram,
 form-rank, form-decompose, galois-rational, search-caveat.  Each takes
 ``--out`` and the options its handler reads (``_HANDLERS``), unabbreviated;
-any other option is an input error.
+any other option, or a missing required one, is an input error.
 
 Exit codes: 0 success, 1 input validation failure, 2 domain error,
 3 budget or search exhaustion.  A field read from a document may have
@@ -77,8 +77,6 @@ def _load_json(path):
 
 
 def _load_curve(args):
-    if not args.curve:
-        raise InputError("--curve is required")
     obj = _load_json(args.curve)
     try:
         return serialize.curve_from_json(obj)
@@ -186,8 +184,6 @@ def _cmd_group_act(args):
 
 
 def _cmd_group_enumerate(args):
-    if args.p is None:
-        raise InputError("--p is required")
     field = GF(args.p, args.m)
     group = enumerate_special_orthogonal(field)
     payload = {"order": len(group), "field": serialize.field_to_json(field)}
@@ -300,21 +296,22 @@ def _cmd_search_caveat(args):
     return EXIT_OK, payload
 
 
-# each subcommand's handler and the options it reads; every subcommand takes
-# --out too, and any other option is an input error
+# each subcommand's handler and the options it reads, the optional ones
+# bracketed as in README's usage lines and the others required; every
+# subcommand takes --out too, and any other option is an input error
 _HANDLERS = {
     "curve-validate": (_cmd_curve_validate, "curve"),
     "triple-validate": (_cmd_triple_validate, "curve t1"),
     "triple-canonical": (_cmd_triple_canonical, "curve t1"),
-    "triple-support": (_cmd_triple_support, "curve t1 ext"),
+    "triple-support": (_cmd_triple_support, "curve t1 [ext]"),
     "group-act": (_cmd_group_act, "curve t1 matrix"),
-    "group-enumerate": (_cmd_group_enumerate, "p m full"),
-    "class-relation": (_cmd_class_relation, "curve t1 t2 ext oracle"),
+    "group-enumerate": (_cmd_group_enumerate, "p [m] [full]"),
+    "class-relation": (_cmd_class_relation, "curve t1 t2 [ext] [oracle]"),
     "form-gram": (_cmd_form_gram, "curve t1"),
-    "form-rank": (_cmd_form_rank, "curve form"),
-    "form-decompose": (_cmd_form_decompose, "curve form hint budget"),
-    "galois-rational": (_cmd_galois_rational, "curve t1 mode"),
-    "search-caveat": (_cmd_search_caveat, "curve ext budget seed"),
+    "form-rank": (_cmd_form_rank, "form [curve]"),
+    "form-decompose": (_cmd_form_decompose, "curve form [hint] [budget]"),
+    "galois-rational": (_cmd_galois_rational, "curve t1 [mode]"),
+    "search-caveat": (_cmd_search_caveat, "curve [ext] [budget] [seed]"),
 }
 
 _OPTIONS = {
@@ -344,10 +341,12 @@ def build_parser():
                     "linear forms: validation, canonical forms, group actions, "
                     "class equivalence, quadratic-form invariants, Galois checks.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, options) in _HANDLERS.items():
-        sp = sub.add_parser(name, allow_abbrev=False)  # else --m means --matrix on group-act
-        for option in options.split() + ["out"]:
-            sp.add_argument("--" + option, **_OPTIONS[option])
+    for command, (_, options) in _HANDLERS.items():
+        sp = sub.add_parser(command, allow_abbrev=False)  # else --m means --matrix on group-act
+        for option in options.split():
+            name = option.strip("[]")
+            sp.add_argument("--" + name, required=name == option, **_OPTIONS[name])
+        sp.add_argument("--out", **_OPTIONS["out"])
     return parser
 
 

@@ -82,11 +82,9 @@ class InfinityData:
 
 def infinity_points(curve):
     lead = curve.F.leading()
-    r = curve.field.sqrt(lead)
-    if r is not None:
-        return InfinityData(lead, "square-in-base", (r, -r), curve.field)
     ext, r = adjoin_sqrt(curve.field, lead)
-    return InfinityData(lead, "square-in-quadratic-extension", (r, -r), ext)
+    status = "square-in-base" if ext is curve.field else "square-in-quadratic-extension"
+    return InfinityData(lead, status, (r, -r), ext)
 
 
 def form_to_poly(form, field=None):

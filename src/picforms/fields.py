@@ -47,6 +47,12 @@ bound beside ``_raw_dot``: over GF(p) it takes one ``% p`` per entry,
 and over QQ or an extension it calls ``_raw_dot`` once per entry.
 A matrix product, a Gram row or a form move is thus one call, and each
 of its entries is normalised once, to the same value ``_raw_dot`` gives.
+
+The Frobenius x -> x^p, :func:`embed` and :func:`unembed` are GF(p)-linear
+on coordinate vectors, so each is one ``_raw_comb`` call of the prime
+field (bound once per field as ``Field._prime``) on cached raw rows: the
+powers of T^p, the powers of the embedding's root, and the transposed
+subfield coordinate matrix.
 """
 
 from __future__ import annotations
@@ -60,6 +66,7 @@ from .errors import (
     CharacteristicTwo,
     DescriptorMismatch,
     DivisionByZero,
+    FactorizationNeedsExtension,
     NotFiniteField,
     RationalsUnsupported,
 )
@@ -144,6 +151,15 @@ def _irreducible_binomials(p, m):
             yield c
 
 
+def _digits(k, p, m):
+    """The m lowest base-p digits of k, least significant first."""
+    digits = []
+    for _ in range(m):
+        digits.append(k % p)
+        k //= p
+    return tuple(digits)
+
+
 @functools.lru_cache(maxsize=None)
 def _default_modulus(p, m):
     """Lowest monic irreducible of degree m over GF(p), lexicographic on (c0..c_{m-1}).
@@ -154,14 +170,9 @@ def _default_modulus(p, m):
     for c in _irreducible_binomials(p, m):
         return (c,) + (0,) * (m - 1) + (1,)
     for idx in range(p, p ** m):
-        cand = []
-        k = idx
-        for _ in range(m):
-            cand.append(k % p)
-            k //= p
-        cand.append(1)
+        cand = _digits(idx, p, m) + (1,)
         if _is_irreducible(cand, p):
-            return tuple(cand)
+            return cand
     raise AssertionError("no irreducible modulus found")  # unreachable: they always exist
 
 
@@ -172,7 +183,7 @@ class Field:
 
     __slots__ = (
         "p", "m", "modulus", "char", "order",
-        "_red", "_zero", "_one", "_half", "_ts", "_frob", "_embed_cache",
+        "_prime", "_red", "_zero", "_one", "_half", "_ts", "_frob", "_embed_cache",
         "_raw_dot", "_raw_comb",
     )
 
@@ -183,33 +194,39 @@ class Field:
         self.char = p if p is not None else 0
         self.order = p ** m if p is not None else None
         self._ts = None
-        self._frob = None
         self._embed_cache = {}
-        if m > 1:
+        if p is None:
+            zero, one, half = Fraction(0), Fraction(1), Fraction(1, 2)
+        else:
+            zero, one, half = 0, 1, (p + 1) // 2
+        self._zero = FieldElement(self, zero if m == 1 else (zero,) * m)
+        self._one = FieldElement(self, self._scalar(one))
+        self._half = self._scalar(half)
+        # QQ or GF(p): the base scalars and the kernel of the linear maps
+        self._prime = self if m == 1 else _make_field(p, 1, None)
+        self._red = None
+        if m == 1 and p is None:
+            self._raw_dot, self._raw_comb = self._dot_rational, self._comb_generic
+        elif m == 1:
+            self._raw_dot, self._raw_comb = self._dot_prime, self._comb_prime
+        else:
             # rows for T^k mod modulus, k = m .. 2m-2, in base-field scalars
-            base = _make_field(p, 1, None)
+            base = self._prime
             top = [base._raw_neg(c) for c in modulus[:-1]]
             rows = [tuple(top)]
             for _ in range(m - 2):
+                # T times the last row: shifted up, with its top entry folded back
                 prev = rows[-1]
-                shifted = [base._raw_zero()] + list(prev[:-1])
-                carry = prev[-1]
-                rows.append(tuple(base._raw_add(shifted[i], base._raw_mul(carry, top[i]))
-                                  for i in range(m)))
+                rows.append(tuple(base._raw_comb((one, prev[-1]), ((zero,) + prev[:-1], top))))
             # kept sparse: default moduli are often binomials
             self._red = [tuple((i, r) for i, r in enumerate(row) if r) for row in rows]
-        else:
-            self._red = None
-        self._zero = FieldElement(self, self._raw_zero())
-        self._one = FieldElement(self, self._raw_one())
-        half = Fraction(1, 2) if p is None else (p + 1) // 2
-        self._half = half if m == 1 else (half,) + self._raw_zero()[1:]
-        if m > 1:
             self._raw_dot, self._raw_comb = self._dot_convolved, self._comb_generic
-        elif p is None:
-            self._raw_dot, self._raw_comb = self._dot_rational, self._comb_generic
-        else:
-            self._raw_dot, self._raw_comb = self._dot_prime, self._comb_prime
+            if p:
+                # x -> x^p is GF(p)-linear on the power basis: rows (T^p)^i, i < m
+                tp = self._raw_pow(self.generator().value, p)
+                self._frob = [self._one.value]
+                for _ in range(m - 1):
+                    self._frob.append(self._raw_mul(self._frob[-1], tp))
 
     def __repr__(self):
         return self.label()
@@ -229,17 +246,9 @@ class Field:
 
     # -- raw element values ----------------------------------------------------
 
-    def _raw_zero(self):
-        if self.m == 1:
-            return 0 if self.p else Fraction(0)
-        return (0,) * self.m if self.p else (Fraction(0),) * self.m
-
-    def _raw_one(self):
-        if self.m == 1:
-            return 1 if self.p else Fraction(1)
-        if self.p:
-            return (1,) + (0,) * (self.m - 1)
-        return (Fraction(1),) + (Fraction(0),) * (self.m - 1)
+    def _scalar(self, s):
+        """The raw value of the base scalar s (an int in [0, p), or a Fraction)."""
+        return s if self.m == 1 else (s,) + self._zero.value[1:]
 
     def _raw_add(self, a, b):
         if self.m == 1:
@@ -350,7 +359,7 @@ class Field:
         return [dot(cs, col, (), ()) for col in zip(*vs)]
 
     def _raw_inv(self, a):
-        if not self._raw_nonzero(a):
+        if a == self._zero.value:
             raise DivisionByZero("inverse of zero in %s" % self.label())
         if self.m == 1:
             return pow(a, self.p - 2, self.p) if self.p else Fraction(1) / a
@@ -367,48 +376,25 @@ class Field:
         # the inverse of a mod the modulus over GF(p); the sum with 0 trims
         # the top zeros of a
         from .poly import _add_coeffs, _invert_mod_coeffs  # poly imports this module
-        base = _make_field(self.p, 1, None)
+        base = self._prime
         inv = _invert_mod_coeffs(base, _add_coeffs(base, a, ()), self.modulus)
         return tuple(inv) + (0,) * (self.m - len(inv))
 
     def _raw_pow(self, a, e):
         if self.m == 1 and self.p:
             return pow(a, e, self.p)
-        out = self._raw_one()
+        out = self._one.value
         for bit in bin(e)[2:]:
             out = self._raw_mul(out, out)
             if bit == "1":
                 out = self._raw_mul(out, a)
         return out
 
-    def _frobenius_rows(self):
-        """(T^p)^i for i < m: x -> x^p is GF(p)-linear on the power basis."""
-        if self._frob is None:
-            tp = self._raw_pow(self.generator().value, self.p)
-            rows = [self._raw_one()]
-            for _ in range(self.m - 1):
-                rows.append(self._raw_mul(rows[-1], tp))
-            self._frob = rows
-        return self._frob
-
     def _raw_frobenius(self, value, power=1):
         """value ** (p ** power) on a raw value of a finite field."""
-        if self.m == 1:
-            return value
-        p, rows = self.p, self._frobenius_rows()
         for _ in range(power % self.m):
-            out = [0] * self.m
-            for c, row in zip(value, rows):
-                if c:
-                    for i, r in enumerate(row):
-                        out[i] += c * r
-            value = tuple([x % p for x in out])
+            value = tuple(self._prime._raw_comb(value, self._frob))
         return value
-
-    def _raw_nonzero(self, a):
-        if self.m == 1:
-            return a != 0
-        return any(a)
 
     # -- element constructors --------------------------------------------------
 
@@ -425,23 +411,15 @@ class Field:
                 raise DescriptorMismatch(
                     "element of %s used in %s" % (value.field.label(), self.label()))
             return value
-        if isinstance(value, int):
-            if self.m == 1:
-                return FieldElement(self, value % self.p if self.p else Fraction(value))
-            base = value % self.p if self.p else Fraction(value)
-            rest = (0,) * (self.m - 1) if self.p else (Fraction(0),) * (self.m - 1)
-            return FieldElement(self, (base,) + rest)
-        if isinstance(value, Fraction):
-            if self.p is not None:
-                num = value.numerator % self.p
-                den = value.denominator % self.p
-                base = num * pow(den, self.p - 2, self.p) % self.p
-                if self.m == 1:
-                    return FieldElement(self, base)
-                return FieldElement(self, (base,) + (0,) * (self.m - 1))
-            if self.m == 1:
-                return FieldElement(self, value)
-            return FieldElement(self, (value,) + (Fraction(0),) * (self.m - 1))
+        if isinstance(value, (int, Fraction)):
+            p = self.p
+            if p is None:
+                s = value if isinstance(value, Fraction) else Fraction(value)
+            elif isinstance(value, int):
+                s = value % p
+            else:
+                s = value.numerator * pow(value.denominator, p - 2, p) % p
+            return FieldElement(self, self._scalar(s))
         if isinstance(value, (tuple, list)):
             if len(value) != self.m:
                 raise DescriptorMismatch(
@@ -459,9 +437,8 @@ class Field:
         """The class of T in an extension field."""
         if self.m == 1:
             raise DescriptorMismatch("no generator in %s" % self.label())
-        if self.p:
-            return FieldElement(self, (0, 1) + (0,) * (self.m - 2))
-        return FieldElement(self, (Fraction(0), Fraction(1)) + (Fraction(0),) * (self.m - 2))
+        # (0, 1, 0, ..., 0)
+        return FieldElement(self, self._zero.value[:1] + self._one.value[:-1])
 
     # -- enumeration -----------------------------------------------------------
 
@@ -470,12 +447,7 @@ class Field:
             raise RationalsUnsupported("cannot index elements of %s" % self.label())
         if self.m == 1:
             return FieldElement(self, idx % self.p)
-        digits = []
-        k = idx
-        for _ in range(self.m):
-            digits.append(k % self.p)
-            k //= self.p
-        return FieldElement(self, tuple(digits))
+        return FieldElement(self, _digits(idx, self.p, self.m))
 
     def index_of(self, e):
         if self.p is None:
@@ -521,7 +493,7 @@ class Field:
             while t % 2 == 0:
                 s += 1
                 t //= 2
-            one = self._raw_one()
+            one = self._one.value
             idx = 2 if self.m == 1 else self.p
             while self._raw_pow(self.element_from_index(idx).value, q1 // 2) == one:
                 idx += 1
@@ -551,10 +523,10 @@ class Field:
                 return FieldElement(self, Fraction(rn, rd))
             return None
         a = e.value
-        if not self._raw_nonzero(a):
+        if a == self._zero.value:
             return e
         s, t, zs = self._tonelli_shanks()
-        mul, one = self._raw_mul, self._raw_one()
+        mul, one = self._raw_mul, self._one.value
         w = self._raw_pow(a, t // 2)
         x = mul(a, w)  # a^((t + 1) / 2), and x^2 = a b
         b = mul(x, w)  # a^t, of order 2^i below
@@ -663,7 +635,7 @@ class FieldElement:
     # -- predicates -------------------------------------------------------------
 
     def __bool__(self):
-        return self.field._raw_nonzero(self.value)
+        return self.value != self.field._zero.value
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
@@ -755,7 +727,9 @@ def adjoin_sqrt(field, e):
     """A field containing a square root of e, with that root.
 
     Returns ``(field, root)`` when e is already a square; otherwise builds
-    the canonical quadratic extension and returns the root there.
+    the canonical quadratic extension and returns the root there.  Above a
+    quadratic extension of QQ that is out of scope, and a non-square raises
+    FactorizationNeedsExtension.
     """
     e = field.elem(e)
     r = field.sqrt(e)
@@ -767,7 +741,8 @@ def adjoin_sqrt(field, e):
         assert r is not None  # every element of GF(q) is a square in GF(q^2)
         return ext, r
     if field.m > 1:
-        return None, None  # square roots above a QQ extension are out of scope
+        raise FactorizationNeedsExtension(
+            "a square root above %s is out of scope" % field.label())
     ext = rational_extension((-e.value, Fraction(0), Fraction(1)))
     return ext, ext.generator()
 
@@ -786,31 +761,33 @@ def can_embed(src, dst):
 
 
 def _embedding(src, dst):
-    """(powers, coords) for src = GF(p^a) inside dst = GF(p^b), cached per pair.
+    """(powers, coords) for src = GF(p^a) inside dst = GF(p^b), cached per
+    pair, both as raw values.
 
     powers are 1, r, r^2, ... in dst, for r the root of src's modulus with
-    the smallest index.  coords is a b x b matrix P over GF(p) with
-    P E = [I; 0], where the columns of E are the coordinates of the powers:
-    the first a entries of P e are the coordinates of e over src, and the
-    others vanish exactly when e lies in the image.  P is the right half of
-    [E | I] after :func:`picforms.linalg._row_reduce` over GF(p) on its
-    first a columns.
+    the smallest index.  coords is the transpose of a b x b matrix P over
+    GF(p) with P E = [I; 0], where the columns of E are the coordinates of
+    the powers: the first a entries of P e are the coordinates of e over
+    src, and the others vanish exactly when e lies in the image.  P is the
+    right half of [E | I] after :func:`picforms.linalg._row_reduce` over
+    GF(p) on its first a columns.  P e and the image of e are thus one
+    ``_raw_comb`` call each.
     """
     cached = dst._embed_cache.get(src)
     if cached is not None:
         return cached
     from .poly import Polynomial, roots_in_field  # poly imports this module
-    root = roots_in_field(Polynomial(dst, src.modulus))[0][0]
-    powers = [dst.one()]
+    root = roots_in_field(Polynomial(dst, src.modulus))[0][0].value
+    powers = [dst._one.value]
     for _ in range(src.m - 1):
-        powers.append(powers[-1] * root)
+        powers.append(dst._raw_mul(powers[-1], root))
     # [E | I] reduced on its first a columns over GF(p); E has full column
     # rank since r generates src
     a, b = src.m, dst.m
-    rows, pivots = _row_reduce(_make_field(dst.p, 1, None), [
-        [pw.value[i] for pw in powers] + [int(i == j) for j in range(b)] for i in range(b)], a)
+    rows, pivots = _row_reduce(dst._prime, [
+        [pw[i] for pw in powers] + [int(i == j) for j in range(b)] for i in range(b)], a)
     assert pivots == tuple(range(a))
-    cached = (powers, tuple(tuple(row[a:]) for row in rows))
+    cached = (powers, tuple(zip(*(row[a:] for row in rows))))
     dst._embed_cache[src] = cached
     return cached
 
@@ -830,11 +807,8 @@ def embed(e, dst):
     if not can_embed(src, dst):
         raise DescriptorMismatch("cannot embed %s into %s" % (src.label(), dst.label()))
     if src.m == 1:
-        return dst.elem(e.value if src.p is None else int(e.value))
-    acc = dst.zero()
-    for c, power in zip(e.value, _embedding(src, dst)[0]):
-        acc = acc + power * dst.elem(int(c))
-    return acc
+        return FieldElement(dst, dst._scalar(e.value))
+    return FieldElement(dst, tuple(dst._prime._raw_comb(e.value, _embedding(src, dst)[0])))
 
 
 def unembed(e, src):
@@ -847,11 +821,10 @@ def unembed(e, src):
     if src.m == 1:
         coords = e.value  # constants: coordinates 1, 2, ... must vanish
     else:
-        coords = [sum(x * y for x, y in zip(row, e.value)) % dst.p
-                  for row in _embedding(src, dst)[1]]
+        coords = dst._prime._raw_comb(e.value, _embedding(src, dst)[1])
     if any(coords[src.m:]):
         raise DescriptorMismatch("element does not lie in %s" % src.label())
-    return src.elem(coords[0] if src.m == 1 else coords[:src.m])
+    return FieldElement(src, coords[0] if src.m == 1 else tuple(coords[:src.m]))
 
 
 def common_field(f1, f2):

@@ -17,12 +17,13 @@ Both the class predicate and the search filter on the Gram test and then
 take the match records of t onto its Frobenius image from the equivalence
 module's one entry, the search asking for the conjugate record only when
 the direct one fails; the witness behind a True or a returned hit is
-assembled and verified once, and no other witness is built.  The search
-checks the curve against the base once, before it samples.  Like the
-class decision they read each triple's
-raw values once: the Gram filter, the Frobenius image and the match all
-run on raw values, and an invariant entry is Frobenius-fixed exactly when
-it lies in the prime field, the constants of the power basis.
+assembled and verified once, and no other witness is built.  One helper
+checks the fields at every entry: the curve lies over the base, and a
+triple's entries lie in the ambient; the search checks the curve once,
+before it samples.  Like the class decision they read each triple's raw
+values once: the Gram filter, the Frobenius image and the match all run
+on raw values, and an invariant entry is Frobenius-fixed exactly when it
+lies in the prime field, the constants of the power basis.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def galois_image(obj, ctx):
     it carries W^2 - U V = F and the symmetry of a Gram form over.
     """
     if isinstance(obj, Triple):
-        _check_image(obj, ctx)
+        _check_fields(ctx, obj.curve, obj.field)
         field = obj.field
         return Triple(obj.curve, field,
                       *map(field._wrap, _frobenius_forms(field, obj._raw_forms())))
@@ -70,11 +71,13 @@ def galois_image(obj, ctx):
     raise TypeError("galois_image acts on triples and Gram forms")
 
 
-def _check_image(t, ctx):
-    """The conditions under which t has a Frobenius image over ctx."""
-    if t.field != ctx.ambient:
+def _check_fields(ctx, curve, field=None):
+    """NotInAmbient unless the curve lies over the base and, when given,
+    `field` is the ambient: then the Frobenius of ctx fixes the curve and
+    acts on entries in `field`."""
+    if field is not None and field != ctx.ambient:
         raise NotInAmbient("triple entries are not in the ambient field")
-    if not can_embed(t.curve.field, ctx.base):
+    if not can_embed(curve.field, ctx.base):
         raise NotInAmbient("the curve must be defined over the base field")
 
 
@@ -97,8 +100,7 @@ def _gram_fixed(field, forms):
 
 def class_rational_mod_conj(t, ctx):
     """True iff the Gram invariant is Frobenius-fixed (all entries in the base)."""
-    if t.field != ctx.ambient:
-        raise NotInAmbient("triple entries are not in the ambient field")
+    _check_fields(ctx, t.curve, t.field)
     return _gram_fixed(t.field, t._raw_forms())
 
 
@@ -112,7 +114,7 @@ def class_rational(t, ctx):
     runs over the ambient field itself, and the witness behind a True is
     verified once.
     """
-    _check_image(t, ctx)
+    _check_fields(ctx, t.curve, t.field)
     field = t.field
     forms = t._raw_forms()
     if not _gram_fixed(field, forms):
@@ -147,8 +149,7 @@ def find_caveat_example(curve, ctx, budget, seed):
     import random
     if budget < 1:
         raise ValueError("the search budget must be >= 1, got %d" % budget)
-    if not can_embed(curve.field, ctx.base):
-        raise NotInAmbient("the curve must be defined over the base field")
+    _check_fields(ctx, curve)
     rng = random.Random(seed)
     field = ctx.ambient
     for i in range(budget):

@@ -32,7 +32,6 @@ from . import linalg
 from .errors import (
     BudgetExhausted,
     DecompositionRejected,
-    FactorizationNeedsExtension,
     NotCurveForm,
     RationalsNeedHint,
 )
@@ -217,9 +216,6 @@ def _normal_factors(S):
     field = S.field
     want = -beta / alpha
     ext, s = adjoin_sqrt(field, want)
-    if ext is None:
-        raise FactorizationNeedsExtension(
-            "splitting the rank-2 form needs a square root above %s" % field.label())
     l1 = tuple(embed(x, ext) for x in l1)
     l2 = tuple(embed(x, ext) for x in l2)
     alpha = embed(alpha, ext)
@@ -324,9 +320,6 @@ def _decompose_rank3(S, curve, extension_budget, isotropic_hint):
     assert e3 is not None  # rank 3 leaves a one-dimensional anisotropic complement
     gamma = S.evaluate(e3)
     ext, s = adjoin_sqrt(field, gamma)
-    if ext is None:
-        raise FactorizationNeedsExtension(
-            "the rank-3 section needs a square root above %s" % field.label())
     if ext != field and extension_budget < 2:
         raise BudgetExhausted("the rank-3 section needs a quadratic extension")
     Se = S.embedded(ext)

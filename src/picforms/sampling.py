@@ -30,7 +30,7 @@ import functools
 from fractions import Fraction
 
 from .errors import LiftRejected, RationalsUnsupported
-from .fields import GF, FieldElement, _embedding
+from .fields import FieldElement, _embedding
 from .linalg import _row_reduce
 from .ortho import (
     flip_matrix,
@@ -70,8 +70,8 @@ def _random_closed_point(field, rng, d, curve):
     m, p = field.m, field.p
     if d > 1:
         # the images of the power basis of `field`: e_0 = 1
-        basis = [one] if m == 1 else [e.value for e in _embedding(field, big)[0]]
-        prime = GF(p)
+        basis = [one] if m == 1 else _embedding(field, big)[0]
+        prime = field._prime
     for _ in range(CLOSED_POINT_TRIES):
         x = big.random_element(rng).value
         pows = [one, x]

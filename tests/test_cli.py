@@ -1,6 +1,9 @@
+import argparse
 import json
 import random
+import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +11,7 @@ from picforms import cli, serialize
 from picforms.cli import (EXIT_BUDGET, EXIT_DOMAIN, EXIT_INPUT, MAX_EXT, main,
                           run_command)
 from picforms.fields import GF
+from picforms.sampling import random_triple
 
 
 CURVE_Q = {"field": {"p": None, "m": 1}, "coeffs": ["-1", "0", "0", "0", "1"]}
@@ -571,3 +575,89 @@ def test_search_caveat_rejects_curve_off_the_base_at_any_budget(files, coeffs):
                                      "--seed", "1", "--budget", budget])
         assert code == EXIT_DOMAIN, budget
         assert payload["error"]["kind"] == "NotInAmbient"
+
+
+def test_galois_rational_rejects_curve_off_the_base_in_both_modes(files):
+    # f_0 = 2 + T lies outside GF(5), so the Frobenius does not fix the curve;
+    # both predicates check that, not only the ambient of the entries
+    doc = {"field": {"p": 5, "m": 2}, "coeffs": [[2, 1], [0, 0], [4, 0], [0, 0], [1, 0]]}
+    curve = serialize.curve_from_json(doc)
+    t = random_triple(curve, curve.field, random.Random(1))
+    argv = ["galois-rational", "--curve", files("c.json", doc),
+            "--t1", files("t.json", serialize.triple_to_json(t))]
+    for mode in ("class", "mod-conj"):
+        code, payload = run_command(argv + ["--mode", mode])
+        assert code == EXIT_DOMAIN, mode
+        assert payload["error"]["kind"] == "NotInAmbient", mode
+
+
+# the options each subcommand cannot run without, as README's usage lines have them
+_REQUIRED = {
+    "curve-validate": {"curve"},
+    "triple-validate": {"curve", "t1"},
+    "triple-canonical": {"curve", "t1"},
+    "triple-support": {"curve", "t1"},
+    "group-act": {"curve", "t1", "matrix"},
+    "group-enumerate": {"p"},
+    "class-relation": {"curve", "t1", "t2"},
+    "form-gram": {"curve", "t1"},
+    "form-rank": {"form"},
+    "form-decompose": {"curve", "form"},
+    "galois-rational": {"curve", "t1"},
+    "search-caveat": {"curve"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_REQUIRED))
+def test_missing_required_option_is_named(files, capsys, command):
+    for option in sorted(_REQUIRED[command]):
+        docs = {k: v for k, v in _VALID[command].items() if k != option}
+        argv = _argv(files, command, docs)
+        assert main(argv) == EXIT_INPUT, argv
+        captured = capsys.readouterr()
+        error = json.loads(captured.out)["error"]
+        assert error["kind"] == "InputError", argv
+        assert "--" + option in error["detail"], argv
+        assert "usage:" in captured.err, argv
+
+
+@pytest.mark.parametrize("command", ["curve-validate", "triple-canonical"])
+def test_curve_over_rational_extension_is_a_domain_error(files, command):
+    # the points at infinity need a square root above QQ(sqrt 2), which is
+    # out of scope; once that was a TypeError from building (r, -r) on None
+    field = {"p": None, "m": 2, "modulus": ["-2", "0", "1"]}
+    one, zero = ["1", "0"], ["0", "0"]
+    curve = {"field": field, "coeffs": [["-1", "0"], zero, zero, zero, one]}
+    docs = {"curve": curve}
+    if command == "triple-canonical":
+        docs["t1"] = {"u": [one, zero, zero], "v": [one, zero, zero],
+                      "w": [zero, zero, one], "field": field}
+    code, payload = run_command(_argv(files, command, docs))
+    assert code == EXIT_DOMAIN
+    assert payload["error"]["kind"] == "FactorizationNeedsExtension"
+
+
+def _readme_usage():
+    """{subcommand: {option: optional}} from README's command-line block."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    usage = {}
+    for line in block.splitlines():
+        line = line.split("#", 1)[0]
+        if line.startswith("picforms "):
+            command, rest = line.split()[1], line.split(None, 2)[2]
+            optional = set(re.findall(r"\[--([\w-]+)", rest))
+            usage[command] = {o: o in optional for o in re.findall(r"--([\w-]+)", rest)}
+    return usage
+
+
+def test_readme_usage_matches_parser():
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    usage = _readme_usage()
+    assert set(usage) == set(subparsers)
+    for command, sp in subparsers.items():
+        options = {opt[2:]: not action.required for action in sp._actions
+                   for opt in action.option_strings if opt not in ("-h", "--help", "--out")}
+        assert options == usage[command], command

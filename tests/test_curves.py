@@ -11,11 +11,12 @@ from picforms.curves import (
 )
 from picforms.errors import (
     DegreeTooHigh,
+    FactorizationNeedsExtension,
     NotSquarefree,
     WrongDegreeParity,
     ZeroLeadingCoefficient,
 )
-from picforms.fields import GF, QQ, embed
+from picforms.fields import GF, QQ, embed, rational_extension
 from picforms.poly import Polynomial
 
 F5 = GF(5)
@@ -73,6 +74,13 @@ def test_infinity_roots_square_exactly_qq():
     assert inf.sqrt_status == "square-in-quadratic-extension"
     for r in inf.roots:
         assert r * r == embed(QQ.elem(3), inf.field)
+
+
+def test_infinity_over_rational_extension_needs_extension():
+    # no square root is taken above QQ(sqrt 2), not even that of 1
+    c = make_curve([-1, 0, 0, 0, 1], rational_extension((-2, 0, 1)))
+    with pytest.raises(FactorizationNeedsExtension):
+        infinity_points(c)
 
 
 def test_form_poly_examples():

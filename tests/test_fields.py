@@ -10,6 +10,7 @@ from picforms.errors import (
     CharacteristicTwo,
     DescriptorMismatch,
     DivisionByZero,
+    FactorizationNeedsExtension,
     NotFiniteField,
 )
 from picforms.fields import (
@@ -111,6 +112,14 @@ def test_frobenius_fixed_set_is_prime_field():
     assert fixed == {embed(x, F25) for x in F5.elements()}
 
 
+@pytest.mark.parametrize("field", [GF(3, 3), GF(5, 3), GF(3, 4), GF(7, 2)], ids=str)
+def test_frobenius_matches_powers(field):
+    # x -> x^(p^k) from the cached GF(p)-linear map, against direct powers
+    for x in field.elements():
+        for k in range(field.m):
+            assert x.frobenius(k) == x ** (field.p ** k), (x, k)
+
+
 def test_frobenius_rejects_rationals():
     with pytest.raises(NotFiniteField):
         QQ.elem(1).frobenius()
@@ -165,6 +174,13 @@ def test_sqrt():
     assert r * r == embed(F5.elem(2), ext)
     qext, rq = adjoin_sqrt(QQ, QQ.elem(2))
     assert rq * rq == embed(QQ.elem(2), qext)
+
+
+def test_adjoin_sqrt_above_rational_extension_raises():
+    # square roots above a quadratic extension of QQ are out of scope
+    qext = rational_extension((-2, 0, 1))
+    with pytest.raises(FactorizationNeedsExtension):
+        adjoin_sqrt(qext, qext.elem(3))
 
 
 def test_modulus_validation():
