@@ -2,59 +2,53 @@
 
 Two triples on one curve represent equal divisor classes exactly when a
 proper orthogonal matrix carries one to the other.  The decision follows
-the constructive route: after a quick Gram comparison (equal or conjugate
-classes share the invariant exactly), the reduction move
-(u + a^2 v - 2 a w, v, w - a v) is tried at the one parameter that can
-match, then the plain swap (v, u, -w); both are repeated against the
-conjugate of the target.  The verdict is one of
+the constructive route: the reduction move (u + a^2 v - 2 a w, v, w - a v)
+is tried at the one parameter that can match, then the plain swap
+(v, u, -w); both are repeated against the conjugate of the target.  The
+verdict is one of
 
     equal | equal-and-self-conjugate | conjugate-only | distinct
 
 and each positive verdict carries an explicit proper witness matrix that
 is verified once (orthogonality and exact action) before it is returned.
-
 Every class decision, here and in :mod:`picforms.galois`, goes through
 one private entry, :func:`_records`: the match record of t1 onto t2, and
 then, only when asked, that of t1 onto conj(t2).
 
-``recover_transform`` is the constructive orbit statement for the full
-orthogonal group, built from the same two match records: equal Gram
-matrices put t2 in the orthogonal orbit of t1, proper matrices preserve
-classes and the improper flip (u, v, w) -> (u, v, -w) sends a class to
-its conjugate, so t2 is the image of t1 under a proper witness or under
-the flip times a proper witness of t1 onto conj(t2).
+``recover_transform`` builds the constructive orbit statement for the
+full orthogonal group from the same two records: equal Gram matrices put
+t2 in the orthogonal orbit of t1, and the improper flip (u, v, w) ->
+(u, v, -w) sends a class to its conjugate, so t2 is the image of t1
+under a proper witness or under the flip times one onto conj(t2).
 
-The matching conditions are the minors of the reduced forms against one
-nonzero coefficient of the target's u.  Every minor read has degree <= 1
-in the parameter (the lemma at :func:`_parameter`), so the first one
-that is not constant gives the one candidate, which lies in the triples'
-own field over QQ and GF(q) alike.  The search returns a match record
-holding the scale-and-shift normal-form parameters of the moved triple
-and of the target; the witness is assembled from a record only when it
-is returned (so it comes out over that field too), and callers that need
-only the kind build none.  The search domain named by
-``same_class(..., extension=...)`` is reported with the verdict but
-cannot change it.
+A moved triple (u, v, w) matches t2 = (u2, v2, w2) when their
+scale-and-shift normal forms agree: with k the top index of u2, c = u_k,
+b = w_k, c2 = u2_k and b2 = w2_k, iff c != 0, c2 u - c u2 = 0 and
+c2 (w - w2) - (b - b2) u2 = 0, since on one curve u and w fix
+v = (w^2 - F) / u.  Each condition is one vector-kernel call on the
+forms of t1 and t2 with the move written out, and the second runs only
+when the first holds; no moved triple, normal form or inverse is
+computed.  The reduction parameter is the root of the first
+non-constant minor of these conditions, all of degree <= 1 in it (the
+lemma at :func:`_parameter`), so it lies in the triples' own field over
+QQ and GF(q) alike.  A match record holds (c, b) and (c2, b2); the
+witness is assembled from it only when it is returned, over that field
+too, and the search domain named by ``same_class(..., extension=...)``
+is reported with the verdict but cannot change it.
 
-Values are raw from start to finish: ``same_class``, ``recover_transform``
-and the Galois predicates read each triple's raw coefficient lists once
-(``Triple._raw_forms``), and the Gram comparison, the normal forms, the
-parameter, the reduced forms, the match record and the witness check all
-run on raw values through the field's sum-of-products kernel and its
-vector form, one call per new form or matrix row.
-``FieldElement`` values are built only for the witness matrices that are
-returned; every input and output at the API boundary is still a
-``Triple``, an ``OrthogonalMatrix`` or a ``ClassRelation``.
+``same_class`` takes two shortcuts.  A match forces equal Gram matrices
+and the records decide completely, so one Gram entry, S_02, serves only
+to turn most unrelated pairs away early (``recover_transform``, which
+reports a mismatch, compares the entries with j >= i + 2, the whole
+invariant on one curve; see :func:`picforms.quadform._gram_upper`).  And
+when the first three columns of t1 have a nonzero determinant, only the
+identity fixes t1, so after a proper A onto t2 the one matrix onto
+conj(t2) is flip . A, which is improper: the conjugate search is skipped.
 
-The curve identity W^2 - U V = F spares two comparisons.  Two triples on
-one curve have equal Gram matrices iff their entries (i, j) with
-j >= i + 2 agree, since F fixes the rest of each antidiagonal (see
-:func:`picforms.quadform._gram_upper`); that is 1, 3 and 6 entries in
-genus 1, 2 and 3 instead of 6, 10 and 15.  And two normal forms are equal
-iff their u and w agree, since u is monic and v = (w^2 - F) / u; so the
-search never computes a normal-form v, and the normal forms of t2 and of
-swap . t1 are computed once per decision.  The witness check still
-compares all three forms.
+Values are raw from start to finish: every decision reads each triple's
+raw coefficient lists once (``Triple._raw_forms``) and runs on the
+field's sum-of-products kernel and its vector form; ``FieldElement``
+values are built only for the witness matrices that are returned.
 
 ``orbit_oracle`` is the independent brute-force check: it exhausts the
 full enumerated proper group over a small field.
@@ -71,6 +65,7 @@ from .linalg import _mat_mul_raw
 from .ortho import (
     OrthogonalMatrix,
     _classify_raw,
+    _det_raw,
     _reduction_rows,
     _swap_rows,
     _wrap_rows,
@@ -79,7 +74,7 @@ from .ortho import (
     swap_matrix,
 )
 from .quadform import _gram_upper
-from .triples import _canonical_forms, _normal_uw, act
+from .triples import _canonical_forms, act
 
 KIND_EQUAL = "equal"
 KIND_BOTH = "equal-and-self-conjugate"
@@ -121,19 +116,7 @@ def swap_step(t):
     return act(swap_matrix(t.field), t)
 
 
-# -- the parameter solver ---------------------------------------------------------
-#
-# Everything below works on raw values: a triple enters as the tuple of its
-# three raw coefficient lists, read once, and FieldElements are built only
-# for the witness matrices that are returned.
-
-def _reduced_forms(field, u, v, w, a):
-    """(u + a^2 v - 2 a w, v, w - a v), one vector-kernel call per new form."""
-    comb, neg = field._raw_comb, field._raw_neg
-    one = field._one.value
-    a2, a_2 = field._raw_mul(a, a), field._raw_add(a, a)
-    return comb((one, a2, neg(a_2)), (u, v, w)), v, comb((one, neg(a)), (w, v))
-
+# -- the match search, on raw values ----------------------------------------------
 
 def _witness_from(record, flip=False):
     """The proper witness behind a match record, verified once; with
@@ -164,53 +147,60 @@ def _witness_from(record, flip=False):
     return _wrap_rows(field, rows, not flip)
 
 
-def _negated(field, form):
-    return field._raw_comb((field._raw_neg(field._one.value),), (form,))
-
-
 def _conjugate(field, forms):
     """The raw forms of conj(t), (u, v, -w)."""
     u, v, w = forms
-    return u, v, _negated(field, w)
+    return u, v, field._raw_comb((field._raw_neg(field._one.value),), (w,))
 
 
-def _match(field, t1, t2, target, swapped):
+def _match(field, t1, t2, k):
     """The match record of a proper move carrying the raw forms t1 onto
     t2's representation orbit, or None.
 
     The record is (field, move, t1, t2, c, b, c2, b2), with the raw move
     and the normal-form parameters that :func:`_witness_from` turns into a
-    verified witness.  ``target`` is t2's normal form and ``swapped`` that
-    of swap . t1 (see :func:`_records`).
-    The only reduction parameter that can match comes from
-    :func:`_parameter`; after it the plain swap is tried.
-
-    Normal forms are compared on (u', w') alone: on one curve u' is monic
-    and v' = (w'^2 - F) / u', so v' is never computed here.
+    verified witness.  The only reduction parameter that can match comes
+    from :func:`_parameter`; after it the plain swap is tried.  Each move
+    is tested by the cross-multiplied conditions of the module docstring
+    at k, the top index of U2, written out on the forms: the reduction's
+    (u, w) is (U1 + a^2 V1 - 2 a W1, W1 - a V1) and the swap's (V1, -W1),
+    whose w-condition is negated.
     """
-    u2, w2, c2, b2 = target
+    zero, one = field._zero.value, field._one.value
+    dot, mul, add, neg = field._raw_dot, field._raw_mul, field._raw_add, field._raw_neg
+    comb = field._raw_comb
+    U1, V1, W1 = t1
+    U2, _, W2 = t2
+    c2, b2 = U2[k], W2[k]
+    nil = [zero] * len(U1)
     a = _parameter(field, t1, t2)
     if a is not None:
-        u, _, w = _reduced_forms(field, *t1, a)
-        u, w, c, b = _normal_uw(field, u, w)
-        if u == u2 and w == w2:
+        # the reduced u and w at k
+        a2, two_a = mul(a, a), add(a, a)
+        c = dot((one, a2), (U1[k], V1[k]), (two_a,), (W1[k],))
+        b = dot((one,), (W1[k],), (a,), (V1[k],))
+        ca = neg(mul(c2, a))
+        if (c != zero
+                and comb((c2, mul(c2, a2), add(ca, ca), neg(c)), (U1, V1, W1, U2)) == nil
+                and comb((c2, ca, field._raw_sub(b2, b), neg(c2)), (W1, V1, U2, W2)) == nil):
             return field, _reduction_rows(field, a), t1, t2, c, b, c2, b2
-    u, w, c, b = swapped
-    if u == u2 and w == w2:
+    c, b = V1[k], neg(W1[k])
+    if (c != zero and comb((c2, neg(c)), (V1, U2)) == nil
+            and comb((c2, field._raw_sub(b, b2), c2), (W1, U2, W2)) == nil):
         return field, _swap_rows(field), t1, t2, c, b, c2, b2
     return None
 
 
 def _records(field, r1, r2):
     """The match records (or None) of the raw forms r1 onto r2 and then,
-    computed only when asked for, onto conj(r2).  The normal form of
-    conj(t2) is t2's with the shifted w and the shift negated."""
-    target = _normal_uw(field, r2[0], r2[2])
-    swapped = _normal_uw(field, r1[1], _negated(field, r1[2]))
-    yield _match(field, r1, r2, target, swapped)
-    u, w, c, b = target
-    yield _match(field, r1, _conjugate(field, r2),
-                 (u, _negated(field, w), c, field._raw_neg(b)), swapped)
+    computed only when asked for, onto conj(r2), which has the same U2."""
+    zero = field._zero.value
+    U2 = r2[0]
+    k = len(U2) - 1
+    while U2[k] == zero:
+        k -= 1
+    yield _match(field, r1, r2, k)
+    yield _match(field, r1, _conjugate(field, r2), k)
 
 
 def _parameter(field, t1, t2):
@@ -297,18 +287,22 @@ def same_class(t1, t2, extension=2):
         raise RationalsUnsupported(
             "the class search takes triples over QQ or a finite field")
     r1, r2 = t1._raw_forms(), t2._raw_forms()
-    if _gram_upper(field, *r1, 2) != _gram_upper(field, *r2, 2):
+    # twice S_02, 2 w0 w2 - u0 v2 - u2 v0, turns most unrelated pairs away
+    s1, s2 = (field._raw_dot((w[0], w[0]), (w[2], w[2]), (u[0], u[2]), (v[2], v[0]))
+              for u, v, w in (r1, r2))
+    if s1 != s2:
         return ClassRelation(KIND_DISTINCT, field=field, extension=extension)
-    witness, conj_witness = (None if record is None else _witness_from(record)
-                             for record in _records(field, r1, r2))
-    if witness is not None and conj_witness is not None:
-        kind = KIND_BOTH
-    elif witness is not None:
-        kind = KIND_EQUAL
-    elif conj_witness is not None:
-        kind = KIND_CONJ
+    records = _records(field, r1, r2)
+    record = next(records)
+    witness = None if record is None else _witness_from(record)
+    # rank 3 leaves no proper matrix onto conj(t2) once one goes onto t2
+    rank3 = witness is not None and _det_raw(field, [f[:3] for f in r1]) != field._zero.value
+    record = None if rank3 else next(records)
+    conj_witness = None if record is None else _witness_from(record)
+    if witness is None:
+        kind = KIND_DISTINCT if conj_witness is None else KIND_CONJ
     else:
-        kind = KIND_DISTINCT
+        kind = KIND_EQUAL if conj_witness is None else KIND_BOTH
     return ClassRelation(kind, witness, conj_witness, field, extension)
 
 

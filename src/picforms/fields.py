@@ -73,11 +73,13 @@ from .errors import (
 from .linalg import _row_reduce
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to every base in _MR_BASES
+_MR_LIMIT = 3317044064679887385961981
 
 
 def _is_prime(n):
     """Deterministic Miller-Rabin; the first 13 prime bases are exact for
-    every n below 3.3 * 10^24."""
+    every n below _MR_LIMIT."""
     if n < 2:
         return False
     for b in _MR_BASES:
@@ -417,6 +419,8 @@ class Field:
                 s = value if isinstance(value, Fraction) else Fraction(value)
             elif isinstance(value, int):
                 s = value % p
+            elif value.denominator % p == 0:
+                raise DivisionByZero("%s has no value in %s" % (value, self.label()))
             else:
                 s = value.numerator * pow(value.denominator, p - 2, p) % p
             return FieldElement(self, self._scalar(s))
@@ -695,6 +699,8 @@ def GF(p, m=1, modulus=None):
     """
     if p == 2:
         raise CharacteristicTwo("characteristic 2 is out of scope")
+    if p >= _MR_LIMIT:
+        raise ValueError("p must be below %d, where the primality test is exact" % _MR_LIMIT)
     if not _is_prime(p):
         raise ValueError("%d is not prime" % p)
     if m < 1:

@@ -94,8 +94,7 @@ def classify(rows, field=None):
 def _classify_raw(field, rows):
     """:func:`classify` on the raw values of a 3x3 matrix over ``field``."""
     dot = field._raw_dot
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
-    cols = ((a0, b0, c0), (a1, b1, c1), (a2, b2, c2))
+    cols = tuple(zip(*rows))
     # twice the six distinct entries of A^T Omega A, (i, j) being
     # 2 c_i c_j - (a_i b_j + b_i a_j), against twice those of Omega
     lhs = []
@@ -106,15 +105,21 @@ def _classify_raw(field, rows):
     zero, one = field.zero().value, field.one().value
     if lhs != [zero, field._raw_neg(one), zero, zero, zero, field._raw_add(one, one)]:
         return "not-orthogonal"
-    # the determinant by cofactors along the first row
-    m0 = dot((b1,), (c2,), (b2,), (c1,))
-    m1 = dot((b0,), (c2,), (b2,), (c0,))
-    m2 = dot((b0,), (c1,), (b1,), (c0,))
-    d = dot((a0, a2), (m0, m2), (a1,), (m1,))
+    d = _det_raw(field, rows)
     if d == one:
         return "proper"
     assert d == field._raw_neg(one)  # A* Omega A = Omega forces det = +-1
     return "improper"
+
+
+def _det_raw(field, rows):
+    """The determinant of a raw 3x3 matrix, by cofactors along row 0."""
+    dot = field._raw_dot
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
+    m0 = dot((b1,), (c2,), (b2,), (c1,))
+    m1 = dot((b0,), (c2,), (b2,), (c0,))
+    m2 = dot((b0,), (c1,), (b1,), (c0,))
+    return dot((a0, a2), (m0, m2), (a1,), (m1,))
 
 
 class OrthogonalMatrix:

@@ -14,7 +14,7 @@ matrix carrying one triple onto another with the same Gram matrix is
 The entries come from one raw kernel, ``_gram_upper``, which returns the
 upper triangle, or a band of it, as raw values: ``gram`` wraps and
 mirrors the triangle into a ``GramForm``, the Galois filter reads it
-unwrapped, and the class decision compares only the entries two or more
+unwrapped, and ``recover_transform`` compares only the entries two or more
 places off the diagonal, which decide the rest for triples on one curve.
 The diagonal split behind ``decompose`` also eliminates on raw values and
 wraps only the pieces it returns.

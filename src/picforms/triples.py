@@ -22,11 +22,10 @@ rational coefficient is one ``Fraction`` in lowest terms.
 building polynomials.
 
 A ``Triple`` holds ``FieldElement`` tuples.  The normal form has one
-kernel on raw value lists in two steps: ``_normal_uw`` scales u and
-shifts w, and ``_canonical_forms`` adds v on top of it.
-``canonicalize`` and ``canonicalize_with_matrix`` wrap the full form; the
-class decision (``picforms.equivalence``) compares normal forms by their
-u and w alone, which determine v for triples on one curve.
+kernel on raw value lists, ``_canonical_forms``, which
+``canonicalize``, ``canonicalize_with_matrix`` and the brute-force
+oracle of ``picforms.equivalence`` call; the class decision itself
+compares normal forms without computing them.
 """
 
 from __future__ import annotations
@@ -177,14 +176,13 @@ def canonicalize_with_matrix(t):
     return Triple(t.curve, field, *map(field._wrap, forms)), m
 
 
-def _normal_uw(field, u, w):
-    """The u and w of the scale-and-shift normal form of raw form lists
-    over ``field`` (no validation), and its parameters.
+def _canonical_forms(field, u, v, w):
+    """The scale-and-shift normal form of raw form lists over ``field``
+    (no validation): ((u', v', w'), c, b), all raw.
 
-    Returns (u', w', c, b), all raw: c is the top coefficient of u that
-    the scaling divides out, b the coefficient of w that the shift zeroes.
-    On one curve they determine the normal form: u' is monic and
-    v' = (w'^2 - F) / u'.  Each new form is one vector-kernel call.
+    c is the top coefficient of u that the scaling divides out, and b the
+    coefficient of w that the shift zeroes; u' = u / c, w' = w - b u' and
+    v' = c v + b^2 u' - 2 b w, one vector-kernel call per new form.
     """
     zero, one = field._zero.value, field._one.value
     top = len(u) - 1
@@ -192,26 +190,15 @@ def _normal_uw(field, u, w):
         top -= 1
     c = u[top]
     comb = field._raw_comb
-    if c != one:
-        u = comb((field._raw_inv(c),), (u,))
+    nu = comb((field._raw_inv(c),), (u,)) if c != one else u
     b = w[top]
     if b != zero:
-        w = comb((one, field._raw_neg(b)), (w, u))
-    return u, w, c, b
-
-
-def _canonical_forms(field, u, v, w):
-    """The scale-and-shift normal form of raw form lists over ``field``
-    (no validation): ((u', v', w'), c, b), all raw, with u', w', c and b
-    from :func:`_normal_uw` and v' = c v + b^2 u' - 2 b w, one
-    vector-kernel call."""
-    nu, nw, c, b = _normal_uw(field, u, w)
-    if b != field._zero.value:
         b_2 = field._raw_neg(field._raw_add(b, b))
-        v = field._raw_comb((c, field._raw_mul(b, b), b_2), (v, nu, w))
-    elif c != field._one.value:
-        v = field._raw_comb((c,), (v,))
-    return (nu, v, nw), c, b
+        v = comb((c, field._raw_mul(b, b), b_2), (v, nu, w))
+        w = comb((one, field._raw_neg(b)), (w, nu))
+    elif c != one:
+        v = comb((c,), (v,))
+    return (nu, v, w), c, b
 
 
 def canonicalize(t):

@@ -276,6 +276,16 @@ def test_curve_validate_large_prime(files):
     assert payload["valid"] is True
 
 
+def test_curve_over_unprovable_prime_is_an_input_error(files):
+    # a strong pseudoprime to every base of the primality test
+    p = 3317044064679887385961981
+    curve = {"field": {"p": p, "m": 1}, "coeffs": [[p - 1], [0], [0], [0], [1]]}
+    code, payload = run_command(["curve-validate", "--curve", files("c.json", curve)])
+    assert code == EXIT_INPUT
+    assert payload["error"]["kind"] == "InputError"
+    assert "below %d" % p in payload["error"]["detail"]
+
+
 def test_parser_built_once():
     assert cli._parser() is cli._parser()
 

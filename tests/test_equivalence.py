@@ -8,8 +8,9 @@ import sys
 
 import pytest
 
-from conftest import rational_triples
+from conftest import det, rational_triples, seeded_curve
 
+from picforms import equivalence
 from picforms.curves import make_curve
 from picforms.errors import RationalsUnsupported
 from picforms.fields import GF, QQ, FieldElement
@@ -159,6 +160,56 @@ def test_oracle_distinct_gram(curve_f5a):
     assert same_class(t1, t2).kind == KIND_DISTINCT
 
 
+def test_rank3_match_skips_the_conjugate_search(monkeypatch, curve_q, triple_a, triple_b,
+                                                curve_f5b, curve_f7):
+    # once t1's first three columns are independent and the direct search
+    # matched, only an improper matrix goes onto conj(t2)
+    calls = []
+    match = equivalence._match
+
+    def counted(*args):
+        calls.append(1)
+        return match(*args)
+
+    monkeypatch.setattr(equivalence, "_match", counted)
+    t3 = make_triple(curve_q, (-1, 1, 0), (-1, -1, -2), (0, -1, 1))
+    # the worked triples have rank 2, so both searches run
+    for t1, t2, kind, searches in ((triple_a, triple_b, KIND_BOTH, 2), (t3, t3, KIND_EQUAL, 1),
+                                   (t3, conjugate(t3), KIND_CONJ, 2)):
+        del calls[:]
+        assert same_class(t1, t2).kind == kind
+        assert len(calls) == searches
+    rng = random.Random(44)
+    for curve in (curve_f5b, curve_f7):
+        field = curve.field
+        skipped = 0
+        for _ in range(12):
+            t1 = random_triple(curve, field, rng)
+            t2 = act(random_proper_word(field, rng), t1)
+            rank3 = det([f[:3] for f in (t1.u, t1.v, t1.w)], field) != field.zero()
+            del calls[:]
+            assert same_class(t1, t2).kind == orbit_oracle(t1, t2)
+            assert len(calls) == (1 if rank3 else 2)
+            skipped += rank3
+        assert 0 < skipped
+
+
+def test_equal_s02_and_different_gram_is_distinct(curve_f7):
+    # same_class compares only the Gram entry S_02 before it searches; in
+    # genus 1 that entry is the whole invariant, so the curves have genus 2
+    rng = random.Random(45)
+    for curve in (seeded_curve(F5, 2, 45), curve_f7):
+        field = curve.field
+        found = 0
+        for _ in range(300):
+            t1, t2 = random_triple(curve, field, rng), random_triple(curve, field, rng)
+            g1, g2 = gram(t1), gram(t2)
+            if g1.entries[0][2] == g2.entries[0][2] and g1 != g2:
+                found += 1
+                assert same_class(t1, t2).kind == orbit_oracle(t1, t2) == KIND_DISTINCT
+        assert found >= 5
+
+
 def _gram_views_agree(t1, t2):
     """Whether t1 and t2 have equal Gram matrices, after checking that the
     full matrix, its band j >= i + 2 and the class decision all agree."""
@@ -305,7 +356,8 @@ def test_witness_over_triples_field(curve_f5b):
             assert wit is None or wit.field is F5
 
 
-def test_class_sweep_bytes_pinned(capsys):
+@pytest.mark.parametrize("seed", [1, 2])
+def test_class_sweep_bytes_pinned(capsys, seed):
     # every verdict, witness, conjugate witness and search domain of the
     # 2300-pair seeded sweep, pinned by the SHA-256 of its output
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -313,9 +365,9 @@ def test_class_sweep_bytes_pinned(capsys):
         "class_sweep", os.path.join(root, "tools", "class_sweep.py"))
     sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sweep)
-    assert sweep.main(["--seed", "1"]) == 0
+    assert sweep.main(["--seed", str(seed)]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    with open(os.path.join(root, "tests", "fixtures", "class_sweep_seed1.sha256")) as fh:
+    with open(os.path.join(root, "tests", "fixtures", "class_sweep_seed%d.sha256" % seed)) as fh:
         assert digest == fh.read().split()[0]
 
 

@@ -53,6 +53,10 @@ def test_division_identity_and_zero():
         F5.elem(1) / F5.elem(0)
     with pytest.raises(DivisionByZero):
         F25.one() / F25.zero()
+    # a rational whose denominator p divides has no value mod p
+    for field, x in ((F5, Fraction(1, 5)), (F5, Fraction(3, 10)), (GF(5, 2), Fraction(1, 5))):
+        with pytest.raises(DivisionByZero):
+            field.elem(x)
 
 
 def test_descriptor_mismatch():
@@ -225,6 +229,15 @@ def test_is_prime_large_inputs():
     assert not _is_prime(3215031751)
     assert _is_prime(2 ** 61 - 1)
     assert not _is_prime((2 ** 31 - 1) * (2 ** 61 - 1))
+
+
+def test_gf_refuses_p_beyond_the_exact_primality_test():
+    # 1287836182261 * 2575672364521 passes Miller-Rabin for all 13 bases
+    psi13 = 1287836182261 * 2575672364521
+    assert _is_prime(psi13)
+    for p in (psi13, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match="below"):
+            GF(p)
 
 
 def test_fields_are_interned():

@@ -13,9 +13,10 @@ from picforms.errors import (
     RationalsUnsupported,
     ZeroScale,
 )
-from picforms.fields import GF, QQ
+from picforms.fields import GF, QQ, FieldElement
 from picforms.ortho import (
     OrthogonalMatrix,
+    _det_raw,
     classify,
     enumerate_special_orthogonal,
     flip_matrix,
@@ -86,6 +87,9 @@ def test_classification_examples():
             assert m.proper == (classify(rows) == "proper")
             rows[rng.randrange(3)][rng.randrange(3)] += rng.randrange(1, 5)
             assert classify(rows) == _dense_classify(rows, field)
+            # the shared cofactor determinant on a matrix that is not orthogonal
+            raw = _det_raw(field, [field.values(r) for r in rows])
+            assert FieldElement(field, raw) == det(rows, field)
 
 
 def test_classify_rejects_entries_of_another_field():

@@ -6,12 +6,13 @@ interpreter found.
 Looks for ``python3.N`` (N >= 10) on PATH and for every
 ``<pyenv root>/versions/*/bin/python3`` (the pyenv root is $PYENV_ROOT,
 or ~/.pyenv), skipping pyenv shims and duplicates of one executable.
-Each interpreter runs ``tools/class_sweep.py --seed 1`` and
-``tools/sampler_digest.py --seed 1`` against this checkout's
-``src`` and gets one line per tool: its version, its path, the tool, the
-SHA-256 of the tool's output, and whether that matches the digest pinned
-in ``tests/fixtures/``.  Both tools need nothing beyond the standard
-library, so no test dependency has to be installed.
+Each interpreter runs ``tools/class_sweep.py --seed 1`` and ``--seed 2``
+and ``tools/sampler_digest.py --seed 1`` against this checkout's
+``src`` and gets one line per run: its version, its path, the tool and
+its arguments, the SHA-256 of the tool's output, and whether that
+matches the digest pinned in ``tests/fixtures/``.  Both tools need
+nothing beyond the standard library, so no test dependency has to be
+installed.
 
 Exit status: 0 when every interpreter matches, 1 when one differs or
 fails, 2 when none is found.
@@ -30,6 +31,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # (tool, its arguments, the pinned SHA-256 of its output)
 CHECKS = (
     ("class_sweep.py", ["--seed", "1"], "class_sweep_seed1.sha256"),
+    ("class_sweep.py", ["--seed", "2"], "class_sweep_seed2.sha256"),
     ("sampler_digest.py", ["--seed", "1"], "sampler_draws_seed1.sha256"),
 )
 MIN_MINOR = 10
@@ -84,24 +86,24 @@ def output_digest(path, tool, args):
 
 def main():
     pinned = {}
-    for tool, _, fixture in CHECKS:
+    for _, _, fixture in CHECKS:
         with open(os.path.join(ROOT, "tests", "fixtures", fixture)) as fh:
-            pinned[tool] = fh.read().split()[0]
+            pinned[fixture] = fh.read().split()[0]
     found = interpreters()
     if not found:
         print("no Python 3.%d+ interpreter found" % MIN_MINOR)
         return 2
     status = 0
     for version, path in found:
-        for tool, args, _ in CHECKS:
-            label = "%d.%d.%d %s %s" % (version + (path, tool))
+        for tool, args, fixture in CHECKS:
+            label = "%d.%d.%d %s %s" % (version + (path, " ".join([tool] + args)))
             try:
                 digest = output_digest(path, tool, args)
             except (OSError, RuntimeError, subprocess.TimeoutExpired) as exc:
                 print("%s failed: %s" % (label, exc))
                 status = 1
                 continue
-            match = digest == pinned[tool]
+            match = digest == pinned[fixture]
             print("%s %s %s" % (label, digest, "matches" if match else "DIFFERS"))
             status = status or (0 if match else 1)
     return status
