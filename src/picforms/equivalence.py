@@ -27,28 +27,45 @@ b = w_k, c2 = u2_k and b2 = w2_k, iff c != 0, c2 u - c u2 = 0 and
 c2 (w - w2) - (b - b2) u2 = 0, since on one curve u and w fix
 v = (w^2 - F) / u.  Each condition is one vector-kernel call on the
 forms of t1 and t2 with the move written out, and the second runs only
-when the first holds; no moved triple, normal form or inverse is
-computed.  The reduction parameter is the root of the first
-non-constant minor of these conditions, all of degree <= 1 in it (the
-lemma at :func:`_parameter`), so it lies in the triples' own field over
-QQ and GF(q) alike.  A match record holds (c, b) and (c2, b2); the
-witness is assembled from it only when it is returned, over that field
-too, and the search domain named by ``same_class(..., extension=...)``
-is reported with the verdict but cannot change it.
+when the first holds; no moved triple or normal form is computed.  The
+reduction parameter is the root a = -c0 / c1 of the first non-constant
+minor c0 + c1 a of these conditions, all of degree <= 1 in it (the lemma
+at :func:`_parameter`), so it lies in the triples' own field over QQ and
+GF(q) alike, and the search domain named by
+``same_class(..., extension=...)`` is reported with the verdict but
+cannot change it.
+
+The decision is division-free.  The parameter stays the pair (c0, c1),
+and the move is the reduction matrix homogenised by s = c1^2, rows
+(s, c0^2, 2 c0 c1), (0, s, 0) and (0, c0 c1, s) (the swap has s = 1);
+the conditions are tested on s (u, w).  A match record holds s, the
+moved c, d = b - s b2 and c2, and :func:`_witness_from` writes the
+witness out in closed form as e R, e = s^2 c c2, only when it is
+returned.  Over a field one inverse of e turns it into R.
+
+Over QQ both triples are first multiplied by one common denominator D.
+The action is linear, so this changes neither the verdict nor the
+witness, and the whole decision runs on the integer kernel
+:data:`picforms.fields.ZZ` (the GF(p) sums without the reduction mod p):
+no ``Fraction`` is built until the returned entries (e R)_ij / e, which
+are checked exactly beforehand, through R^T Omega R = e^2 Omega,
+det R = e^3 and R t1 = e t2.
 
 ``same_class`` takes two shortcuts.  A match forces equal Gram matrices
-and the records decide completely, so one Gram entry, S_02, serves only
-to turn most unrelated pairs away early (``recover_transform``, which
-reports a mismatch, compares the entries with j >= i + 2, the whole
-invariant on one curve; see :func:`picforms.quadform._gram_upper`).  And
-when the first three columns of t1 have a nonzero determinant, only the
-identity fixes t1, so after a proper A onto t2 the one matrix onto
-conj(t2) is flip . A, which is improper: the conjugate search is skipped.
+and the records decide completely, so one Gram entry, twice S_02, serves
+only to turn most unrelated pairs away early (``recover_transform``,
+which reports a mismatch, compares twice the entries with j >= i + 2,
+the whole invariant on one curve; see
+:func:`picforms.quadform._twice_gram_band`).  And when the first three
+columns of t1 have a nonzero determinant, only the identity fixes t1, so
+after a proper A onto t2 the one matrix onto conj(t2) is flip . A, which
+is improper: the conjugate search is skipped.
 
 Values are raw from start to finish: every decision reads each triple's
-raw coefficient lists once (``Triple._raw_forms``) and runs on the
-field's sum-of-products kernel and its vector form; ``FieldElement``
-values are built only for the witness matrices that are returned.
+raw coefficient lists once (``Triple._raw_forms``) and runs on one
+sum-of-products kernel and its vector form, the field's own or, over QQ,
+the integers'; ``FieldElement`` values are built only for the witness
+matrices that are returned.
 
 ``orbit_oracle`` is the independent brute-force check: it exhausts the
 full enumerated proper group over a small field.
@@ -58,9 +75,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 from .errors import GramMismatch, RationalsUnsupported, SearchExhausted, WitnessRejected
-from .fields import Field, common_field, embed
+from .fields import QQ, ZZ, Field, common_field, embed
 from .linalg import _mat_mul_raw
 from .ortho import (
     OrthogonalMatrix,
@@ -73,7 +92,7 @@ from .ortho import (
     reduction_matrix,
     swap_matrix,
 )
-from .quadform import _gram_upper
+from .quadform import _twice_gram_band
 from .triples import _canonical_forms, act
 
 KIND_EQUAL = "equal"
@@ -122,29 +141,47 @@ def _witness_from(record, flip=False):
     """The proper witness behind a match record, verified once; with
     ``flip``, the flip (u, v, w) -> (u, v, -w) times it.
 
-    In the record (field, move, t1, t2, c, b, c2, b2) of :func:`_match`,
-    (c, b) and (c2, b2) are the normal-form parameters of move . t1 and of
-    t2: canonicalising applies shift(b) scale(1/c), and shifts compose
-    additively, so the witness is scale(c2) shift(b - b2) scale(1/c) @ move.
-    It is checked on raw rows to be proper and to map t1 to t2 exactly;
-    only the returned matrix is built from field elements.
+    In the record (kernel, move, t1, t2, s, c, d, c2) of :func:`_match`,
+    the move is s times a proper matrix M, (c, b) are the normal-form
+    parameters of move . t1, c2 and b2 those of t2, and d = b - s b2.
+    Canonicalising applies shift(b) scale(1/c), and shifts compose
+    additively, so the witness is
+    R = scale(c2) shift(b / s - b2) scale(s / c) . M.  Written out,
+    e R = undo . move with e = s^2 c c2 and
+
+        undo = ((s^2 c2^2, 0, 0), (d^2, c^2, -2 d c), (-d s c2, 0, s c c2)),
+
+    three vector-kernel calls on the rows of the move, and no division.
+    Over a field the six undo entries are first multiplied by 1/e, so R
+    itself is checked: R^T Omega R = Omega, det R = 1 and R t1 = t2.  On
+    the integer kernel e R is checked against e^2 Omega, e^3 and e t2, and
+    each returned entry is the rational (e R)_ij / e.
     """
-    field, move, t1, t2, c, b, c2, b2 = record
-    mul, neg = field._raw_mul, field._raw_neg
-    zero, one = field._zero.value, field._one.value
-    ci, c2i = field._raw_inv(c), field._raw_inv(c2)
-    d = field._raw_sub(b, b2)
-    undo = ((mul(c2, ci), zero, zero),
-            (mul(mul(mul(d, d), ci), c2i), mul(c, c2i), neg(mul(field._raw_add(d, d), c2i))),
-            (neg(mul(d, ci)), zero, one))
-    rows = _mat_mul_raw(field, undo, move)
-    if _classify_raw(field, rows) != "proper":
+    field, move, t1, t2, s, c, d, c2 = record
+    mul, neg, comb = field._raw_mul, field._raw_neg, field._raw_comb
+    sc2 = mul(s, c2)
+    undo = (mul(sc2, sc2), mul(d, d), mul(c, c), neg(mul(field._raw_add(d, d), c)),
+            neg(mul(d, sc2)), mul(c, sc2))
+    e = mul(undo[5], s)
+    if field is ZZ:
+        t2 = tuple([comb((e,), (f,)) for f in t2])
+    else:
+        ei = field._raw_inv(e)
+        undo = [mul(x, ei) for x in undo]
+        e = None
+    # undo . move, for undo = ((x0, 0, 0), (x1, x2, x3), (x4, 0, x5))
+    x0, x1, x2, x3, x4, x5 = undo
+    m0, _, m2 = move
+    rows = (comb((x0,), (m0,)), comb((x1, x2, x3), move), comb((x4, x5), (m0, m2)))
+    if _classify_raw(field, rows, e) != "proper":
         raise WitnessRejected("the assembled witness is not proper")
     if _mat_mul_raw(field, rows, t1) != t2:
         raise WitnessRejected("the assembled witness does not carry t1 onto t2")
     if flip:
         rows = (rows[0], rows[1], [neg(x) for x in rows[2]])
-    return _wrap_rows(field, rows, not flip)
+    if e is None:
+        return _wrap_rows(field, rows, not flip)
+    return _wrap_rows(QQ, [[Fraction(x, e) for x in row] for row in rows], not flip)
 
 
 def _conjugate(field, forms):
@@ -157,37 +194,40 @@ def _match(field, t1, t2, k):
     """The match record of a proper move carrying the raw forms t1 onto
     t2's representation orbit, or None.
 
-    The record is (field, move, t1, t2, c, b, c2, b2), with the raw move
-    and the normal-form parameters that :func:`_witness_from` turns into a
-    verified witness.  The only reduction parameter that can match comes
-    from :func:`_parameter`; after it the plain swap is tried.  Each move
-    is tested by the cross-multiplied conditions of the module docstring
-    at k, the top index of U2, written out on the forms: the reduction's
-    (u, w) is (U1 + a^2 V1 - 2 a W1, W1 - a V1) and the swap's (V1, -W1),
-    whose w-condition is negated.
+    The record is (kernel, move, t1, t2, s, c, d, c2), with the raw move
+    scaled by s and the normal-form data that :func:`_witness_from` turns
+    into a verified witness.  The only reduction parameter that can match,
+    -c0 / c1, comes from :func:`_parameter`; the move is the reduction
+    homogenised by s = c1^2, with rows (s, c0^2, 2 c0 c1), (0, s, 0) and
+    (0, c0 c1, s).  After it the plain swap is tried, with s = 1.  Each
+    move is tested by the cross-multiplied conditions of the module
+    docstring at k, the top index of U2, written out on the forms: for the
+    moved (u', w') = s (u, w), with c' = u'_k and d = w'_k - s b2, they
+    read c2 u' - c' U2 = 0 and c2 (w' - s W2) - d U2 = 0.  The swap's
+    (u', w') is (V1, -W1), and its w-condition is negated.
     """
     zero, one = field._zero.value, field._one.value
-    dot, mul, add, neg = field._raw_dot, field._raw_mul, field._raw_add, field._raw_neg
-    comb = field._raw_comb
+    dot, mul, neg, comb = field._raw_dot, field._raw_mul, field._raw_neg, field._raw_comb
     U1, V1, W1 = t1
     U2, _, W2 = t2
     c2, b2 = U2[k], W2[k]
     nil = [zero] * len(U1)
-    a = _parameter(field, t1, t2)
-    if a is not None:
-        # the reduced u and w at k
-        a2, two_a = mul(a, a), add(a, a)
-        c = dot((one, a2), (U1[k], V1[k]), (two_a,), (W1[k],))
-        b = dot((one,), (W1[k],), (a,), (V1[k],))
-        ca = neg(mul(c2, a))
-        if (c != zero
-                and comb((c2, mul(c2, a2), add(ca, ca), neg(c)), (U1, V1, W1, U2)) == nil
-                and comb((c2, ca, field._raw_sub(b2, b), neg(c2)), (W1, V1, U2, W2)) == nil):
-            return field, _reduction_rows(field, a), t1, t2, c, b, c2, b2
-    c, b = V1[k], neg(W1[k])
+    pair = _parameter(field, t1, t2)
+    if pair is not None:
+        c0, c1 = pair
+        s, c0c0, c0c1 = mul(c1, c1), mul(c0, c0), mul(c0, c1)
+        c0c1x2 = field._raw_add(c0c1, c0c1)
+        c = dot((s, c0c0, c0c1x2), (U1[k], V1[k], W1[k]), (), ())
+        if c != zero:
+            c2s = mul(c2, s)
+            d = dot((c0c1, s), (V1[k], W1[k]), (s,), (b2,))
+            if (comb((c2s, mul(c2, c0c0), mul(c2, c0c1x2), neg(c)), (U1, V1, W1, U2)) == nil
+                    and comb((mul(c2, c0c1), c2s, neg(c2s), neg(d)), (V1, W1, W2, U2)) == nil):
+                return field, _reduction_rows(field, c0, c1), t1, t2, s, c, d, c2
+    c, d = V1[k], neg(field._raw_add(W1[k], b2))
     if (c != zero and comb((c2, neg(c)), (V1, U2)) == nil
-            and comb((c2, field._raw_sub(b, b2), c2), (W1, U2, W2)) == nil):
-        return field, _swap_rows(field), t1, t2, c, b, c2, b2
+            and comb((c2, d, c2), (W1, U2, W2)) == nil):
+        return field, _swap_rows(field), t1, t2, one, c, d, c2
     return None
 
 
@@ -204,16 +244,16 @@ def _records(field, r1, r2):
 
 
 def _parameter(field, t1, t2):
-    """The one reduction parameter that can carry the raw forms t1 onto
-    t2's representation orbit, as a raw value, or None when no parameter
-    can.
+    """The one reduction parameter a = -c0 / c1 that can carry the raw
+    forms t1 onto t2's representation orbit, as the raw pair (c0, c1) with
+    c1 != 0, or None when no parameter can.  No inverse is taken.
 
     A match needs U1 + a^2 V1 - 2 a W1 and W1 - a V1 - W2 to be multiples
     of U2.  For an index k with U2_k != 0, a form f is a multiple of U2
     iff its n - 1 minors f_i U2_k - f_k U2_i (i != k) vanish, so these
     minors are the whole constraint.  The first minor with a nonzero
-    a-coefficient gives the candidate a = -c0 / c1; a nonzero constant
-    minor rules every parameter out.
+    a-coefficient c1 gives the candidate, the root of c0 + c1 a; a nonzero
+    constant minor rules every parameter out.
 
     Lemma.  The linear minors (of W1 - W2 - a V1) are scanned first.  If
     they all vanish, V1 = lambda U2 and W1 - W2 = mu U2, so the a^2 term
@@ -238,23 +278,19 @@ def _parameter(field, t1, t2):
     k = next(i for i, x in enumerate(U2) if x != zero)
     uk = U2[k]
     others = [i for i in range(len(U2)) if i != k]
-
-    def root(c0, c1):
-        return field._raw_neg(field._raw_mul(c0, field._raw_inv(c1)))
-
     dk = field._raw_sub(W1[k], W2[k])
     for i in others:
         c0 = dot((W1[i],), (uk,), (W2[i], dk), (uk, U2[i]))
         c1 = dot((V1[k],), (U2[i],), (V1[i],), (uk,))
         if c1 != zero:
-            return root(c0, c1)
+            return c0, c1
         if c0 != zero:
             return None
     for i in others:
         c0 = dot((U1[i],), (uk,), (U1[k],), (U2[i],))
         c1 = dot((W1[k], W1[k]), (U2[i], U2[i]), (W1[i], W1[i]), (uk, uk))
         if c1 != zero:
-            return root(c0, c1)
+            return c0, c1
         if c0 != zero:
             return None
     # excluded by the lemma; reported rather than guessed
@@ -269,6 +305,22 @@ def _on_common_field(t1, t2):
         field = common_field(t1.field, t2.field)
         t1, t2 = t1.embedded(field), t2.embedded(field)
     return t1, t2
+
+
+def _decision_forms(t1, t2):
+    """(kernel, r1, r2): the kernel and raw forms the class decision runs
+    on.  Over QQ that is the integer kernel, on the forms of t1 and t2
+    times one common denominator D; the action is linear, so scaling both
+    triples by D changes neither the verdict nor the witness.  Any other
+    field decides on its own kernel and raw forms."""
+    field = t1.field
+    r1, r2 = t1._raw_forms(), t2._raw_forms()
+    if field is not QQ:
+        return field, r1, r2
+    ratios = [[x.as_integer_ratio() for x in f] for f in r1 + r2]
+    D = lcm(*[q for f in ratios for _, q in f])
+    forms = [[n * (D // q) for n, q in f] for f in ratios]
+    return ZZ, forms[:3], forms[3:]
 
 
 def same_class(t1, t2, extension=2):
@@ -286,17 +338,17 @@ def same_class(t1, t2, extension=2):
     if field.p is None and field.m > 1:
         raise RationalsUnsupported(
             "the class search takes triples over QQ or a finite field")
-    r1, r2 = t1._raw_forms(), t2._raw_forms()
+    kernel, r1, r2 = _decision_forms(t1, t2)
     # twice S_02, 2 w0 w2 - u0 v2 - u2 v0, turns most unrelated pairs away
-    s1, s2 = (field._raw_dot((w[0], w[0]), (w[2], w[2]), (u[0], u[2]), (v[2], v[0]))
+    s1, s2 = (kernel._raw_dot((w[0], w[0]), (w[2], w[2]), (u[0], u[2]), (v[2], v[0]))
               for u, v, w in (r1, r2))
     if s1 != s2:
         return ClassRelation(KIND_DISTINCT, field=field, extension=extension)
-    records = _records(field, r1, r2)
+    records = _records(kernel, r1, r2)
     record = next(records)
     witness = None if record is None else _witness_from(record)
     # rank 3 leaves no proper matrix onto conj(t2) once one goes onto t2
-    rank3 = witness is not None and _det_raw(field, [f[:3] for f in r1]) != field._zero.value
+    rank3 = witness is not None and _det_raw(kernel, [f[:3] for f in r1]) != kernel._zero.value
     record = None if rank3 else next(records)
     conj_witness = None if record is None else _witness_from(record)
     if witness is None:
@@ -315,11 +367,10 @@ def recover_transform(t1, t2):
     triples' common field, and in rank 3 it is the unique such matrix.
     """
     t1, t2 = _on_common_field(t1, t2)
-    field = t1.field
-    r1, r2 = t1._raw_forms(), t2._raw_forms()
-    if _gram_upper(field, *r1, 2) != _gram_upper(field, *r2, 2):
+    kernel, r1, r2 = _decision_forms(t1, t2)
+    if _twice_gram_band(kernel, *r1) != _twice_gram_band(kernel, *r2):
         raise GramMismatch("the triples have different Gram matrices")
-    records = _records(field, r1, r2)
+    records = _records(kernel, r1, r2)
     record = next(records)
     if record is not None:
         return _witness_from(record)

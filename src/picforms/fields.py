@@ -12,13 +12,17 @@ A ``Field`` describes one coefficient domain:
 
 Fields are interned, so requesting the same parameters twice returns the
 same object; fields compare by identity, and element equality never
-crosses descriptors silently.
+crosses descriptors silently.  :func:`GF` validates each request (the
+primality test, the degree, the modulus) once and looks up a repeated one
+before any check.
 Elements are immutable and hashable; every operation is exact.  There is
 no floating point anywhere in this package.
 
 Square roots, irreducibility tests, roots and subfield coordinates are
 polylogarithmic in the field order, so any field size works; only the
 explicit enumerations (``Field.elements`` and its callers) are O(q).
+Over a quadratic extension of QQ a square root comes from the norm, two
+rational square roots.
 
 Element values are kept in canonical form: ``Fraction`` in lowest terms,
 integers reduced into [0, p), coefficient tuples of length m for
@@ -38,7 +42,10 @@ denominator as Python ints and builds one ``Fraction``; over GF(p) it
 sums int products and takes one ``% p``; over an extension, GF(p^m) or
 QQ(sqrt d), it accumulates the unreduced convolutions and reduces once by
 the modulus, and by p in a finite field.  Each call therefore normalises
-once, and its value is in the canonical form above.
+once, and its value is in the canonical form above.  The integers have
+a kernel of the same shape, ``ZZ``: the GF(p) sums without the reduction
+mod p, and no inverse.  It is not a field; the class decision over QQ
+runs on it, on forms cleared of their denominators.
 
 Linear combinations of vectors go through its vector form,
 ``Field._raw_comb(cs, vs)``, the list of sums cs[0] vs[0][i] + cs[1]
@@ -60,7 +67,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from math import isqrt
-from operator import mul
+from operator import add, mul, neg, sub
 
 from .errors import (
     CharacteristicTwo,
@@ -507,25 +514,49 @@ class Field:
             self._ts = (s, t, zs)
         return self._ts
 
+    def _quadratic_sqrt(self, a):
+        """A square root of the raw value a = x + y T of QQ[T]/(T^2 + c1 T + c0),
+        or None.
+
+        With S = T + c1/2, S^2 = n = c1^2/4 - c0 and a = X + y S, X = x - y c1/2.
+        A root u + v S has u^2 + n v^2 = X and 2 u v = y.  For y = 0 it is
+        sqrt(X), or sqrt(X / n) S.  Otherwise N = X^2 - n y^2 = (u^2 - n v^2)^2
+        is a rational square, u^2 is one of (X +- sqrt N) / 2, and v = y / (2 u).
+        The root returned has its first nonzero coefficient positive.
+        """
+        c0, c1 = self.modulus[0], self.modulus[1]
+        x, y = a
+        h = c1 / 2
+        n = h * h - c0
+        X = x - y * h
+        if y:
+            r = _rational_sqrt(X * X - n * y * y)
+            u = r is not None and (_rational_sqrt((X + r) / 2) or _rational_sqrt((X - r) / 2))
+            if not u:
+                return None
+            v = y / (2 * u)
+        else:
+            u, v = _rational_sqrt(X), y
+            if u is None:
+                u, v = Fraction(0), _rational_sqrt(X / n)
+                if v is None:
+                    return None
+        root = (u + v * h, v)
+        return root if root > (0, 0) else (-root[0], -v)
+
     def sqrt(self, e):
         """A canonical square root of e, or None if e is not a square here.
 
         Finite fields use Tonelli-Shanks, polylogarithmic in the order, so
         any field size works; the canonical choice is the root with the
-        smaller element index.
+        smaller element index.  Over QQ and its quadratic extensions the
+        canonical root is the one whose first nonzero coefficient is
+        positive (see :meth:`_quadratic_sqrt`).
         """
         e = self.elem(e)
         if self.p is None:
-            if self.m > 1:
-                return None  # square roots inside QQ extensions are out of scope
-            v = e.value
-            if v < 0:
-                return None
-            n, d = v.numerator, v.denominator
-            rn, rd = isqrt(n), isqrt(d)
-            if rn * rn == n and rd * rd == d:
-                return FieldElement(self, Fraction(rn, rd))
-            return None
+            root = _rational_sqrt(e.value) if self.m == 1 else self._quadratic_sqrt(e.value)
+            return None if root is None else FieldElement(self, root)
         a = e.value
         if a == self._zero.value:
             return e
@@ -550,6 +581,17 @@ class Field:
             return FieldElement(self, min(x, y))
         # the index c0 + c1 p + ... compares as the reversed coefficient tuple
         return FieldElement(self, min(x, y, key=lambda r: r[::-1]))
+
+
+def _rational_sqrt(v):
+    """The nonnegative square root of the Fraction v, or None."""
+    if v < 0:
+        return None
+    n, d = v.numerator, v.denominator
+    rn, rd = isqrt(n), isqrt(d)
+    if rn * rn == n and rd * rd == d:
+        return Fraction(rn, rd)
+    return None
 
 
 class FieldElement:
@@ -690,13 +732,47 @@ def _make_field(p, m, modulus):
 QQ = _make_field(None, 1, None)
 
 
+class _Integers:
+    """The integers as a raw kernel: the sums of products of GF(p) without
+    the reduction mod p, and no inverse.  It is not a field and is not
+    interned with them; the class decision over QQ runs on it, on forms
+    cleared of their denominators (see :mod:`picforms.equivalence`)."""
+
+    __slots__ = ("_zero", "_one")
+
+    _raw_add, _raw_sub, _raw_neg, _raw_mul = add, sub, neg, mul
+
+    def __init__(self):
+        self._zero = FieldElement(self, 0)
+        self._one = FieldElement(self, 1)
+
+    @staticmethod
+    def _raw_dot(xs, ys, xs2, ys2):
+        return sum(map(mul, xs, ys)) - sum(map(mul, xs2, ys2))
+
+    @staticmethod
+    def _raw_comb(cs, vs):
+        return [sum(map(mul, cs, col)) for col in zip(*vs)]
+
+
+ZZ = _Integers()
+
+# every GF() request that passed validation, by its arguments
+_GF_FIELDS = {}
+
+
 def GF(p, m=1, modulus=None):
     """The finite field GF(p^m), with an optional explicit monic modulus.
 
     The modulus is verified irreducible by Rabin's test.  Without one,
     the deterministic default (lowest coefficient tuple) is used so that
-    element encodings are reproducible across runs.
+    element encodings are reproducible across runs.  Each request is
+    validated once; a repeated one returns the interned field at once.
     """
+    key = (p, m, modulus if modulus is None else tuple(modulus))
+    field = _GF_FIELDS.get(key)
+    if field is not None:
+        return field
     if p == 2:
         raise CharacteristicTwo("characteristic 2 is out of scope")
     if p >= _MR_LIMIT:
@@ -706,8 +782,8 @@ def GF(p, m=1, modulus=None):
     if m < 1:
         raise ValueError("extension degree must be >= 1")
     if m == 1:
-        return _make_field(p, 1, None)
-    if modulus is None:
+        mod = None
+    elif modulus is None:
         mod = _default_modulus(p, m)
     else:
         mod = tuple(int(c) % p for c in modulus)
@@ -715,7 +791,8 @@ def GF(p, m=1, modulus=None):
             raise ValueError("modulus must be monic of degree m")
         if not _is_irreducible(mod, p):
             raise ValueError("modulus is reducible over GF(%d)" % p)
-    return _make_field(p, m, mod)
+    field = _GF_FIELDS[key] = _make_field(p, m, mod)
+    return field
 
 
 def rational_extension(modulus):

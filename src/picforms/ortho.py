@@ -91,8 +91,13 @@ def classify(rows, field=None):
     return _classify_raw(field, list(map(field.values, rows)))
 
 
-def _classify_raw(field, rows):
-    """:func:`classify` on the raw values of a 3x3 matrix over ``field``."""
+def _classify_raw(field, rows, scale=None):
+    """:func:`classify` on the raw values of a 3x3 matrix over ``field``.
+
+    With ``scale`` e, it classifies rows / e without dividing, for a kernel
+    with no inverse: A^T Omega A is compared with e^2 Omega, and det A with
+    +-e^3.
+    """
     dot = field._raw_dot
     cols = tuple(zip(*rows))
     # twice the six distinct entries of A^T Omega A, (i, j) being
@@ -102,13 +107,17 @@ def _classify_raw(field, rows):
         x0, x1, x2 = cols[i]
         y0, y1, y2 = cols[j]
         lhs.append(dot((x2, x2), (y2, y2), (x0, x1), (y1, y0)))
-    zero, one = field.zero().value, field.one().value
-    if lhs != [zero, field._raw_neg(one), zero, zero, zero, field._raw_add(one, one)]:
+    zero = field._zero.value
+    e2 = e3 = field._one.value
+    if scale is not None:
+        e2 = field._raw_mul(scale, scale)
+        e3 = field._raw_mul(e2, scale)
+    if lhs != [zero, field._raw_neg(e2), zero, zero, zero, field._raw_add(e2, e2)]:
         return "not-orthogonal"
     d = _det_raw(field, rows)
-    if d == one:
+    if d == e3:
         return "proper"
-    assert d == field._raw_neg(one)  # A* Omega A = Omega forces det = +-1
+    assert d == field._raw_neg(e3)  # A* Omega A = e^2 Omega forces det = +-e^3
     return "improper"
 
 
@@ -223,15 +232,20 @@ def swap_shift_matrix(b):
 def reduction_matrix(a):
     """(u, v, w) -> (u + a^2 v - 2 a w, v, w - a v); proper."""
     field = a.field
-    return _wrap_rows(field, _reduction_rows(field, a.value), True)
+    return _wrap_rows(field, _reduction_rows(field, field._raw_neg(a.value), field._one.value),
+                      True)
 
 
-def _reduction_rows(field, a):
-    """The raw rows of reduction_matrix(a), for a raw parameter a."""
-    zero, one = field._zero.value, field._one.value
-    return ((one, field._raw_mul(a, a), field._raw_neg(field._raw_add(a, a))),
-            (zero, one, zero),
-            (zero, field._raw_neg(a), one))
+def _reduction_rows(field, c0, c1):
+    """The raw rows of s reduction_matrix(-c0 / c1), s = c1^2: (s, c0^2,
+    2 c0 c1), (0, s, 0) and (0, c0 c1, s), with no division; c1 = 1 gives
+    reduction_matrix(-c0) itself."""
+    mul = field._raw_mul
+    s, c0c1 = mul(c1, c1), mul(c0, c1)
+    zero = field._zero.value
+    return ((s, mul(c0, c0), field._raw_add(c0c1, c0c1)),
+            (zero, s, zero),
+            (zero, c0c1, s))
 
 
 def swap_matrix(field):

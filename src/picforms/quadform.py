@@ -12,10 +12,12 @@ matrix carrying one triple onto another with the same Gram matrix is
 ``equivalence.recover_transform``.
 
 The entries come from one raw kernel, ``_gram_upper``, which returns the
-upper triangle, or a band of it, as raw values: ``gram`` wraps and
-mirrors the triangle into a ``GramForm``, the Galois filter reads it
-unwrapped, and ``recover_transform`` compares only the entries two or more
-places off the diagonal, which decide the rest for triples on one curve.
+upper triangle as raw values: ``gram`` wraps and mirrors it into a
+``GramForm``, and the Galois filter reads it unwrapped.
+``recover_transform`` compares twice the entries two or more places off
+the diagonal (``_twice_gram_band``), which decide the rest for triples on
+one curve and need no 1/2, so they are computed on the cleared integer
+forms over QQ too.
 The diagonal split behind ``decompose`` also eliminates on raw values and
 wraps only the pieces it returns.
 
@@ -114,26 +116,38 @@ def gram(t):
     return GramForm._trusted(tuple(map(tuple, rows)), field)
 
 
-def _gram_upper(field, u, v, w, band=0):
-    """The entries (i, j), j >= i + band, of the Gram matrix of the raw
-    forms (u, v, w), row by row, as a list of raw values: the upper
-    triangle for band 0.
+def _gram_upper(field, u, v, w):
+    """The upper triangle of the Gram matrix of the raw forms (u, v, w),
+    row by row, as a list of raw values.
 
     Row i is one vector-kernel call, w_i w - (u_i/2) v - v_i (u/2) on the
-    columns j >= i + band.
-
-    Band 2 is the whole invariant for triples on one curve.  Substituting
-    x_i = X^i gives sum_(i+j=k) S_ij = F_k on every antidiagonal k, and the
-    antidiagonal holds one entry, or one pair S_(i,i+1) = S_(i+1,i), with
-    |i - j| <= 1; in odd characteristic it is fixed by F and the others.
+    columns j >= i.
     """
     comb = field._raw_comb
     nh = field._raw_neg(field._half)
     nhu = comb((nh,), (u,))
     out = []
-    for i in range(len(v) - band):
-        j = i + band
-        out += comb((w[i], nhu[i], v[i]), (w[j:], v[j:], nhu[j:]))
+    for i in range(len(v)):
+        out += comb((w[i], nhu[i], v[i]), (w[i:], v[i:], nhu[i:]))
+    return out
+
+
+def _twice_gram_band(field, u, v, w):
+    """Twice the Gram entries (i, j), j >= i + 2, of the raw forms
+    (u, v, w), row by row: 2 w_i w_j - u_i v_j - v_i u_j.  Row i is one
+    vector-kernel call, and there is no 1/2, so it runs on the integer
+    kernel of :mod:`picforms.fields` as well.
+
+    The band is the whole invariant for triples on one curve.
+    Substituting x_i = X^i gives sum_(i+j=k) S_ij = F_k on every
+    antidiagonal k, and the antidiagonal holds one entry, or one pair
+    S_(i,i+1) = S_(i+1,i), with |i - j| <= 1; in odd characteristic it is
+    fixed by F and the others.
+    """
+    comb, add, neg = field._raw_comb, field._raw_add, field._raw_neg
+    out = []
+    for i in range(len(v) - 2):
+        out += comb((add(w[i], w[i]), neg(u[i]), neg(v[i])), (w[i + 2:], v[i + 2:], u[i + 2:]))
     return out
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from picforms import cli, serialize
-from picforms.cli import (EXIT_BUDGET, EXIT_DOMAIN, EXIT_INPUT, MAX_EXT, main,
+from picforms.cli import (EXIT_BUDGET, EXIT_DOMAIN, EXIT_INPUT, EXIT_OK, MAX_EXT, main,
                           run_command)
 from picforms.fields import GF
 from picforms.sampling import random_triple
@@ -631,20 +631,38 @@ def test_missing_required_option_is_named(files, capsys, command):
         assert "usage:" in captured.err, argv
 
 
-@pytest.mark.parametrize("command", ["curve-validate", "triple-canonical"])
+_SQRT2 = {"p": None, "m": 2, "modulus": ["-2", "0", "1"]}
+
+
+@pytest.mark.parametrize("command", ["curve-validate"])
 def test_curve_over_rational_extension_is_a_domain_error(files, command):
-    # the points at infinity need a square root above QQ(sqrt 2), which is
-    # out of scope; once that was a TypeError from building (r, -r) on None
-    field = {"p": None, "m": 2, "modulus": ["-2", "0", "1"]}
+    # Y^2 = 3 X^4 - 1 over QQ(sqrt 2): 3 is not a square there, so the
+    # points at infinity need a square root above QQ(sqrt 2), which is out
+    # of scope; once that was a TypeError from building (r, -r) on None.
+    # (Every triple on this curve has deg U = 2 and needs no such root.)
+    zero = ["0", "0"]
+    curve = {"field": _SQRT2, "coeffs": [["-1", "0"], zero, zero, zero, ["3", "0"]]}
+    code, payload = run_command(_argv(files, command, {"curve": curve}))
+    assert code == EXIT_DOMAIN
+    assert payload["error"]["kind"] == "FactorizationNeedsExtension"
+
+
+@pytest.mark.parametrize("command", ["curve-validate", "triple-canonical"])
+def test_curve_over_rational_extension_with_square_lead(files, command):
+    # Y^2 = X^4 - 1 over QQ(sqrt 2): the points at infinity are +-1
     one, zero = ["1", "0"], ["0", "0"]
-    curve = {"field": field, "coeffs": [["-1", "0"], zero, zero, zero, one]}
+    curve = {"field": _SQRT2, "coeffs": [["-1", "0"], zero, zero, zero, one]}
     docs = {"curve": curve}
     if command == "triple-canonical":
         docs["t1"] = {"u": [one, zero, zero], "v": [one, zero, zero],
-                      "w": [zero, zero, one], "field": field}
+                      "w": [zero, zero, one], "field": _SQRT2}
     code, payload = run_command(_argv(files, command, docs))
-    assert code == EXIT_DOMAIN
-    assert payload["error"]["kind"] == "FactorizationNeedsExtension"
+    assert code == EXIT_OK
+    if command == "curve-validate":
+        assert payload["infinity"]["roots"] == [one, ["-1", "0"]]
+        assert payload["infinity"]["sqrt_status"] == "square-in-base"
+    else:
+        assert payload["divisor"]["infinity_multiplicity"] == 2
 
 
 def _readme_usage():

@@ -77,10 +77,20 @@ def test_infinity_roots_square_exactly_qq():
 
 
 def test_infinity_over_rational_extension_needs_extension():
-    # no square root is taken above QQ(sqrt 2), not even that of 1
-    c = make_curve([-1, 0, 0, 0, 1], rational_extension((-2, 0, 1)))
+    # 3 is not a square in QQ(sqrt 2), and no square root is taken above it
+    c = make_curve([-1, 0, 0, 0, 3], rational_extension((-2, 0, 1)))
     with pytest.raises(FactorizationNeedsExtension):
         infinity_points(c)
+
+
+def test_infinity_over_rational_extension_in_base():
+    # leading coefficients 1, 2 = (sqrt 2)^2 and 3 + 2 sqrt 2 = (1 + sqrt 2)^2
+    field = rational_extension((-2, 0, 1))
+    for lead, root in (((1, 0), (1, 0)), ((2, 0), (0, 1)), ((3, 2), (1, 1))):
+        c = make_curve([-1, 0, 0, 0, field.elem(lead)], field)
+        inf = infinity_points(c)
+        assert inf.sqrt_status == "square-in-base" and inf.field is field
+        assert inf.roots == (field.elem(root), -field.elem(root))
 
 
 def test_form_poly_examples():

@@ -15,7 +15,7 @@ from picforms.curves import make_curve
 from picforms.errors import RationalsUnsupported
 from picforms.fields import GF, QQ, FieldElement
 from picforms.poly import Polynomial, gcd as poly_gcd, is_squarefree
-from picforms.quadform import _gram_upper, gram, rank_radical
+from picforms.quadform import _twice_gram_band, gram, rank_radical
 from picforms.sampling import random_orthogonal_word, random_proper_word, random_triple
 from picforms.equivalence import (
     KIND_BOTH,
@@ -214,7 +214,7 @@ def _gram_views_agree(t1, t2):
     """Whether t1 and t2 have equal Gram matrices, after checking that the
     full matrix, its band j >= i + 2 and the class decision all agree."""
     field = t1.field
-    band1, band2 = (_gram_upper(field, *t._raw_forms(), 2) for t in (t1, t2))
+    band1, band2 = (_twice_gram_band(field, *t._raw_forms()) for t in (t1, t2))
     equal = gram(t1) == gram(t2)
     assert (band1 == band2) == equal == (same_class(t1, t2).kind != KIND_DISTINCT)
     return equal
@@ -324,8 +324,11 @@ def test_constraint_gcd_degree_at_most_one(curve_q):
             g = _constraint_gcd(t1, target)
             assert g.degree <= 1
             field = t1.field
-            a = _parameter(field, t1._raw_forms(), target._raw_forms())
-            a = None if a is None else FieldElement(field, a)
+            pair = _parameter(field, t1._raw_forms(), target._raw_forms())
+            a = None
+            if pair is not None:
+                c0, c1 = (FieldElement(field, c) for c in pair)
+                a = -c0 / c1
             if g.degree == 1:
                 assert a == -g[0] / g[1]
             else:
@@ -404,12 +407,20 @@ def raw_rows(matrix):
     return tuple(matrix.field.values(row) for row in matrix.rows)
 
 
+def wrong_move(make):
+    # a wrong move in the convention of the real ones: s times a matrix over
+    # the kernel, with s = c1^2 for the reduction (field, c0, c1) and s = 1
+    # for the swap (field)
+    def rows(field, c0=None, c1=None):
+        s = field._one.value if c1 is None else field._raw_mul(c1, c1)
+        return tuple([field._raw_mul(s, x) for x in row] for row in raw_rows(make(field)))
+    return rows
+
+
 out = [__debug__]
 for check in checks:
-    # _reduction_rows and _swap_rows take the field first (and the raw parameter)
-    for wrong in (lambda field, *a: raw_rows(scale_matrix(field.elem(2))),
-                  lambda field, *a: raw_rows(flip_matrix(field))):
-        equivalence._reduction_rows = equivalence._swap_rows = wrong
+    for make in (lambda field: scale_matrix(field.elem(2)), flip_matrix):
+        equivalence._reduction_rows = equivalence._swap_rows = wrong_move(make)
         try:
             check()
             out.append("accepted")

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import long_division
 
+from picforms import fields
 from picforms.errors import (
     CharacteristicTwo,
     DescriptorMismatch,
@@ -180,6 +181,39 @@ def test_sqrt():
     assert rq * rq == embed(QQ.elem(2), qext)
 
 
+# QQ(sqrt 2), QQ(i) and QQ[T]/(T^2 + 3T + 1) = QQ(sqrt 5), a non-binomial modulus
+RATIONAL_QUADRATICS = [(-2, 0, 1), (1, 0, 1), (1, 3, 1)]
+
+
+@pytest.mark.parametrize("modulus", RATIONAL_QUADRATICS, ids=str)
+def test_sqrt_over_rational_extension(modulus):
+    field = rational_extension(modulus)
+    rng = random.Random(sum(modulus))
+    three = field.elem(3)  # not a square in any of the three fields
+    for _ in range(60):
+        e = field.elem([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(2)])
+        if rng.randrange(4) == 0:
+            e = field.elem([e.value[rng.randrange(2)], 0])  # y = 0, or X = 0
+        r = field.sqrt(e * e)
+        assert r in (e, -e)
+        # the canonical root: its first nonzero coefficient is positive
+        assert r.value >= (0, 0)
+        if e:
+            assert field.sqrt(e * e * three) is None
+    assert field.sqrt(field.zero()) == field.zero()
+    assert field.sqrt(field.generator()) is None
+
+
+def test_sqrt_over_rational_extension_examples():
+    sqrt2, i = rational_extension((-2, 0, 1)), rational_extension((1, 0, 1))
+    assert sqrt2.sqrt(sqrt2.elem(2)) == sqrt2.generator()
+    assert sqrt2.sqrt(sqrt2.elem((3, 2))) == sqrt2.elem((1, 1))  # (1 + sqrt 2)^2
+    assert sqrt2.sqrt(sqrt2.elem(-1)) is None
+    assert i.sqrt(i.elem(-1)) == i.generator()
+    assert i.sqrt(i.elem((0, 2))) == i.elem((1, 1))  # (1 + i)^2 = 2i
+    assert i.sqrt(i.elem((0, -2))) == i.elem((1, -1))
+
+
 def test_adjoin_sqrt_above_rational_extension_raises():
     # square roots above a quadratic extension of QQ are out of scope
     qext = rational_extension((-2, 0, 1))
@@ -245,6 +279,25 @@ def test_fields_are_interned():
     assert GF(5, 2, (3, 0, 1)) is F25
     assert GF(5, 2) != F25  # same order, different modulus
     assert rational_extension((-2, 0, 1)) is rational_extension((-2, 0, 1))
+
+
+def test_interned_fields_skip_validation(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return _is_prime(n)
+
+    first = GF(2 ** 61 - 1), GF(101, 2), GF(5, 2, [3, 0, 1])
+    monkeypatch.setattr(fields, "_is_prime", counted)
+    assert (GF(2 ** 61 - 1), GF(101, 2), GF(5, 2, [3, 0, 1])) == first
+    assert calls == []
+    # an invalid request is checked again on every call
+    for _ in range(2):
+        for args in ((15,), (5, 0), (5, 2, (4, 0, 1)), (fields._MR_LIMIT,)):
+            with pytest.raises(ValueError):
+                GF(*args)
+    assert calls.count(15) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,11 @@ interpreter found.
 Looks for ``python3.N`` (N >= 10) on PATH and for every
 ``<pyenv root>/versions/*/bin/python3`` (the pyenv root is $PYENV_ROOT,
 or ~/.pyenv), skipping pyenv shims and duplicates of one executable.
-Each interpreter runs ``tools/class_sweep.py --seed 1`` and ``--seed 2``
-and ``tools/sampler_digest.py --seed 1`` against this checkout's
-``src`` and gets one line per run: its version, its path, the tool and
+Each interpreter runs ``tools/class_sweep.py --seed 1`` and ``--seed 2``,
+``tools/sampler_digest.py --seed 1`` and ``tools/qq_sweep.py --seed 1``
+against this checkout's ``src`` and gets one line per run: its version, its path, the tool and
 its arguments, the SHA-256 of the tool's output, and whether that
-matches the digest pinned in ``tests/fixtures/``.  Both tools need
+matches the digest pinned in ``tests/fixtures/``.  The tools need
 nothing beyond the standard library, so no test dependency has to be
 installed.
 
@@ -33,6 +33,7 @@ CHECKS = (
     ("class_sweep.py", ["--seed", "1"], "class_sweep_seed1.sha256"),
     ("class_sweep.py", ["--seed", "2"], "class_sweep_seed2.sha256"),
     ("sampler_digest.py", ["--seed", "1"], "sampler_draws_seed1.sha256"),
+    ("qq_sweep.py", ["--seed", "1"], "qq_sweep_seed1.sha256"),
 )
 MIN_MINOR = 10
 TIMEOUT_S = 600
