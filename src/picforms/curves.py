@@ -51,7 +51,12 @@ class Curve:
 
 
 def make_curve(coeffs, field):
-    """Build and validate a curve from coefficients, lowest degree first."""
+    """Build and validate a curve from coefficients, lowest degree first.
+
+    Squarefreeness is :func:`picforms.poly.is_squarefree`: over QQ a gcd
+    mod one prime certifies most squarefree F, and the exact gcd over QQ
+    decides every other F, so a curve is rejected only on the exact answer.
+    """
     if isinstance(coeffs, Polynomial):
         F = coeffs
     else:

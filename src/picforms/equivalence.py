@@ -76,10 +76,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import GramMismatch, RationalsUnsupported, SearchExhausted, WitnessRejected
-from .fields import QQ, ZZ, Field, common_field, embed
+from .fields import QQ, ZZ, Field, _cleared, common_field, embed
 from .linalg import _mat_mul_raw
 from .ortho import (
     OrthogonalMatrix,
@@ -317,9 +316,7 @@ def _decision_forms(t1, t2):
     r1, r2 = t1._raw_forms(), t2._raw_forms()
     if field is not QQ:
         return field, r1, r2
-    ratios = [[x.as_integer_ratio() for x in f] for f in r1 + r2]
-    D = lcm(*[q for f in ratios for _, q in f])
-    forms = [[n * (D // q) for n, q in f] for f in ratios]
+    _, forms = _cleared(r1 + r2)
     return ZZ, forms[:3], forms[3:]
 
 

@@ -44,8 +44,9 @@ QQ(sqrt d), it accumulates the unreduced convolutions and reduces once by
 the modulus, and by p in a finite field.  Each call therefore normalises
 once, and its value is in the canonical form above.  The integers have
 a kernel of the same shape, ``ZZ``: the GF(p) sums without the reduction
-mod p, and no inverse.  It is not a field; the class decision over QQ
-runs on it, on forms cleared of their denominators.
+mod p, and no inverse.  It is not a field; the class decision, the
+curve identity of a triple and the squarefree certificate over QQ run on
+it, on vectors cleared of their denominators by ``_cleared``.
 
 Linear combinations of vectors go through its vector form,
 ``Field._raw_comb(cs, vs)``, the list of sums cs[0] vs[0][i] + cs[1]
@@ -66,7 +67,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from operator import add, mul, neg, sub
 
 from .errors import (
@@ -735,8 +736,8 @@ QQ = _make_field(None, 1, None)
 class _Integers:
     """The integers as a raw kernel: the sums of products of GF(p) without
     the reduction mod p, and no inverse.  It is not a field and is not
-    interned with them; the class decision over QQ runs on it, on forms
-    cleared of their denominators (see :mod:`picforms.equivalence`)."""
+    interned with them; the QQ computations of the module docstring run on
+    it, on vectors cleared of their denominators (see :func:`_cleared`)."""
 
     __slots__ = ("_zero", "_one")
 
@@ -756,6 +757,15 @@ class _Integers:
 
 
 ZZ = _Integers()
+
+
+def _cleared(vectors):
+    """(D, cleared): D the least common denominator of the Fractions in
+    ``vectors``, and each vector times D, as a list of ints."""
+    ratios = [[x.as_integer_ratio() for x in vec] for vec in vectors]
+    D = lcm(*[d for vec in ratios for _, d in vec])
+    return D, [[n * (D // d) for n, d in vec] for vec in ratios]
+
 
 # every GF() request that passed validation, by its arguments
 _GF_FIELDS = {}

@@ -12,9 +12,10 @@ Every polynomial algorithm has one kernel on raw coefficient lists, the
 modulo a polynomial), division, gcd, extended gcd, inverse modulo a
 polynomial and the Chinese remainder chain.  The operators, ``gcd``,
 ``gcdext``, ``invert_mod`` and ``crt`` wrap them; root finding, the
-sampler (:mod:`picforms.sampling`), and Rabin's irreducibility test and
-the inverse in GF(p^m) (:mod:`picforms.fields`, over GF(p)) call them
-directly.
+sampler (:mod:`picforms.sampling`), Rabin's irreducibility test and
+the inverse in GF(p^m) (:mod:`picforms.fields`, over GF(p)), and the
+squarefree certificate over QQ (``_squarefree_prime``, over GF(p)) call
+them directly.
 
 Root finding uses gcd(f, X^q - X) and Cantor-Zassenhaus splitting over
 finite fields, polylogarithmic in q, and the rational-root bound over QQ;
@@ -30,7 +31,7 @@ from fractions import Fraction
 
 from .errors import (DescriptorMismatch, DivisionByZero, RationalsUnsupported,
                      ZeroPolynomial)
-from .fields import FieldElement, embed
+from .fields import GF, QQ, FieldElement, _cleared, embed
 
 
 class Polynomial:
@@ -392,17 +393,55 @@ def _crt_coeffs(field, residues, moduli):
     return _divmod_coeffs(field, acc, mod)[1], mod
 
 
+# the primes of the squarefree certificate over QQ, in the order tried: the
+# first four above 10^4.  A squarefree F fails the certificate only when the
+# one prime tried divides its discriminant, and inverses mod a prime this
+# small stay cheap.
+_CERTIFICATE_PRIMES = (10007, 10009, 10037, 10039)
+
+
 def is_squarefree(f):
     """True iff gcd(f, f') is constant.
 
     Valid over the perfect fields used here: when f' = 0 the polynomial is
     a p-th power, and the gcd comes out nonconstant as required.
+
+    Over QQ a certificate mod p comes first (:func:`_squarefree_prime`).
+    It only ever proves squarefreeness; when it does not, the exact gcd
+    over QQ decides, as it does over every other field.
     """
     if f.is_zero:
         raise ZeroPolynomial("squarefree test on 0")
     if f.degree == 0:
         return True
+    if f.field is QQ and _squarefree_prime(f) is not None:
+        return True
     return gcd(f, f.derivative()).degree == 0
+
+
+def _squarefree_prime(f):
+    """The prime p that certifies the nonconstant f over QQ squarefree, or
+    None.
+
+    F is f cleared to integer coefficients, and p the first prime of
+    ``_CERTIFICATE_PRIMES`` that does not divide its leading coefficient.
+    Then F mod p has the degree of F, and gcd(F, F') = 1 over GF(p) means
+    that p does not divide the discriminant of F, which is therefore
+    nonzero: F, and so f, is squarefree.  Only that one prime is tried, so
+    a polynomial that is not squarefree costs one gcd over GF(p) before the
+    exact one.
+    """
+    _, (a,) = _cleared((f._raw(),))
+    for p in _CERTIFICATE_PRIMES:
+        if a[-1] % p:
+            break
+    else:
+        return None
+    a = [x % p for x in a]
+    da = [i * x % p for i, x in enumerate(a)][1:]
+    while da and not da[-1]:
+        da.pop()
+    return p if len(_gcd_coeffs(GF(p), a, da)) == 1 else None
 
 
 def _divisors(n):

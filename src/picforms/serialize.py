@@ -14,6 +14,13 @@ else, a zero denominator, or a field degree m above ``MAX_FIELD_DEGREE``
 raises ValueError.  Every document emitted
 here is accepted unchanged by the matching reader, and ``dumps`` is
 byte-stable (sorted keys, fixed layout).
+
+``_parse_rational`` reads a JSON integer, or an ASCII string of the form
+-?[0-9]+(/[0-9]+)?, as an integer pair with ``int`` alone, and builds
+from it the one ``Fraction`` that the element holds.  Any other string
+goes through ``Fraction(str)``, whose grammar differs between Python
+versions (underscores, blanks around "/"), so each interpreter accepts
+and rejects exactly the strings its own ``Fraction`` does.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import json
 from fractions import Fraction
 
 from .curves import make_curve
-from .fields import GF, QQ, rational_extension
+from .fields import GF, QQ, FieldElement, rational_extension
 from .ortho import OrthogonalMatrix
 from .quadform import GramForm
 from .triples import make_triple
@@ -89,8 +96,22 @@ def _parse_int(c):
 
 
 def _parse_rational(c):
+    """The rational scalar c as a Fraction, from the integer pair (n, d)
+    that ``int`` reads when c is a JSON integer or a string of the form
+    -?[0-9]+(/[0-9]+)?."""
+    if not isinstance(c, str):
+        return Fraction(_typed(c, int, "a scalar must be a JSON integer or string"))
+    num, slash, den = c.partition("/")
+    if (c.isascii() and (num[1:] if num[:1] == "-" else num).isdigit()
+            and (den.isdigit() or not slash)):
+        n, d = int(num), int(den) if slash else 1
+        if d == 1:
+            return Fraction(n)  # no gcd
+        if d:
+            return Fraction(n, d)
+    # the other strings, and a zero denominator, as Fraction reads them
     try:
-        return Fraction(_typed(c, (int, str), "a scalar must be a JSON integer or string"))
+        return Fraction(c)
     except ZeroDivisionError:
         raise ValueError("zero denominator in %r" % c) from None
 
@@ -107,8 +128,8 @@ def scalar_to_json(e):
 
 
 def scalar_from_json(field, obj):
-    if field.is_rationals:
-        return field.elem(_parse_rational(obj))
+    if field is QQ:
+        return FieldElement(QQ, _parse_rational(obj))
     if isinstance(obj, (int, str)):
         obj = [obj]
     if field.p is not None:

@@ -19,7 +19,9 @@ the action or the normal form is one call of its vector form
 (``Field._raw_comb``).  Every coefficient is normalised once, so a
 rational coefficient is one ``Fraction`` in lowest terms.
 ``make_triple`` checks the identity coefficient by coefficient without
-building polynomials.
+building polynomials.  Over QQ it checks it on integers: with D the least
+common denominator of U, V, W and F, (DW)^2 - (DU)(DV) = D^2 F is one
+product on the integer kernel ``fields.ZZ``, and no ``Fraction`` is built.
 
 A ``Triple`` holds ``FieldElement`` tuples.  The normal form has one
 kernel on raw value lists, ``_canonical_forms``, which
@@ -40,7 +42,7 @@ from .curves import (
     poly_to_form,
 )
 from .errors import NotOnCurve, RationalsUnsupported, ZeroForm
-from .fields import FieldElement, can_embed, common_field, embed
+from .fields import QQ, ZZ, FieldElement, _cleared, can_embed, common_field, embed
 from .linalg import mat_mul
 from .ortho import OrthogonalMatrix, scale_matrix, shift_matrix
 from .poly import Polynomial, _product_coeffs, roots_in_field
@@ -120,10 +122,15 @@ def make_triple(curve, u, v, w, field=None):
     if not any(v):
         raise ZeroForm("v = 0 would force F to be a square")
     # coefficient by coefficient: W^2 - U V has degree <= 2g + 2 = deg F
-    wr = [c.value for c in w]
-    F = curve.embedded_F(field)
-    lhs = _product_coeffs(field, wr, wr, [c.value for c in u], [c.value for c in v])
-    if any(x != F[k].value for k, x in enumerate(lhs)):
+    ur, vr, wr = [c.value for c in u], [c.value for c in v], [c.value for c in w]
+    fr = curve.embedded_F(field)._raw()
+    kernel = field
+    if field is QQ:
+        # times D^2: (DW)^2 - (DU)(DV) = D (DF), all on integers
+        D, (ur, vr, wr, fr) = _cleared((ur, vr, wr, fr))
+        fr = [D * x for x in fr]
+        kernel = ZZ
+    if _product_coeffs(kernel, wr, wr, ur, vr) != fr:
         raise NotOnCurve("W^2 - U*V != F")
     return Triple(curve, field, u, v, w)
 
