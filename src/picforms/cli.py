@@ -12,8 +12,8 @@ degree at most ``serialize.MAX_FIELD_DEGREE``.  ``--ext`` (triple-support,
 class-relation, search-caveat) must lie between 1 and ``MAX_EXT``, and the
 extension it names, of absolute degree m * ext over GF(p^m), is capped at
 ``serialize.MAX_FIELD_DEGREE`` too, so every field the CLI prints can be
-read back; anything else is an input error.  Output is byte-stable for identical
-inputs and seeds.
+read back, and so is ``group-enumerate --m``; anything else is an input
+error.  Output is byte-stable for identical inputs and seeds.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .equivalence import orbit_oracle, same_class
 from .errors import AlgebraError, BudgetExhausted, SearchExhausted
 from .fields import GF, common_field
 from .galois import (
+    _gram_fixed,
     class_rational,
     class_rational_mod_conj,
     find_caveat_example,
@@ -184,6 +185,8 @@ def _cmd_group_act(args):
 
 
 def _cmd_group_enumerate(args):
+    if args.m > serialize.MAX_FIELD_DEGREE:
+        raise InputError("--m must be at most %d, got %d" % (serialize.MAX_FIELD_DEGREE, args.m))
     field = GF(args.p, args.m)
     group = enumerate_special_orthogonal(field)
     payload = {"order": len(group), "field": serialize.field_to_json(field)}
@@ -244,12 +247,13 @@ def _cmd_galois_rational(args):
     curve = _load_curve(args)
     t = _load_triple(curve, args.t1)
     if t.field.p is None:
-        # characteristic 0: the verdict is syntactic, not a Galois-descent claim
+        # characteristic 0: the verdict is syntactic, not a Galois-descent claim;
+        # an entry is rational when its coordinates after the first vanish
+        forms = t._raw_forms()
         if args.mode == "mod-conj":
-            S = gram(t)
-            verdict = all(_rational_entry(c) for row in S.entries for c in row)
+            verdict = _gram_fixed(t.field, forms)
         else:
-            verdict = all(_rational_entry(c) for form in t.forms() for c in form)
+            verdict = t.field.m == 1 or not any(any(x[1:]) for form in forms for x in form)
         return EXIT_OK, {
             "mode": args.mode,
             "rational": verdict,
@@ -268,12 +272,6 @@ def _cmd_galois_rational(args):
         "ambient": serialize.field_to_json(ctx.ambient),
         "base": serialize.field_to_json(ctx.base),
     }
-
-
-def _rational_entry(c):
-    if c.field.is_rationals:
-        return True
-    return not any(c.value[1:])
 
 
 def _cmd_search_caveat(args):

@@ -372,7 +372,7 @@ class Field:
         if a == self._zero.value:
             raise DivisionByZero("inverse of zero in %s" % self.label())
         if self.m == 1:
-            return pow(a, self.p - 2, self.p) if self.p else Fraction(1) / a
+            return pow(a, -1, self.p) if self.p else Fraction(1) / a
         if self.m == 2:
             # quadratic extension: closed-form conjugate inverse
             c0, c1 = self.modulus[0], self.modulus[1]
@@ -381,7 +381,7 @@ class Field:
             if self.p is None:
                 return ((x - y * c1) / norm, -y / norm)
             p = self.p
-            inv = pow(norm, p - 2, p)
+            inv = pow(norm, -1, p)
             return ((x - y * c1) * inv % p, -y * inv % p)
         # the inverse of a mod the modulus over GF(p); the sum with 0 trims
         # the top zeros of a
@@ -430,7 +430,7 @@ class Field:
             elif value.denominator % p == 0:
                 raise DivisionByZero("%s has no value in %s" % (value, self.label()))
             else:
-                s = value.numerator * pow(value.denominator, p - 2, p) % p
+                s = value.numerator * pow(value.denominator, -1, p) % p
             return FieldElement(self, self._scalar(s))
         if isinstance(value, (tuple, list)):
             if len(value) != self.m:

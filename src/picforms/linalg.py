@@ -22,10 +22,6 @@ imports nothing from the package.
 from __future__ import annotations
 
 
-def transpose(a):
-    return tuple(zip(*a))
-
-
 def mat_mul(a, b):
     """a @ b, the rows of a times the matrix b, over the field of a[0][0].
 

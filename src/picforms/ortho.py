@@ -23,10 +23,11 @@ Generator families
 ``flip_matrix(field)``    (u, v, w) -> (u, v, -w), the improper involution
                           matching the +-Y involution on divisors.
 
-The generators are orthogonal by construction and are built without
-re-running :func:`classify`; ``OrthogonalMatrix(rows)`` validates
-matrices that come from outside.  The class decision works on raw rows:
-the reduction and swap moves come from ``_reduction_rows`` and
+The generators and the inverse (Omega^-1 A^T Omega, written out as
+entries of A times 1, -2 or -1/2) are orthogonal by construction and are
+built without re-running :func:`classify`; ``OrthogonalMatrix(rows)``
+validates matrices that come from outside.  The class decision works on
+raw rows: the reduction and swap moves come from ``_reduction_rows`` and
 ``_swap_rows`` (which ``reduction_matrix`` and ``swap_matrix`` wrap), and
 its witness check calls ``_classify_raw``, the raw entry point of
 :func:`classify`.
@@ -61,16 +62,6 @@ def pairing_matrix(field):
     return (
         (zero, neg_half, zero),
         (neg_half, zero, zero),
-        (zero, zero, one),
-    )
-
-
-def _pairing_inverse(field):
-    zero, one = field.zero(), field.one()
-    neg_two = field.elem(-2)
-    return (
-        (zero, neg_two, zero),
-        (neg_two, zero, zero),
         (zero, zero, one),
     )
 
@@ -168,11 +159,14 @@ class OrthogonalMatrix:
         return OrthogonalMatrix._trusted(rows, field, self.proper == other.proper)
 
     def inverse(self):
-        # A^{-1} = Omega^{-1} A^T Omega, exact and division-free
+        # A^{-1} = Omega^{-1} A^T Omega, written out: Omega swaps the first
+        # two coordinates and scales them by -1/2
+        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = self.rows
         field = self.field
-        inv = linalg.mat_mul(
-            linalg.mat_mul(_pairing_inverse(field), linalg.transpose(self.rows)),
-            pairing_matrix(field))
+        neg_half = FieldElement(field, field._raw_neg(field._half))
+        inv = ((a11, a01, -(a21 + a21)),
+               (a10, a00, -(a20 + a20)),
+               (a12 * neg_half, a02 * neg_half, a22))
         return OrthogonalMatrix._trusted(inv, field, self.proper)
 
     def embedded(self, field):

@@ -19,7 +19,9 @@ the diagonal (``_twice_gram_band``), which decide the rest for triples on
 one curve and need no 1/2, so they are computed on the cleared integer
 forms over QQ too.
 The diagonal split behind ``decompose`` also eliminates on raw values and
-wraps only the pieces it returns.
+wraps only the pieces it returns; ``decompose`` and ``in_curve_forms``
+split S once, the number of pieces being the rank, and
+``rank_radical`` reduces S once.
 
 ``decompose`` is a computational section of the invariant: it rebuilds
 some triple from a rank-2/3 form, splitting off squares and, in rank 3,
@@ -80,17 +82,15 @@ class GramForm:
         return len(self.entries)
 
     def embedded(self, field):
+        # embedding is a ring map, so the image is symmetric again
         if field == self.field:
             return self
-        return GramForm(tuple(tuple(embed(x, field) for x in row) for row in self.entries),
-                        field)
+        return GramForm._trusted(
+            tuple(tuple(embed(x, field) for x in row) for row in self.entries), field)
 
     def evaluate(self, vec):
         """The quadratic form's value x^T S x."""
         return linalg.dot(vec, linalg.mat_vec(self.entries, vec))
-
-    def bilinear(self, x, y):
-        return linalg.dot(x, linalg.mat_vec(self.entries, y))
 
     def __eq__(self, other):
         return (isinstance(other, GramForm)
@@ -163,20 +163,23 @@ def gram_to_poly(S):
 
 
 def rank_radical(S):
-    """(rank, radical basis); rank + len(basis) = size."""
-    r = linalg.rank(S.entries, S.field)
+    """(rank, radical basis); rank + len(basis) = size, from one reduction."""
     basis = linalg.kernel_basis(S.entries, S.field, S.size)
-    return r, basis
+    return S.size - len(basis), basis
 
 
 def in_curve_forms(S, curve):
     """True iff S maps onto the curve polynomial and has rank 2 or 3."""
-    if S.size != curve.genus + 2:
-        return False
-    F = curve.embedded_F(S.field)
-    if gram_to_poly(S) != F:
-        return False
-    return linalg.rank(S.entries, S.field) in (2, 3)
+    return _curve_pieces(S, curve) is not None
+
+
+def _curve_pieces(S, curve):
+    """The diagonal split of S when S maps onto the curve polynomial and
+    has rank 2 or 3 (the number of pieces), else None."""
+    if S.size != curve.genus + 2 or gram_to_poly(S) != curve.embedded_F(S.field):
+        return None
+    pieces = _split_diagonal(S)
+    return pieces if len(pieces) in (2, 3) else None
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +225,10 @@ def _split_diagonal(S):
 # ---------------------------------------------------------------------------
 # section of the invariant
 
-def _normal_factors(S):
-    """Independent forms (u, v) with S = -u v, possibly over a quadratic extension."""
-    pieces = _split_diagonal(S)
-    assert len(pieces) == 2
+def _normal_factors(field, pieces):
+    """Independent forms (u, v) with S = -u v, possibly over a quadratic
+    extension, from the two pieces of the diagonal split of S."""
     (alpha, l1), (beta, l2) = pieces
-    field = S.field
     want = -beta / alpha
     ext, s = adjoin_sqrt(field, want)
     l1 = tuple(embed(x, ext) for x in l1)
@@ -251,31 +252,29 @@ def decompose(S, curve, extension_budget=2, isotropic_hint=None):
     """
     if extension_budget < 1:
         raise ValueError("the extension budget must be >= 1, got %d" % extension_budget)
-    if not in_curve_forms(S, curve):
+    pieces = _curve_pieces(S, curve)
+    if pieces is None:
         raise NotCurveForm("not a rank-2/3 form mapping onto this curve")
-    r = linalg.rank(S.entries, S.field)
-    if r == 2:
-        u, v, ext = _normal_factors(S)
+    if len(pieces) == 2:
+        u, v, ext = _normal_factors(S.field, pieces)
         if ext != S.field and extension_budget < 2:
             raise BudgetExhausted("rank-2 splitting needs a quadratic extension")
         zero = (ext.zero(),) * S.size
         t = make_triple(curve, u, v, zero, field=ext)
     else:
-        t = _decompose_rank3(S, curve, extension_budget, isotropic_hint)
+        t = _decompose_rank3(S, pieces, curve, extension_budget, isotropic_hint)
     if gram(t) != S.embedded(t.field):
         raise DecompositionRejected("the decomposed triple does not have the given Gram matrix")
     return t
 
 
-def _find_isotropic(S):
+def _find_isotropic(field, pieces):
     """A deterministic isotropic vector outside the radical, or None.
 
     Works on the diagonalised form alpha l1^2 + alpha2 l2^2 + alpha3 l3^2:
     scan first the l3 = 0 plane, then l3 = 1 slices in canonical element
     order.  Over a finite field a ternary form always has such a vector.
     """
-    field = S.field
-    pieces = _split_diagonal(S)
     (a1, l1), (a2, l2), (a3, l3) = pieces
     s = field.sqrt(-a2 / a1)
     if s is not None:
@@ -291,61 +290,48 @@ def _find_isotropic(S):
                     break
         if coords is None:
             return None
-    target = coords
-    sol = linalg.solve((l1, l2, l3), target, field)
+    sol = linalg.solve((l1, l2, l3), coords, field)
     assert sol is not None  # the three split forms are independent
     return sol
 
 
-def _decompose_rank3(S, curve, extension_budget, isotropic_hint):
+def _decompose_rank3(S, pieces, curve, extension_budget, isotropic_hint):
     field = S.field
+    rows = S.entries
     if isotropic_hint is not None:
         e1 = tuple(field.elem(c) for c in isotropic_hint)
-        if S.evaluate(e1) or not any(linalg.mat_vec(S.entries, e1)):
+        se1 = linalg.mat_vec(rows, e1)
+        if linalg.dot(e1, se1) or not any(se1):
             raise NotCurveForm("hint is not an isotropic vector outside the radical")
     else:
         if field.p is None:
             raise RationalsNeedHint("supply an isotropic vector over the rationals")
-        e1 = _find_isotropic(S)
+        e1 = _find_isotropic(field, pieces)
         if e1 is None:
             raise BudgetExhausted("no isotropic vector found in the base field")
-    n = S.size
-    one = field.one()
-    # partner with B(e1, f) != 0
-    f = None
-    for k in range(n):
-        cand = tuple(one if i == k else field.zero() for i in range(n))
-        if S.bilinear(e1, cand):
-            f = cand
-            break
-    assert f is not None  # e1 is outside the radical
-    b = S.bilinear(e1, f)
-    f = tuple(x / b for x in f)
-    # make the partner isotropic: q(f + c e1) = q(f) + 2c
-    c = -S.evaluate(f) / field.elem(2)
-    e2 = tuple(x + c * y for x, y in zip(f, e1))
+        se1 = linalg.mat_vec(rows, e1)
+    # the partner f = e_k / (S e1)_k, k the first index with B(e1, e_k) =
+    # (S e1)_k != 0, has B(e1, f) = 1; e1 is outside the radical
+    k = next(i for i, x in enumerate(se1) if x)
+    b_inv = se1[k].inverse()
+    # make the partner isotropic: q(f + c e1) = q(f) + 2c, q(f) = S_kk / b^2
+    c = -(rows[k][k] * b_inv * b_inv) / field.elem(2)
+    e2 = [c * y for y in e1]
+    e2[k] = e2[k] + b_inv
+    se2 = linalg.mat_vec(rows, e2)
     # orthogonal complement of the hyperbolic plane, one vector outside the radical
-    rows = (linalg.mat_vec(S.entries, e1), linalg.mat_vec(S.entries, e2))
-    e3 = None
-    for cand in linalg.kernel_basis(rows, field, n):
-        if S.evaluate(cand):
-            e3 = cand
+    for cand in linalg.kernel_basis((se1, se2), field, S.size):
+        se3 = linalg.mat_vec(rows, cand)
+        gamma = linalg.dot(cand, se3)
+        if gamma:
             break
-    assert e3 is not None  # rank 3 leaves a one-dimensional anisotropic complement
-    gamma = S.evaluate(e3)
+    assert gamma  # rank 3 leaves a one-dimensional anisotropic complement
     ext, s = adjoin_sqrt(field, gamma)
     if ext != field and extension_budget < 2:
         raise BudgetExhausted("the rank-3 section needs a quadratic extension")
-    Se = S.embedded(ext)
-    e1 = tuple(embed(x, ext) for x in e1)
-    e2 = tuple(embed(x, ext) for x in e2)
-    e3 = tuple(embed(x, ext) for x in e3)
-    gamma = embed(gamma, ext)
-    # q = 2 l1 l2 + gamma l3^2 in the dual coordinates of (e1, e2, e3)
-    l1 = linalg.mat_vec(Se.entries, e2)
-    l2 = linalg.mat_vec(Se.entries, e1)
-    l3 = tuple(x / gamma for x in linalg.mat_vec(Se.entries, e3))
-    u = tuple(ext.elem(-2) * x for x in l1)
-    v = l2
-    w = tuple(s * x for x in l3)
+    # q = 2 l1 l2 + gamma l3^2 in the dual coordinates of (e1, e2, e3):
+    # l1 = S e2, l2 = S e1 and l3 = S e3 / gamma, embedded
+    u = tuple(ext.elem(-2) * embed(x, ext) for x in se2)
+    v = tuple(embed(x, ext) for x in se1)
+    w = tuple(s * embed(x / gamma, ext) for x in se3)
     return make_triple(curve, u, v, w, field=ext)

@@ -22,6 +22,7 @@ rational coefficient is one ``Fraction`` in lowest terms.
 building polynomials.  Over QQ it checks it on integers: with D the least
 common denominator of U, V, W and F, (DW)^2 - (DU)(DV) = D^2 F is one
 product on the integer kernel ``fields.ZZ``, and no ``Fraction`` is built.
+``act`` does not check it again: an orthogonal matrix keeps W^2 - U V.
 
 A ``Triple`` holds ``FieldElement`` tuples.  The normal form has one
 kernel on raw value lists, ``_canonical_forms``, which
@@ -43,7 +44,7 @@ from .curves import (
 )
 from .errors import NotOnCurve, RationalsUnsupported, ZeroForm
 from .fields import QQ, ZZ, FieldElement, _cleared, can_embed, common_field, embed
-from .linalg import mat_mul
+from .linalg import _mat_mul_raw
 from .ortho import OrthogonalMatrix, scale_matrix, shift_matrix
 from .poly import Polynomial, _product_coeffs, roots_in_field
 
@@ -150,16 +151,19 @@ def triple_from_polys(curve, U, V, W, field=None):
 def act(matrix, t):
     """Replace the column (u, v, w) by matrix @ (u, v, w).
 
-    The matrix must be orthogonal for the pairing; the image then
-    satisfies the curve identity again, which is re-checked here as an
-    internal consistency assertion (a zero image form cannot occur for an
-    orthogonal matrix and is reported as ZeroForm if it ever did).
+    The matrix must be orthogonal for the pairing (a raw matrix is
+    validated by ``OrthogonalMatrix``), and the image is built without
+    re-validation: A^T Omega A = Omega gives W'^2 - U'V' = W^2 - UV = F
+    coefficient by coefficient, and U' and V' cannot vanish, because a
+    squarefree F is not a square.  The product is one ``_mat_mul_raw``
+    call on the raw forms.
     """
     if not isinstance(matrix, OrthogonalMatrix):
         matrix = OrthogonalMatrix(matrix)
     field = common_field(matrix.field, t.field)
-    new = mat_mul(matrix.embedded(field).rows, t.embedded(field).forms())
-    return make_triple(t.curve, new[0], new[1], new[2], field=field)
+    rows = list(map(field.values, matrix.embedded(field).rows))
+    new = _mat_mul_raw(field, rows, t.embedded(field)._raw_forms())
+    return Triple(t.curve, field, *map(field._wrap, new))
 
 
 def conjugate(t):

@@ -1,11 +1,13 @@
 import random
+import sys
 
 import pytest
 
 from picforms.fields import GF, QQ
 from picforms.curves import make_curve
+from picforms.ortho import scale_matrix, shift_matrix
 from picforms.poly import Polynomial, is_squarefree
-from picforms.sampling import random_proper_word
+from picforms.sampling import random_orthogonal_word, random_proper_word
 from picforms.triples import act, make_triple
 
 
@@ -64,6 +66,30 @@ def rational_triples(curve, rng, n):
         seed = seeds[rng.randrange(len(seeds))]
         out.append(act(random_proper_word(curve.field, rng), seed))
     return out
+
+
+def extension_word(root, rng, improper=False):
+    """A random word over root's field, a quadratic extension of QQ, with
+    irrational entries: the sampler's word (rational parameters) times a
+    shift by root and a scaling by root + 1."""
+    field = root.field
+    return (random_orthogonal_word(field, rng, improper=improper)
+            @ shift_matrix(root * field.elem(rng.randint(1, 3))) @ scale_matrix(root + 1))
+
+
+def count_calls(monkeypatch, module, name):
+    """Count the calls of module.name through every picforms module that binds it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("picforms") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
 
 
 # -- reference oracles on plain element arithmetic ------------------------------

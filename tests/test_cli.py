@@ -1,7 +1,10 @@
 import argparse
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -10,8 +13,10 @@ import pytest
 from picforms import cli, serialize
 from picforms.cli import (EXIT_BUDGET, EXIT_DOMAIN, EXIT_INPUT, EXIT_OK, MAX_EXT, main,
                           run_command)
-from picforms.fields import GF
+from picforms.fields import GF, QQ, adjoin_sqrt
+from picforms.ortho import scale_matrix
 from picforms.sampling import random_triple
+from picforms.triples import act, make_triple
 
 
 CURVE_Q = {"field": {"p": None, "m": 1}, "coeffs": ["-1", "0", "0", "0", "1"]}
@@ -201,6 +206,64 @@ def test_galois_rational_qq_syntactic(files):
     assert payload["rational"] is True and payload["syntactic"] is True
 
 
+def _qq_sqrt2_cases():
+    """(curve document, triple over QQ(sqrt 2), class verdict, mod-conj verdict)."""
+    K, root = adjoin_sqrt(QQ, QQ.elem(2))
+    curve_q = serialize.curve_from_json(CURVE_Q)
+    # (1, 1, X^2) moved by diag(sqrt 2, 1/sqrt 2, 1): irrational entries, but
+    # the Gram matrix is invariant and stays rational
+    moved = act(scale_matrix(root), serialize.triple_from_json(curve_q, TRIPLE_A))
+    # F = (X^2 - 1)(X^2 - 2) = -U V with U = (X - 1)(X - sqrt 2) and
+    # V = -(X + 1)(X + sqrt 2): the Gram entry S_11 = -(1 + sqrt 2)^2 is irrational
+    split_doc = {"field": {"p": None, "m": 1}, "coeffs": ["2", "0", "-3", "0", "1"]}
+    b = root + 1
+    split = make_triple(serialize.curve_from_json(split_doc), (root, -b, K.one()),
+                        (-root, -b, -K.one()), (K.zero(),) * 3, field=K)
+    return [(CURVE_Q, moved, False, True), (split_doc, split, False, False)]
+
+
+@pytest.mark.parametrize("mode", ["class", "mod-conj"])
+def test_galois_rational_over_rational_extension(files, mode):
+    # the syntactic verdict over QQ(sqrt 2) reads the coordinates after the
+    # first: of the forms for "class", of the Gram matrix for "mod-conj"
+    for k, (curve, t, in_class, in_gram) in enumerate(_qq_sqrt2_cases()):
+        code, payload = run_command([
+            "galois-rational", "--mode", mode,
+            "--curve", files("c%d.json" % k, curve),
+            "--t1", files("t%d.json" % k, serialize.triple_to_json(t)),
+        ])
+        assert code == 0
+        assert payload == {"mode": mode, "rational": in_class if mode == "class" else in_gram,
+                           "syntactic": True, "ambient": serialize.field_to_json(t.field)}
+    code, payload = run_command(["galois-rational", "--mode", mode,
+                                 "--curve", files("q.json", CURVE_Q),
+                                 "--t1", files("a.json", TRIPLE_A)])
+    assert code == 0 and payload["rational"] is True
+
+
+# group-enumerate's --m around the cap, in a fresh process with a timeout,
+# so that a degree with no cap fails the test instead of hanging the suite
+@pytest.mark.parametrize("p,m,code,kind", [
+    (5, 200, EXIT_INPUT, "InputError"),
+    (5, serialize.MAX_FIELD_DEGREE + 1, EXIT_INPUT, "InputError"),
+    (5, serialize.MAX_FIELD_DEGREE, EXIT_DOMAIN, "FieldTooLarge"),
+    (2 ** 61 - 1, serialize.MAX_FIELD_DEGREE, EXIT_DOMAIN, "FieldTooLarge"),
+])
+def test_group_enumerate_caps_the_degree(p, m, code, kind):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "picforms.cli", "group-enumerate", "--p", str(p), "--m", str(m)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert time.perf_counter() - start < _EXT_SECONDS
+    assert done.returncode == code
+    error = json.loads(done.stdout)["error"]
+    assert error["kind"] == kind
+    if kind == "InputError":
+        assert "at most %d" % serialize.MAX_FIELD_DEGREE in error["detail"]
+
+
 def test_search_caveat(files):
     curve = files("c.json", CURVE_F5B)
     for ext in (2, 4):
@@ -361,9 +424,13 @@ _FUZZ_CASES = [
     ("search-caveat", ["--budget", "20", "--seed", "1"], {"curve": CURVE_F5B}),
 ]
 
-# argv variants for the one subcommand that reads no document
+# argv variants for the one subcommand that reads no document; --m above
+# serialize.MAX_FIELD_DEGREE is an input error before the field is built
+# (--m 200 at p = 5 used to start a default-modulus walk that never ended)
 _ENUMERATE_ARGS = [["--p", p] for p in ("0", "-5", "2", "4", "17")] + [
-    ["--p", "3", "--m", m] for m in ("0", "-1", "3")]
+    ["--p", "3", "--m", m] for m in ("0", "-1", "3")] + [
+    ["--p", "5", "--m", str(m)]
+    for m in (serialize.MAX_FIELD_DEGREE, serialize.MAX_FIELD_DEGREE + 1, 200)]
 
 # command lines that argparse itself rejects
 _ARGV_ERRORS = [
@@ -482,6 +549,8 @@ def test_cli_fuzz_ends_in_documented_exit_codes(tmp_path, capsys):
             if not 1 <= ext <= MAX_EXT:
                 assert code == EXIT_INPUT and payload["error"]["kind"] == "InputError", argv
         m = _curve_degree(docs)
+        if argv[1:] in _ENUMERATE_ARGS and "--m" in argv:
+            m = int(argv[argv.index("--m") + 1])
         if m is not None and m > serialize.MAX_FIELD_DEGREE:
             assert elapsed < _EXT_SECONDS, (argv, m)
             assert code == EXIT_INPUT and payload["error"]["kind"] == "InputError", (argv, m)

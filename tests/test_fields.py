@@ -60,6 +60,30 @@ def test_division_identity_and_zero():
             field.elem(x)
 
 
+_P61 = 2 ** 61 - 1
+
+
+@pytest.mark.parametrize("field", [GF(7), GF(_P61), GF(_P61, 2)], ids=str)
+def test_inverse_matches_fermat(field):
+    # pow(x, -1, p) at the three inverse sites gives the Fermat values
+    # x^(q - 2): GF(p) inverses, the norm inverse of GF(p^2) and a Fraction
+    # coerced into the field
+    rng = random.Random(61)
+    p, q = field.p, field.order
+    for _ in range(40):
+        e = field.random_element(rng)
+        if e:
+            assert e.inverse() == e ** (q - 2)
+            assert e * e.inverse() == field.one()
+        n, d = rng.randrange(-10 ** 20, 10 ** 20), rng.randrange(1, 10 ** 20)
+        if d % p:
+            assert field.elem(Fraction(n, d)) == field.elem(n * pow(d, p - 2, p))
+    with pytest.raises(DivisionByZero):
+        field.zero().inverse()
+    with pytest.raises(DivisionByZero):
+        field.one() / field.zero()
+
+
 def test_descriptor_mismatch():
     with pytest.raises(DescriptorMismatch):
         F5.elem(1) + GF(7).elem(1)

@@ -1,11 +1,10 @@
 import json
 import os
 import random
-import sys
 
 import pytest
 
-from conftest import seeded_curve
+from conftest import count_calls, seeded_curve
 
 from picforms import equivalence, serialize, triples
 from picforms.errors import NotFiniteField, NotInAmbient
@@ -217,21 +216,6 @@ def test_constructed_triples_pass_validation():
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
 
-def _count_calls(monkeypatch, module, name):
-    """Count the calls of module.name through every picforms module that binds it."""
-    original = getattr(module, name)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    for modname, mod in list(sys.modules.items()):
-        if modname.startswith("picforms") and getattr(mod, name, None) is original:
-            monkeypatch.setattr(mod, name, counted)
-    return calls
-
-
 def _fixture_search(p, coeffs):
     with open(os.path.join(FIXTURES, "caveat_search.json")) as fh:
         fixture = json.load(fh)
@@ -260,9 +244,9 @@ def _expected_matches(curve, ctx, samples, seed):
 def test_caveat_hit_builds_one_witness(monkeypatch):
     curve, ctx, budget, seed, entry = _fixture_search(3, [2, 0, 0, 0, 1])
     expected = _expected_matches(curve, ctx, entry["searched"], seed)
-    matches = _count_calls(monkeypatch, equivalence, "_match")
-    witnesses = _count_calls(monkeypatch, equivalence, "_witness_from")
-    validations = _count_calls(monkeypatch, triples, "make_triple")
+    matches = count_calls(monkeypatch, equivalence, "_match")
+    witnesses = count_calls(monkeypatch, equivalence, "_witness_from")
+    validations = count_calls(monkeypatch, triples, "make_triple")
     res = find_caveat_example(curve, ctx, budget, seed)
     assert res.found and res.searched == entry["searched"]
     assert len(matches) == expected
@@ -273,8 +257,8 @@ def test_caveat_hit_builds_one_witness(monkeypatch):
 def test_caveat_miss_builds_no_witness(monkeypatch):
     curve, ctx, _, seed, _ = _fixture_search(5, [4, 0, 0, 0, 1])
     expected = _expected_matches(curve, ctx, 1000, seed)
-    matches = _count_calls(monkeypatch, equivalence, "_match")
-    witnesses = _count_calls(monkeypatch, equivalence, "_witness_from")
+    matches = count_calls(monkeypatch, equivalence, "_match")
+    witnesses = count_calls(monkeypatch, equivalence, "_witness_from")
     res = find_caveat_example(curve, ctx, 1000, seed)
     assert not res.found and res.searched == 1000
     assert len(matches) == expected > 0
@@ -283,8 +267,8 @@ def test_caveat_miss_builds_no_witness(monkeypatch):
 
 def test_class_rational_builds_at_most_one_witness(monkeypatch, curve_f5a, curve_f5b, ctx):
     # one match search per triple that passes the Gram filter, none otherwise
-    matches = _count_calls(monkeypatch, equivalence, "_match")
-    witnesses = _count_calls(monkeypatch, equivalence, "_witness_from")
+    matches = count_calls(monkeypatch, equivalence, "_match")
+    witnesses = count_calls(monkeypatch, equivalence, "_witness_from")
     rng = random.Random(59)
     seen = set()
     filtered = set()

@@ -3,9 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import det, row_by_column
+from conftest import det, extension_word, row_by_column
 
-from picforms import linalg
 from picforms.errors import (
     DescriptorMismatch,
     FieldTooLarge,
@@ -13,7 +12,7 @@ from picforms.errors import (
     RationalsUnsupported,
     ZeroScale,
 )
-from picforms.fields import GF, QQ, FieldElement
+from picforms.fields import GF, QQ, FieldElement, adjoin_sqrt
 from picforms.ortho import (
     OrthogonalMatrix,
     _det_raw,
@@ -49,13 +48,13 @@ def test_pairing_matrix_f5():
 
 def test_pairing_symmetric_invertible():
     m = pairing_matrix(QQ)
-    assert m == linalg.transpose(m)
+    assert m == tuple(zip(*m))
     assert det(m, QQ) != QQ.zero()
 
 
 def _dense_classify(rows, field):
     omega = pairing_matrix(field)
-    if row_by_column(row_by_column(linalg.transpose(rows), omega), rows) != omega:
+    if row_by_column(row_by_column(tuple(zip(*rows)), omega), rows) != omega:
         return "not-orthogonal"
     return "proper" if det(rows, field) == field.one() else "improper"
 
@@ -146,6 +145,26 @@ def test_inverse_and_composition():
     for _ in range(50):
         m = random_orthogonal_word(F5, rng, improper=bool(rng.randrange(2)))
         assert m @ m.inverse() == identity_matrix(F5)
+
+
+@pytest.mark.parametrize("label", ["QQ", "GF(7)", "GF(5^2)", "QQ(sqrt 2)"])
+def test_inverse_is_the_pairing_transpose(label):
+    # A^{-1} = Omega^{-1} A^T Omega, against products of element operators
+    rng = random.Random(22)
+    if label == "QQ(sqrt 2)":
+        field, root = adjoin_sqrt(QQ, QQ.elem(2))
+        words = [extension_word(root, rng, improper=k % 2 == 1) for k in range(20)]
+    else:
+        field = {"QQ": QQ, "GF(7)": GF(7), "GF(5^2)": GF(5, 2)}[label]
+        words = [random_orthogonal_word(field, rng, improper=k % 2 == 1) for k in range(20)]
+    omega = pairing_matrix(field)
+    omega_inv = _mat(field, ((0, -2, 0), (-2, 0, 0), (0, 0, 1)))
+    for m in words:
+        inv = m.inverse()
+        assert inv.rows == row_by_column(row_by_column(omega_inv, tuple(zip(*m.rows))), omega)
+        assert inv.field is field and inv.proper == m.proper
+        assert inv @ m == identity_matrix(field) == m @ inv
+        assert classify(inv.rows) == ("proper" if m.proper else "improper")
 
 
 def test_enumeration_orders():

@@ -1,10 +1,13 @@
+import hashlib
+import importlib.util
+import os
 import random
 
 import pytest
 
-from conftest import seeded_curve
+from conftest import count_calls, seeded_curve
 
-from picforms import linalg
+from picforms import linalg, quadform
 from picforms.curves import make_curve
 from picforms.equivalence import recover_transform
 from picforms.errors import GramMismatch, NotCurveForm, RationalsNeedHint
@@ -266,3 +269,50 @@ def test_decompose_rationals_need_hint(curve_q):
     assert not S.evaluate(hint)
     t2 = decompose(S, curve_q, isotropic_hint=hint)
     assert gram(t2) == S.embedded(t2.field)
+
+
+def _section_cases(curve_q, triple_a):
+    """(S, curve, hint): rank 2 over QQ, rank 2 needing sqrt(-2), rank 3
+    searched over GF(5), and rank 3 from a hint over QQ."""
+    one = QQ.one()
+    return [
+        (gram(triple_a), curve_q, None),
+        (_gram(F5, ((1, 0, 0), (0, 0, 0), (0, 0, 2))), make_curve([1, 0, 0, 0, 2], F5), None),
+        (_gram(F5, ((2, 0, 4), (0, 1, 0), (4, 0, 1))), make_curve([2, 0, 4, 0, 1], F5), None),
+        (gram(_rank3_rational_triple(curve_q)), curve_q, (one, one, one)),
+    ]
+
+
+def _count_during_decompose(monkeypatch, case, module, name):
+    S, curve, hint = case
+    calls = count_calls(monkeypatch, module, name)
+    t = decompose(S, curve, isotropic_hint=hint)
+    monkeypatch.undo()
+    assert gram(t) == S.embedded(t.field)
+    return len(calls)
+
+
+def test_decompose_splits_the_form_once(monkeypatch, curve_q, triple_a):
+    # the split both checks the rank and feeds the section
+    for case in _section_cases(curve_q, triple_a):
+        assert _count_during_decompose(monkeypatch, case, quadform, "_split_diagonal") == 1
+
+
+def test_decompose_takes_no_rank(monkeypatch, curve_q, triple_a):
+    # the rank is the number of pieces of the split
+    for case in _section_cases(curve_q, triple_a):
+        assert _count_during_decompose(monkeypatch, case, linalg, "rank") == 0
+
+
+def test_section_sweep_bytes_pinned(capsys):
+    # every rank, radical and decomposed triple (or error kind) of the seeded
+    # section sweep, pinned by the SHA-256 of its output
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "section_sweep", os.path.join(root, "tools", "section_sweep.py"))
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    assert sweep.main(["--seed", "1"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    with open(os.path.join(root, "tests", "fixtures", "section_sweep_seed1.sha256")) as fh:
+        assert digest == fh.read().split()[0]

@@ -6,11 +6,12 @@ import sys
 
 import pytest
 
-from conftest import rational_triples
+from conftest import count_calls, extension_word, rational_triples
 
+from picforms import linalg, triples
 from picforms.curves import make_curve
-from picforms.errors import NotOnCurve, RationalsUnsupported, ZeroForm
-from picforms.fields import GF, QQ, embed
+from picforms.errors import NotOnCurve, NotOrthogonal, RationalsUnsupported, ZeroForm
+from picforms.fields import GF, QQ, adjoin_sqrt, embed
 from picforms.ortho import flip_matrix, identity_matrix, swap_matrix
 from picforms.poly import Polynomial
 from picforms.sampling import random_b_word, random_orthogonal_word, random_triple
@@ -152,9 +153,52 @@ def test_act_preserves_identity_random(curve_f5a, curve_f5b):
         for _ in range(60):
             t = random_triple(curve, F5, rng)
             m = random_orthogonal_word(F5, rng, improper=bool(rng.randrange(2)))
-            out = act(m, t)  # make_triple inside re-validates the identity
+            out = act(m, t)  # built without re-validation; checked here on polynomials
             W, U, V = out.w_poly(), out.u_poly(), out.v_poly()
             assert W * W - U * V == curve.F
+
+
+def _act_cases(curve_q, curve_f5b):
+    """(word, triple) pairs, proper and improper, over QQ, GF(5), GF(5^2) and
+    QQ(sqrt 2), and GF(5) words on GF(5^2) triples."""
+    rng = random.Random(2022)
+    K, root = adjoin_sqrt(QQ, QQ.elem(2))
+    F25 = GF(5, 2)
+    cases = []
+    for improper in (False, True) * 6:
+        t = rational_triples(curve_q, rng, 1)[0]
+        cases.append((random_orthogonal_word(QQ, rng, improper=improper), t))
+        cases.append((extension_word(root, rng, improper=improper), t))
+        cases.append((extension_word(root, rng, improper=improper),
+                      act(extension_word(root, rng), t)))
+        for field in (F5, F25):
+            cases.append((random_orthogonal_word(field, rng, improper=improper),
+                          random_triple(curve_f5b, field, rng)))
+        cases.append((random_orthogonal_word(F5, rng, improper=improper),
+                      random_triple(curve_f5b, F25, rng)))
+    assert {t.field for _, t in cases} == {QQ, K, F5, F25}
+    return cases
+
+
+def test_act_builds_the_image_without_revalidation(monkeypatch, curve_q, curve_f5b):
+    cases = _act_cases(curve_q, curve_f5b)
+    validations = count_calls(monkeypatch, triples, "make_triple")
+    products = count_calls(monkeypatch, linalg, "mat_mul")
+    images = [act(m, t) for m, t in cases]
+    assert validations == [] and products == []
+    for (m, t), out in zip(cases, images):
+        assert out.field is (t.field if m.field in (QQ, F5) else m.field)
+        assert out == make_triple(out.curve, *out.forms(), field=out.field)
+        assert act(m.inverse(), out) == t.embedded(out.field)
+
+
+def test_act_validates_a_raw_matrix(curve_q, triple_a):
+    swap = ((0, 1, 0), (1, 0, 0), (0, 0, -1))
+    assert act(tuple(tuple(map(QQ.elem, row)) for row in swap), triple_a) == act(
+        swap_matrix(QQ), triple_a)
+    with pytest.raises(NotOrthogonal):
+        act(((QQ.elem(2), QQ.zero(), QQ.zero()), (QQ.zero(), QQ.one(), QQ.zero()),
+             (QQ.zero(), QQ.zero(), QQ.one())), triple_a)
 
 
 def test_act_compatibility(curve_f5b):

@@ -7,8 +7,8 @@ Looks for ``python3.N`` (N >= 10) on PATH and for every
 ``<pyenv root>/versions/*/bin/python3`` (the pyenv root is $PYENV_ROOT,
 or ~/.pyenv), skipping pyenv shims and duplicates of one executable.
 Each interpreter runs ``tools/class_sweep.py --seed 1`` and ``--seed 2``,
-``tools/sampler_digest.py --seed 1`` and ``tools/qq_sweep.py --seed 1``
-against this checkout's ``src``, and gets one line per run: its version,
+``tools/sampler_digest.py --seed 1``, ``tools/qq_sweep.py --seed 1`` and
+``tools/section_sweep.py --seed 1`` against this checkout's ``src``, and gets one line per run: its version,
 its path, the tool and its arguments, the SHA-256 of the tool's output,
 and whether that matches the digest pinned in ``tests/fixtures/``.
 Those tools write JSON but never read it.  So each interpreter also runs
@@ -42,6 +42,7 @@ CHECKS = (
     ("class_sweep.py", ["--seed", "2"], "class_sweep_seed2.sha256"),
     ("sampler_digest.py", ["--seed", "1"], "sampler_draws_seed1.sha256"),
     ("qq_sweep.py", ["--seed", "1"], "qq_sweep_seed1.sha256"),
+    ("section_sweep.py", ["--seed", "1"], "section_sweep_seed1.sha256"),
 )
 # the worked example: Y^2 = X^4 - 1 over QQ, (1, 1, X^2) and
 # (X^2 - 1, -X^2 - 1, 0), as test_criterion_10_worked_fixture writes them
