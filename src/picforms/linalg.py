@@ -1,19 +1,24 @@
-"""Small exact linear algebra over field elements.
+"""Small exact linear algebra on raw values.
 
-Matrices are tuples of row tuples of FieldElement.  Products go through
-the field's vector kernel (``Field._raw_comb``, the vector form of
-:meth:`picforms.fields.Field.dot`): each row of a product is one kernel
-call on raw values, the combination of the rows of the right factor with
-the entries of the left row as coefficients, and each entry is
-normalised once and in lowest terms.  ``_mat_mul_raw`` is that product
-on raw rows; the class decision uses it directly and wraps only the
-witnesses it returns.
+Vectors are lists of raw values of one :class:`picforms.fields.Field`
+(``Field.values`` of its elements), and matrices are sequences of such
+rows; callers unwrap their elements once and wrap only what they return.
+There are three kernels.
 
-Everything else is Gauss-Jordan elimination with exact division, in one
-kernel on raw rows, ``_row_reduce``, which can stop at a column limit and
-carry the later columns along; ``row_reduce``, ``rank``, ``kernel_basis``
-and ``solve`` wrap it, and :mod:`picforms.fields` (subfield coordinates)
-and :mod:`picforms.sampling` (closed points) call it over GF(p).  Sizes
+``_mat_mul_raw`` is the product: each row is one call of the field's
+vector kernel (``Field._raw_comb``, the vector form of
+:meth:`picforms.fields.Field.dot`), the combination of the rows of the
+right factor with the entries of the left row as coefficients, so each
+entry is normalised once and in lowest terms.
+
+``_row_reduce`` is Gauss-Jordan elimination with exact division, which
+can stop at a column limit and carry the later columns along (an
+augmented part, for solving); ``_kernel_basis`` reads a basis of the
+null space off one reduction.  :mod:`picforms.fields` (subfield
+coordinates) and :mod:`picforms.sampling` (closed points) reduce over
+GF(p); :mod:`picforms.quadform` (radical and rank-3 section),
+:mod:`picforms.triples`, :mod:`picforms.ortho` and
+:mod:`picforms.equivalence` multiply and reduce over any field.  Sizes
 never exceed a few rows, so no pivoting strategy beyond "first nonzero"
 is needed, and that choice keeps every result deterministic.  This module
 imports nothing from the package.
@@ -22,44 +27,11 @@ imports nothing from the package.
 from __future__ import annotations
 
 
-def mat_mul(a, b):
-    """a @ b, the rows of a times the matrix b, over the field of a[0][0].
-
-    Also the action of a 3 x 3 matrix on the forms (u, v, w), read as the
-    rows of a 3 x (g + 2) matrix.  An entry from another field raises
-    DescriptorMismatch.
-    """
-    field = a[0][0].field
-    values = field.values
-    rows = _mat_mul_raw(field, list(map(values, a)), list(map(values, b)))
-    return tuple(map(field._wrap, rows))
-
-
 def _mat_mul_raw(field, a, b):
     """a @ b on raw values of ``field``, as a tuple of row lists; row i is
     one vector-kernel call, sum_k a[i][k] b[k]."""
     comb = field._raw_comb
     return tuple([comb(r, b) for r in a])
-
-
-def mat_vec(a, v):
-    field = v[0].field
-    dot, values = field.dot, field.values
-    vals = values(v)
-    return tuple(dot(values(row), vals) for row in a)
-
-
-def dot(u, v):
-    values = u[0].field.values
-    return u[0].field.dot(values(u), values(v))
-
-
-def row_reduce(rows, field):
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    if not rows:
-        return (), ()
-    reduced, pivots = _row_reduce(field, list(map(field.values, rows)), len(rows[0]))
-    return tuple(map(field._wrap, reduced)), pivots
 
 
 def _row_reduce(field, rows, ncols):
@@ -89,38 +61,18 @@ def _row_reduce(field, rows, ncols):
     return rows, tuple(pivots)
 
 
-def rank(rows, field):
-    return len(row_reduce(rows, field)[1])
-
-
-def kernel_basis(rows, field, ncols):
-    """Deterministic basis of {x : rows @ x = 0}, one vector per free column."""
-    reduced, pivots = row_reduce(rows, field)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+def _kernel_basis(field, rows, ncols):
+    """A deterministic basis of {x : rows @ x = 0} for raw rows with
+    ``ncols`` columns, as raw vectors, one per free column."""
+    reduced, pivots = _row_reduce(field, list(rows), ncols)
+    zero, one, neg = field._zero.value, field._one.value, field._raw_neg
     basis = []
-    zero, one = field.zero(), field.one()
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         vec = [zero] * ncols
         vec[fc] = one
         for r, pc in enumerate(pivots):
-            vec[pc] = -reduced[r][fc]
-        basis.append(tuple(vec))
+            vec[pc] = neg(reduced[r][fc])
+        basis.append(vec)
     return basis
-
-
-def solve(rows, rhs, field):
-    """One solution of rows @ x = rhs (free variables set to 0), or None."""
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    zero = field._zero.value
-    aug = [field.values((*r, b)) for r, b in zip(rows, rhs)]
-    reduced, pivots = _row_reduce(field, aug, ncols)
-    # the rows below the pivots vanish on the first ncols columns
-    if any(row[-1] != zero for row in reduced[len(pivots):]):
-        return None
-    x = [zero] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = reduced[r][-1]
-    return field._wrap(x)

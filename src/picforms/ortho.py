@@ -42,7 +42,6 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from . import linalg
 from .errors import (
     FieldTooLarge,
     NotOrthogonal,
@@ -50,6 +49,7 @@ from .errors import (
     ZeroScale,
 )
 from .fields import FieldElement, common_field, embed
+from .linalg import _mat_mul_raw
 
 _ENUMERATION_FIELD_LIMIT = 13
 _ENUMERATION_ORDER_LIMIT = 5000
@@ -155,8 +155,10 @@ class OrthogonalMatrix:
         if not isinstance(other, OrthogonalMatrix):
             return NotImplemented
         field = common_field(self.field, other.field)
-        rows = linalg.mat_mul(self.embedded(field).rows, other.embedded(field).rows)
-        return OrthogonalMatrix._trusted(rows, field, self.proper == other.proper)
+        values = field.values
+        rows = _mat_mul_raw(field, list(map(values, self.embedded(field).rows)),
+                            list(map(values, other.embedded(field).rows)))
+        return _wrap_rows(field, rows, self.proper == other.proper)
 
     def inverse(self):
         # A^{-1} = Omega^{-1} A^T Omega, written out: Omega swaps the first

@@ -10,12 +10,13 @@ the field's sum-of-products kernel, so it is normalised once.
 Every polynomial algorithm has one kernel on raw coefficient lists, the
 ``_*_coeffs`` functions: sum, difference, product, power (optionally
 modulo a polynomial), division, gcd, extended gcd, inverse modulo a
-polynomial and the Chinese remainder chain.  The operators, ``gcd``,
-``gcdext``, ``invert_mod`` and ``crt`` wrap them; root finding, the
-sampler (:mod:`picforms.sampling`), Rabin's irreducibility test and
-the inverse in GF(p^m) (:mod:`picforms.fields`, over GF(p)), and the
-squarefree certificate over QQ (``_squarefree_prime``, over GF(p)) call
-them directly.
+polynomial and the Chinese remainder chain.  The operators and ``gcd``
+wrap them; root finding, the sampler (:mod:`picforms.sampling`), Rabin's
+irreducibility test and the inverse in GF(p^m) (:mod:`picforms.fields`,
+over GF(p)), and the squarefree certificate over QQ
+(``_squarefree_prime``, over GF(p)) call them directly.  The extended
+gcd, the inverse modulo a polynomial and the Chinese remainder chain
+have no wrapper: only those callers need them.
 
 Root finding uses gcd(f, X^q - X) and Cantor-Zassenhaus splitting over
 finite fields, polylogarithmic in q, and the rational-root bound over QQ;
@@ -250,34 +251,9 @@ def gcd(f, g):
     return Polynomial._trusted(field, field._wrap(_gcd_coeffs(field, f._raw(), g._raw())))
 
 
-def gcdext(f, g):
-    """(d, s, t) with d = s*f + t*g and d the monic gcd."""
-    field = f.field
-    a, b = f._raw(), g._raw()
-    d, s = _bezout_coeffs(field, a, b)
-    # d - s f is an exact multiple of g (and t = 0 when g = 0)
-    t = (_divmod_coeffs(field, _sub_coeffs(field, d, _product_coeffs(field, s, a)), b)[0]
-         if b else [])
-    return tuple(Polynomial._trusted(field, field._wrap(c)) for c in (d, s, t))
-
-
-def invert_mod(f, modulus):
-    """Inverse of f modulo `modulus`; raises DivisionByZero if they share a factor."""
-    field = f.field
-    return Polynomial._trusted(field, field._wrap(_invert_mod_coeffs(
-        field, f._raw(), modulus._raw())))
-
-
-def crt(residues, moduli):
-    """The polynomial congruent to residues[i] mod moduli[i] (pairwise coprime)."""
-    field = residues[0].field
-    acc, _ = _crt_coeffs(field, [r._raw() for r in residues], [m._raw() for m in moduli])
-    return Polynomial._trusted(field, field._wrap(acc))
-
-
 # ---------------------------------------------------------------------------
 # kernels on raw coefficient lists: raw values of `field`, lowest degree
-# first, no trailing zeros; the functions above wrap them
+# first, no trailing zeros; the operators and gcd above wrap some of them
 
 def _add_coeffs(field, a, b):
     """The raw coefficients of A + B."""
@@ -352,7 +328,7 @@ def _bezout_coeffs(field, a, b):
     """(d, s) with d the monic gcd of A and B (not both zero) and
     d = s A (mod B), by the extended Euclidean algorithm."""
     if not a and not b:
-        raise ZeroPolynomial("gcdext(0, 0)")
+        raise ZeroPolynomial("extended gcd of 0 and 0")
     if len(a) < len(b):
         # the first division would only swap the pair: A = 0 B + A
         r0, r1, s0, s1 = b, a, [], [field._one.value]

@@ -21,7 +21,13 @@ forms over QQ too.
 The diagonal split behind ``decompose`` also eliminates on raw values and
 wraps only the pieces it returns; ``decompose`` and ``in_curve_forms``
 split S once, the number of pieces being the rank, and
-``rank_radical`` reduces S once.
+``rank_radical`` reduces S once (``linalg._kernel_basis``).  The rank-3
+section runs on raw values as well: S e is one vector-kernel call, since
+S is symmetric, the isotropic vector comes from one reduction of
+augmented rows and the orthogonal complement from ``_kernel_basis``;
+elements are built only where a square root is adjoined and the result
+is embedded.  An isotropic hint of the wrong length raises
+LengthMismatch before any arithmetic.
 
 ``decompose`` is a computational section of the invariant: it rebuilds
 some triple from a rank-2/3 form, splitting off squares and, in rank 3,
@@ -32,7 +38,7 @@ isotropic vector supplied by the caller.
 
 from __future__ import annotations
 
-from . import linalg
+from .curves import check_form_length
 from .errors import (
     BudgetExhausted,
     DecompositionRejected,
@@ -40,6 +46,7 @@ from .errors import (
     RationalsNeedHint,
 )
 from .fields import FieldElement, adjoin_sqrt, embed
+from .linalg import _kernel_basis, _row_reduce
 from .poly import Polynomial
 from .triples import make_triple
 
@@ -87,10 +94,6 @@ class GramForm:
             return self
         return GramForm._trusted(
             tuple(tuple(embed(x, field) for x in row) for row in self.entries), field)
-
-    def evaluate(self, vec):
-        """The quadratic form's value x^T S x."""
-        return linalg.dot(vec, linalg.mat_vec(self.entries, vec))
 
     def __eq__(self, other):
         return (isinstance(other, GramForm)
@@ -164,8 +167,9 @@ def gram_to_poly(S):
 
 def rank_radical(S):
     """(rank, radical basis); rank + len(basis) = size, from one reduction."""
-    basis = linalg.kernel_basis(S.entries, S.field, S.size)
-    return S.size - len(basis), basis
+    field = S.field
+    basis = _kernel_basis(field, [field.values(row) for row in S.entries], S.size)
+    return S.size - len(basis), [field._wrap(vec) for vec in basis]
 
 
 def in_curve_forms(S, curve):
@@ -269,7 +273,8 @@ def decompose(S, curve, extension_budget=2, isotropic_hint=None):
 
 
 def _find_isotropic(field, pieces):
-    """A deterministic isotropic vector outside the radical, or None.
+    """A deterministic isotropic vector outside the radical, as raw values,
+    or None.
 
     Works on the diagonalised form alpha l1^2 + alpha2 l2^2 + alpha3 l3^2:
     scan first the l3 = 0 plane, then l3 = 1 slices in canonical element
@@ -290,18 +295,30 @@ def _find_isotropic(field, pieces):
                     break
         if coords is None:
             return None
-    sol = linalg.solve((l1, l2, l3), coords, field)
-    assert sol is not None  # the three split forms are independent
-    return sol
+    # l_i . e = coords_i, from one reduction of the augmented rows; the free
+    # coordinates are 0
+    n = len(l1)
+    rows, pivots = _row_reduce(
+        field, [field.values((*l, c)) for l, c in zip((l1, l2, l3), coords)], n)
+    assert len(pivots) == 3  # the three split forms are independent
+    e = [field._zero.value] * n
+    for row, pc in zip(rows, pivots):
+        e[pc] = row[n]
+    return e
 
 
 def _decompose_rank3(S, pieces, curve, extension_budget, isotropic_hint):
     field = S.field
-    rows = S.entries
+    n = S.size
+    zero = field._zero.value
+    mul, comb, dot = field._raw_mul, field._raw_comb, field._raw_dot
+    rows = [field.values(row) for row in S.entries]
+    # S is symmetric, so S e is the combination of its rows with e's entries
     if isotropic_hint is not None:
-        e1 = tuple(field.elem(c) for c in isotropic_hint)
-        se1 = linalg.mat_vec(rows, e1)
-        if linalg.dot(e1, se1) or not any(se1):
+        check_form_length(isotropic_hint, curve.genus)
+        e1 = field.values(isotropic_hint)
+        se1 = comb(e1, rows)
+        if dot(e1, se1, (), ()) != zero or all(x == zero for x in se1):
             raise NotCurveForm("hint is not an isotropic vector outside the radical")
     else:
         if field.p is None:
@@ -309,29 +326,30 @@ def _decompose_rank3(S, pieces, curve, extension_budget, isotropic_hint):
         e1 = _find_isotropic(field, pieces)
         if e1 is None:
             raise BudgetExhausted("no isotropic vector found in the base field")
-        se1 = linalg.mat_vec(rows, e1)
+        se1 = comb(e1, rows)
     # the partner f = e_k / (S e1)_k, k the first index with B(e1, e_k) =
     # (S e1)_k != 0, has B(e1, f) = 1; e1 is outside the radical
-    k = next(i for i, x in enumerate(se1) if x)
-    b_inv = se1[k].inverse()
+    k = next(i for i, x in enumerate(se1) if x != zero)
+    b_inv = field._raw_inv(se1[k])
     # make the partner isotropic: q(f + c e1) = q(f) + 2c, q(f) = S_kk / b^2
-    c = -(rows[k][k] * b_inv * b_inv) / field.elem(2)
-    e2 = [c * y for y in e1]
-    e2[k] = e2[k] + b_inv
-    se2 = linalg.mat_vec(rows, e2)
+    c = field._raw_neg(mul(mul(mul(rows[k][k], b_inv), b_inv), field._half))
+    e2 = [mul(c, y) for y in e1]
+    e2[k] = field._raw_add(e2[k], b_inv)
+    se2 = comb(e2, rows)
     # orthogonal complement of the hyperbolic plane, one vector outside the radical
-    for cand in linalg.kernel_basis((se1, se2), field, S.size):
-        se3 = linalg.mat_vec(rows, cand)
-        gamma = linalg.dot(cand, se3)
-        if gamma:
+    for cand in _kernel_basis(field, (se1, se2), n):
+        se3 = comb(cand, rows)
+        gamma = dot(cand, se3, (), ())
+        if gamma != zero:
             break
-    assert gamma  # rank 3 leaves a one-dimensional anisotropic complement
-    ext, s = adjoin_sqrt(field, gamma)
+    assert gamma != zero  # rank 3 leaves a one-dimensional anisotropic complement
+    ext, s = adjoin_sqrt(field, FieldElement(field, gamma))
     if ext != field and extension_budget < 2:
         raise BudgetExhausted("the rank-3 section needs a quadratic extension")
     # q = 2 l1 l2 + gamma l3^2 in the dual coordinates of (e1, e2, e3):
-    # l1 = S e2, l2 = S e1 and l3 = S e3 / gamma, embedded
-    u = tuple(ext.elem(-2) * embed(x, ext) for x in se2)
-    v = tuple(embed(x, ext) for x in se1)
-    w = tuple(s * embed(x / gamma, ext) for x in se3)
+    # l1 = S e2, l2 = S e1 and l3 = S e3 / gamma; make_triple embeds u and v
+    g_inv = field._raw_inv(gamma)
+    u = field._wrap([field._raw_neg(field._raw_add(x, x)) for x in se2])
+    v = field._wrap(se1)
+    w = [s * embed(FieldElement(field, mul(x, g_inv)), ext) for x in se3]
     return make_triple(curve, u, v, w, field=ext)

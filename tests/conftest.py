@@ -150,7 +150,7 @@ def element_row_reduce(rows, ncols):
 
 def row_by_column(a, b):
     """a @ b entry by entry with the element operators * and +; the
-    reference for ``linalg.mat_mul``."""
+    reference for ``linalg._mat_mul_raw``."""
     out = []
     for row in a:
         new = []
@@ -184,7 +184,7 @@ def long_division(a, b):
 
 def element_gcdext(f, g):
     """(d, s, t) by the extended Euclidean algorithm on element
-    polynomials; the reference for ``gcdext``."""
+    polynomials; the reference for ``poly._bezout_coeffs``."""
     field = f.field
     r0, r1 = f, g
     s0, s1 = Polynomial.one(field), Polynomial.zero(field)
@@ -200,7 +200,7 @@ def element_gcdext(f, g):
 
 def element_crt(residues, moduli):
     """The Chinese remainder chain on element polynomials; the reference for
-    ``crt``."""
+    ``poly._crt_coeffs``."""
     acc, mod = long_division(residues[0], moduli[0])[1], moduli[0]
     for r, m in zip(residues[1:], moduli[1:]):
         delta = long_division(r - acc, m)[1]

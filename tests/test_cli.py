@@ -182,6 +182,21 @@ def test_form_decompose_budget_exhausted(files):
         assert payload["error"]["kind"] == kind
 
 
+def test_form_decompose_rejects_a_hint_of_the_wrong_length(files):
+    # the rank-3 form of (X - 1, -2X^2 - X - 1, X^2 - X) on Y^2 = X^4 - 1,
+    # whose isotropic hint must have its three entries
+    form = {"entries": [["-1", "0", "-1"], ["0", "2", "0"], ["-1", "0", "1"]],
+            "field": {"p": None, "m": 1}}
+    argv = ["form-decompose", "--curve", files("c.json", CURVE_Q),
+            "--form", files("f.json", form)]
+    code, _ = run_command(argv + ["--hint", files("h.json", ["1", "1", "1"])])
+    assert code == EXIT_OK
+    for hint in (["1", "1", "1", "0"], ["1", "1"]):
+        code, payload = run_command(argv + ["--hint", files("h.json", hint)])
+        assert code == EXIT_DOMAIN, hint
+        assert payload["error"]["kind"] == "LengthMismatch"
+
+
 def test_galois_rational(files):
     curve5 = CURVE_F5B
     t = {"u": [[1], [0], [1]], "v": [[3], [0], [4]], "w": [[0], [1], [0]]}

@@ -16,10 +16,16 @@ def _m(field, rows):
     return tuple(tuple(field.elem(x) for x in row) for row in rows)
 
 
+def _reduce(field, rows, ncols):
+    """linalg._row_reduce on the raw values of element rows, wrapped again."""
+    reduced, pivots = linalg._row_reduce(field, list(map(field.values, rows)), ncols)
+    return tuple(map(field._wrap, reduced)), pivots
+
+
 def test_row_reduce_and_rank():
-    rows, pivots = linalg.row_reduce(_m(QQ, ((1, 2, 3), (2, 4, 6), (0, 1, 1))), QQ)
+    rows, pivots = _reduce(QQ, _m(QQ, ((1, 2, 3), (2, 4, 6), (0, 1, 1))), 3)
     assert pivots == (0, 1)
-    assert linalg.rank(_m(QQ, ((1, 2, 3), (2, 4, 6), (0, 1, 1))), QQ) == 2
+    assert rows == _m(QQ, ((1, 0, 1), (0, 1, 1), (0, 0, 0)))
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7), GF(5, 3), rational_extension((-2, 0, 1))],
@@ -27,7 +33,8 @@ def test_row_reduce_and_rank():
 def test_row_reduce_agrees_with_element_elimination(field):
     # seeded n x k matrices, some with a row repeated (rank-deficient) or a
     # column zeroed (a missing pivot, the sampler's singular case), reduced
-    # on all columns and on the first ncols < k only
+    # on all columns and on the first ncols < k only; the kernel basis is
+    # read off the reference reduction
     rng = random.Random(20261019)
     for n, k in ((1, 1), (2, 3), (3, 3), (3, 5), (4, 6), (5, 3)):
         for _ in range(6):
@@ -39,27 +46,40 @@ def test_row_reduce_agrees_with_element_elimination(field):
                 for row in rows:
                     row[zeroed] = field.zero()
             rows = tuple(map(tuple, rows))
-            assert linalg.row_reduce(rows, field) == element_row_reduce(rows, k)
+            assert _reduce(field, rows, k) == element_row_reduce(rows, k)
             ncols = rng.randint(1, k)
-            reduced, pivots = linalg._row_reduce(field, list(map(field.values, rows)), ncols)
-            assert (tuple(map(field._wrap, reduced)), pivots) == element_row_reduce(rows, ncols)
+            assert _reduce(field, rows, ncols) == element_row_reduce(rows, ncols)
+            reduced, pivots = element_row_reduce(rows, k)
+            basis = linalg._kernel_basis(field, list(map(field.values, rows)), k)
+            assert len(basis) == k - len(pivots)
+            for fc, vec in zip((c for c in range(k) if c not in pivots), basis):
+                want = [field.zero()] * k
+                want[fc] = field.one()
+                for r, pc in enumerate(pivots):
+                    want[pc] = -reduced[r][fc]
+                assert field._wrap(vec) == tuple(want)
+                assert all(not y for (y,) in row_by_column(rows, [(x,) for x in field._wrap(vec)]))
 
 
 def test_kernel_basis():
-    rows = _m(F5, ((1, 0, 4), (0, 0, 0)))
-    basis = linalg.kernel_basis(rows, F5, 3)
-    assert len(basis) == 2
+    rows = [F5.values(row) for row in ((1, 0, 4), (0, 0, 0))]
+    basis = linalg._kernel_basis(F5, rows, 3)
+    assert basis == [[0, 1, 0], [1, 0, 1]]
     for vec in basis:
-        assert all(not x for x in linalg.mat_vec(rows, vec))
+        assert linalg._mat_mul_raw(F5, rows, [[x] for x in vec]) == ([0], [0])
+    # no rows: every column is free
+    assert linalg._kernel_basis(F5, [], 2) == [[1, 0], [0, 1]]
 
 
-def test_solve_consistent_and_inconsistent():
+def test_row_reduce_solves_augmented_rows():
+    # a x = b from the reduction of [a | b] on the columns of a, as the
+    # sampler and the isotropic search solve
     a = _m(QQ, ((1, 1), (1, -1), (2, 0)))
     b = (QQ.elem(3), QQ.elem(1), QQ.elem(4))
-    x = linalg.solve(a, b, QQ)
-    assert linalg.mat_vec(a, x) == b
-    bad = (QQ.elem(3), QQ.elem(1), QQ.elem(5))
-    assert linalg.solve(a, bad, QQ) is None
+    reduced, pivots = _reduce(QQ, [(*row, y) for row, y in zip(a, b)], 2)
+    assert pivots == (0, 1) and not any(reduced[2])
+    x = tuple(row[2] for row in reduced[:2])
+    assert row_by_column(a, [(y,) for y in x]) == tuple((y,) for y in b)
 
 
 def test_det():
@@ -84,17 +104,16 @@ def test_mat_mul_agrees_with_row_by_column():
         for n, k, m in ((1, 1, 1), (3, 3, 3), (3, 3, 5), (2, 4, 3)):
             a = tuple(tuple(_random_entry(field, rng) for _ in range(k)) for _ in range(n))
             b = tuple(tuple(_random_entry(field, rng) for _ in range(m)) for _ in range(k))
-            assert linalg.mat_mul(a, b) == row_by_column(a, b), (field, n, k, m)
-            vec = tuple(row[0] for row in b)
-            assert linalg.mat_vec(a, vec) == tuple(r[0] for r in row_by_column(a, b))
+            values = field.values
+            got = linalg._mat_mul_raw(field, list(map(values, a)), list(map(values, b)))
+            assert tuple(map(field._wrap, got)) == row_by_column(a, b), (field, n, k, m)
 
 
 def test_products_reject_entries_of_another_field():
+    # the raw kernels trust their input; the one unwrapping step is the check
     a = _m(F5, ((1, 2), (3, 4)))
-    b = (a[0], (GF(5, 2).one(), F5.one()))
     with pytest.raises(DescriptorMismatch):
-        linalg.mat_mul(a, b)
+        F5.values((GF(5, 2).one(), F5.one()))
     with pytest.raises(DescriptorMismatch):
-        linalg.mat_vec(a, b[1])
-    with pytest.raises(DescriptorMismatch):
-        linalg.dot(a[0], _m(QQ, ((1, 2),))[0])
+        F5.values(_m(QQ, ((1, 2),))[0])
+    assert F5.values(a[0]) == [1, 2] and F5.values((1, Fraction(1, 2))) == [1, 3]

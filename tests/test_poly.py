@@ -9,12 +9,12 @@ from picforms.errors import DivisionByZero, ZeroPolynomial
 from picforms.fields import GF, QQ, embed, rational_extension
 from picforms.poly import (
     Polynomial,
+    _bezout_coeffs,
+    _crt_coeffs,
+    _invert_mod_coeffs,
     _pow_coeffs,
     _product_coeffs,
-    crt,
     gcd,
-    gcdext,
-    invert_mod,
     is_squarefree,
     roots_in_field,
 )
@@ -98,20 +98,30 @@ def test_gcdext_invert_mod_crt_agree_with_element_euclid(field):
                 for _ in range(2))
         if f.is_zero and g.is_zero:
             continue
-        got, want = gcdext(f, g), element_gcdext(f, g)
-        assert [x.coeffs for x in got] == [x.coeffs for x in want]
+        d, s = (P(field, *field._wrap(c)) for c in _bezout_coeffs(field, f._raw(), g._raw()))
+        want = element_gcdext(f, g)
+        assert (d.coeffs, s.coeffs) == (want[0].coeffs, want[1].coeffs)
         assert gcd(f, g).coeffs == want[0].coeffs
-        d, s, t = got
-        assert s * f + t * g == d and d.leading() == field.one()
-        if g.degree > 0 and d.degree == 0:
-            assert invert_mod(f, g) == long_division(s, g)[1]
+        # d - s f is the multiple t g of g
+        assert s * f + want[2] * g == d and d.leading() == field.one()
+        if g.degree > 0:
+            if d.degree == 0:
+                inv = _invert_mod_coeffs(field, f._raw(), g._raw())
+                assert field._wrap(inv) == long_division(s, g)[1].coeffs
+            else:
+                with pytest.raises(DivisionByZero):
+                    _invert_mod_coeffs(field, f._raw(), g._raw())
         # pairwise coprime moduli: distinct monic linear factors, and a square
         roots = rng.sample(range(3), 3)
         moduli = [P(field, -roots[0], 1) ** 2, P(field, -roots[1], 1), P(field, -roots[2], 1)]
         residues = [P(field, *(_random_coeff(field, rng) for _ in range(3))) for _ in moduli]
-        w = crt(residues, moduli)
+        w, mod = _crt_coeffs(field, [r._raw() for r in residues], [m._raw() for m in moduli])
+        w = P(field, *field._wrap(w))
         assert w.coeffs == element_crt(residues, moduli).coeffs
+        assert field._wrap(mod) == (moduli[0] * moduli[1] * moduli[2]).coeffs
         assert all((w - r) % m == P(field) for r, m in zip(residues, moduli))
+    with pytest.raises(ZeroPolynomial):
+        _bezout_coeffs(field, [], [])
 
 
 def test_gcd_common_factor():
@@ -201,17 +211,23 @@ def test_roots_in_extension():
 
 def test_gcdext_and_invert_mod():
     f, g = P(F5, 1, 0, 1), P(F5, 2, 3, 0, 1)
-    d, s, t = gcdext(f, g)
-    assert s * f + t * g == d
+    d, s = (P(F5, *c) for c in _bezout_coeffs(F5, f._raw(), g._raw()))
+    assert d == P(F5, 1) and (s * f - d) % g == P(F5)
     modulus = P(F5, 2, 0, 1)
-    inv = invert_mod(P(F5, 0, 1), modulus)
+    inv = P(F5, *_invert_mod_coeffs(F5, P(F5, 0, 1)._raw(), modulus._raw()))
     assert (inv * P(F5, 0, 1)) % modulus == Polynomial.one(F5)
+    # X^2 + 1 = (X - 2)(X - 3) over GF(5) shares the factor X - 2 with X^2 - 4
+    with pytest.raises(DivisionByZero):
+        _invert_mod_coeffs(F5, f._raw(), P(F5, -4, 0, 1)._raw())
+    with pytest.raises(ZeroPolynomial):
+        _bezout_coeffs(F5, [], [])
 
 
 def test_crt():
     m1, m2 = P(F5, -1, 1), P(F5, -2, 1)
-    w = crt([P(F5, 3), P(F5, 1)], [m1, m2])
-    assert w % m1 == P(F5, 3) and w % m2 == P(F5, 1)
+    w, mod = _crt_coeffs(F5, [[3], [1]], [m1._raw(), m2._raw()])
+    w = P(F5, *w)
+    assert w % m1 == P(F5, 3) and w % m2 == P(F5, 1) and P(F5, *mod) == m1 * m2
 
 
 def test_monic_and_leading():

@@ -1,16 +1,17 @@
 import hashlib
 import importlib.util
+import json
 import os
 import random
 
 import pytest
 
-from conftest import count_calls, seeded_curve
+from conftest import count_calls, element_row_reduce, seeded_curve
 
-from picforms import linalg, quadform
+from picforms import linalg, quadform, serialize
 from picforms.curves import make_curve
 from picforms.equivalence import recover_transform
-from picforms.errors import GramMismatch, NotCurveForm, RationalsNeedHint
+from picforms.errors import GramMismatch, LengthMismatch, NotCurveForm, RationalsNeedHint
 from picforms.fields import GF, QQ, rational_extension
 from picforms.ortho import (
     classify,
@@ -32,6 +33,7 @@ from picforms.sampling import random_orthogonal_word, random_triple
 from picforms.triples import act, conjugate, make_triple
 
 F5 = GF(5)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _gram(field, entries):
@@ -95,7 +97,7 @@ def test_rank_equals_span_dimension(curve_f5a, curve_f5b):
         for _ in range(60):
             t = random_triple(curve, F5, rng)
             r, basis = rank_radical(gram(t))
-            assert r == linalg.rank((t.u, t.v, t.w), F5)
+            assert r == len(element_row_reduce((t.u, t.v, t.w), curve.genus + 2)[1])
             assert r >= 2
             assert r + len(basis) == curve.genus + 2
             assert gram_to_poly(gram(t)) == curve.F
@@ -109,7 +111,7 @@ def test_radical_is_common_zero_locus(curve_f5b):
         _, basis = rank_radical(S)
         for vec in basis:
             for form in (t.u, t.v, t.w):
-                assert not linalg.dot(form, vec)
+                assert not F5.dot(F5.values(form), F5.values(vec))
 
 
 def test_recover_rank2_worked(curve_q, triple_a, triple_b):
@@ -266,9 +268,20 @@ def test_decompose_rationals_need_hint(curve_q):
         decompose(S, curve_q)
     # u(1,1,1) = 0 makes (1, 1, 1) an isotropic vector for w^2 - u*v
     hint = (QQ.one(), QQ.one(), QQ.one())
-    assert not S.evaluate(hint)
+    values = QQ.values(hint)
+    s_hint = [QQ.dot(QQ.values(row), values) for row in S.entries]
+    assert not QQ.dot(values, QQ.values(s_hint))
     t2 = decompose(S, curve_q, isotropic_hint=hint)
     assert gram(t2) == S.embedded(t2.field)
+
+
+def test_decompose_rejects_a_hint_of_the_wrong_length(curve_q):
+    # the hint is checked before any arithmetic: one entry too many used to
+    # be dropped by the dot product, and one too few failed only by accident
+    S = gram(_rank3_rational_triple(curve_q))
+    for hint in ((1, 1, 1, 0), (1, 1)):
+        with pytest.raises(LengthMismatch):
+            decompose(S, curve_q, isotropic_hint=tuple(map(QQ.elem, hint)))
 
 
 def _section_cases(curve_q, triple_a):
@@ -298,21 +311,79 @@ def test_decompose_splits_the_form_once(monkeypatch, curve_q, triple_a):
         assert _count_during_decompose(monkeypatch, case, quadform, "_split_diagonal") == 1
 
 
-def test_decompose_takes_no_rank(monkeypatch, curve_q, triple_a):
-    # the rank is the number of pieces of the split
-    for case in _section_cases(curve_q, triple_a):
-        assert _count_during_decompose(monkeypatch, case, linalg, "rank") == 0
+def test_decompose_takes_no_rank(curve_q, triple_a):
+    # the rank is the number of pieces of the split, and linalg has no rank
+    assert not hasattr(linalg, "rank")
+    for S, curve, _ in _section_cases(curve_q, triple_a):
+        assert len(quadform._curve_pieces(S, curve)) == rank_radical(S)[0]
+
+
+def _section_sweep():
+    spec = importlib.util.spec_from_file_location(
+        "section_sweep", os.path.join(ROOT, "tools", "section_sweep.py"))
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    return sweep
 
 
 def test_section_sweep_bytes_pinned(capsys):
     # every rank, radical and decomposed triple (or error kind) of the seeded
     # section sweep, pinned by the SHA-256 of its output
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    spec = importlib.util.spec_from_file_location(
-        "section_sweep", os.path.join(root, "tools", "section_sweep.py"))
-    sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep)
-    assert sweep.main(["--seed", "1"]) == 0
+    assert _section_sweep().main(["--seed", "1"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    with open(os.path.join(root, "tests", "fixtures", "section_sweep_seed1.sha256")) as fh:
+    with open(os.path.join(ROOT, "tests", "fixtures", "section_sweep_seed1.sha256")) as fh:
         assert digest == fh.read().split()[0]
+
+
+def _outside_sweep_cases():
+    """(label, curve, S, hint) over fields the section sweep leaves out:
+    rank 2 and rank 3 over GF(5^3) and GF(2^61 - 1), drawn as the sweep
+    draws them (every second rank-3 form with a hint), and forms over
+    QQ(sqrt 2) whose section exists there, some with irrational entries."""
+    sweep = _section_sweep()
+    rng = random.Random(5)
+    for field in (GF(5, 3), GF(2 ** 61 - 1)):
+        for genus in (1, 2):
+            for rank in (2, 3):
+                for i in range(5):
+                    curve, t = sweep._triple(field, genus, rank, rng)
+                    hint = sweep._hint(t) if rank == 3 and i % 2 else None
+                    yield "%s/g%d/r%d" % (field.label(), genus, rank), curve, gram(t), hint
+    K = rational_extension((-2, 0, 1))
+    zero, one, r2 = K.zero(), K.one(), K.elem((0, 1))
+    # (X - 1)(X - sqrt 2), -(X + 1)(X + sqrt 2), 0 on (X^2 - 1)(X^2 - 2)
+    u = (r2, -one - r2, one)
+    v = (-r2, -one - r2, -one)
+    curve = make_curve(-(Polynomial(K, u) * Polynomial(K, v)), K)
+    yield "K/r2", curve, gram(make_triple(curve, u, v, (zero,) * 3, field=K)), None
+    curve_q = make_curve([-1, 0, 0, 0, 1], QQ)
+    t = _rank3_rational_triple(curve_q).embedded(K)
+    yield "K/r3", curve_q, gram(t), (one, one, one)
+    for u, v, w in (((-r2, one, zero), (-one, -one, K.elem(-2)), (zero, -r2, one)),
+                    ((-r2, one, zero), (r2, one, one), (zero, -r2, one)),
+                    ((one, r2, zero), (r2, zero, one), (zero, one, r2))):
+        W = Polynomial(K, w)
+        curve = make_curve(W * W - Polynomial(K, u) * Polynomial(K, v), K)
+        t = make_triple(curve, u, v, w, field=K)
+        yield "K/r3", curve, gram(t), sweep._hint(t)
+
+
+def _outside_sweep_rows():
+    rows = []
+    for label, curve, S, hint in _outside_sweep_cases():
+        rank, radical = rank_radical(S)
+        rows.append({
+            "case": label,
+            "hint": hint and serialize.scalars_to_json(hint),
+            "rank": rank,
+            "radical": [serialize.scalars_to_json(v) for v in radical],
+            "triple": serialize.triple_to_json(decompose(S, curve, isotropic_hint=hint)),
+        })
+    return rows
+
+
+def test_decompose_pinned_outside_the_sweep_fields():
+    # ranks, radicals and sections over GF(5^3), GF(2^61 - 1) and QQ(sqrt 2),
+    # as the elementwise section computed them
+    with open(os.path.join(ROOT, "tests", "fixtures", "decompose_outside_sweep.json")) as fh:
+        assert _outside_sweep_rows() == json.load(fh)

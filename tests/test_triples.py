@@ -183,9 +183,9 @@ def _act_cases(curve_q, curve_f5b):
 def test_act_builds_the_image_without_revalidation(monkeypatch, curve_q, curve_f5b):
     cases = _act_cases(curve_q, curve_f5b)
     validations = count_calls(monkeypatch, triples, "make_triple")
-    products = count_calls(monkeypatch, linalg, "mat_mul")
+    products = count_calls(monkeypatch, linalg, "_mat_mul_raw")
     images = [act(m, t) for m, t in cases]
-    assert validations == [] and products == []
+    assert validations == [] and len(products) == len(cases)
     for (m, t), out in zip(cases, images):
         assert out.field is (t.field if m.field in (QQ, F5) else m.field)
         assert out == make_triple(out.curve, *out.forms(), field=out.field)

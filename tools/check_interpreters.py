@@ -1,5 +1,5 @@
-"""Run the seeded class sweep and sampler digest under every Python 3.10+
-interpreter found.
+"""Run the seeded sweeps, the sampler digest and the worked class-relation
+check under every Python 3.10+ interpreter found.
 
     python3 tools/check_interpreters.py
 

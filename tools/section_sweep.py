@@ -31,7 +31,7 @@ from picforms import serialize
 from picforms.curves import make_curve
 from picforms.errors import AlgebraError
 from picforms.fields import GF, QQ
-from picforms.linalg import dot, kernel_basis
+from picforms.linalg import _kernel_basis
 from picforms.poly import Polynomial, is_squarefree
 from picforms.quadform import GramForm, decompose, gram, rank_radical
 from picforms.triples import make_triple
@@ -74,9 +74,10 @@ def _triple(field, genus, rank, rng):
 
 def _hint(t):
     """An isotropic vector outside the radical: u.x = w.x = 0 and v.x != 0."""
-    for x in kernel_basis((t.u, t.w), t.field, len(t.u)):
-        if dot(t.v, x):
-            return x
+    field = t.field
+    for x in _kernel_basis(field, (field.values(t.u), field.values(t.w)), len(t.u)):
+        if field.dot(field.values(t.v), x):
+            return field._wrap(x)
     return None
 
 
