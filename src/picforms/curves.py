@@ -30,12 +30,13 @@ from .poly import Polynomial, is_squarefree
 class Curve:
     """Validated model Y^2 = F(X) with deg F = 2g + 2."""
 
-    __slots__ = ("field", "F", "genus")
+    __slots__ = ("field", "F", "genus", "_F_values")
 
     def __init__(self, field, F, genus):
         self.field = field
         self.F = F
         self.genus = genus
+        self._F_values = {}
 
     def __eq__(self, other):
         return isinstance(other, Curve) and self.field == other.field and self.F == other.F
@@ -47,7 +48,15 @@ class Curve:
         return "Curve(genus %d, Y^2 = %r over %s)" % (self.genus, self.F, self.field.label())
 
     def embedded_F(self, field):
-        return self.F.embedded(field)
+        return Polynomial._trusted(field, field._wrap(self._raw_F(field)))
+
+    def _raw_F(self, field):
+        """The raw coefficients of F over `field`, a field containing the
+        curve's, as a tuple; computed once per field and kept on the curve."""
+        F = self._F_values.get(field)
+        if F is None:
+            F = self._F_values[field] = tuple([embed(c, field).value for c in self.F.coeffs])
+        return F
 
 
 def make_curve(coeffs, field):

@@ -56,7 +56,7 @@ and the records decide completely, so one Gram entry, twice S_02, serves
 only to turn most unrelated pairs away early (``recover_transform``,
 which reports a mismatch, compares twice the entries with j >= i + 2,
 the whole invariant on one curve; see
-:func:`picforms.quadform._twice_gram_band`).  And when the first three
+:func:`picforms.quadform._twice_gram`).  And when the first three
 columns of t1 have a nonzero determinant, only the identity fixes t1, so
 after a proper A onto t2 the one matrix onto conj(t2) is flip . A, which
 is improper: the conjugate search is skipped.
@@ -91,7 +91,7 @@ from .ortho import (
     reduction_matrix,
     swap_matrix,
 )
-from .quadform import _twice_gram_band
+from .quadform import _twice_gram
 from .triples import _canonical_forms, act
 
 KIND_EQUAL = "equal"
@@ -365,7 +365,7 @@ def recover_transform(t1, t2):
     """
     t1, t2 = _on_common_field(t1, t2)
     kernel, r1, r2 = _decision_forms(t1, t2)
-    if _twice_gram_band(kernel, *r1) != _twice_gram_band(kernel, *r2):
+    if _twice_gram(kernel, *r1, 2) != _twice_gram(kernel, *r2, 2):
         raise GramMismatch("the triples have different Gram matrices")
     records = _records(kernel, r1, r2)
     record = next(records)

@@ -84,7 +84,9 @@ class WitnessRejected(AlgebraError):
 
 
 class SearchExhausted(AlgebraError):
-    """A search the theory says must succeed found nothing (reported rather than guessed)."""
+    """A search ran out without an answer: one the theory says must succeed
+    found nothing (reported rather than guessed), or the sampler's bounded
+    random search drew no triple, as on a curve with too few points."""
 
 
 # -- quadratic forms ----------------------------------------------------------

@@ -30,11 +30,11 @@ extensions.  The canonical total order used for deterministic searches is
 the natural order on QQ and the integer index c0 + c1*p + ... on finite
 fields.
 
-Polynomials over GF(p) have no arithmetic of their own here: Rabin's
-irreducibility test and the inverse in GF(p^m) run on the raw kernels of
-:mod:`picforms.poly` over the prime field, imported inside the functions
-since that module imports this one, and the subfield coordinates of an
-embedding come from :func:`picforms.linalg._row_reduce` over GF(p).
+Polynomials have no arithmetic of their own here: Rabin's
+irreducibility test, the inverse in GF(p^m) and the root of an embedding
+run on the raw kernels of :mod:`picforms.poly`, imported inside the
+functions since that module imports this one, and the subfield
+coordinates of an embedding come from :func:`picforms.linalg._row_reduce`.
 
 Sums of products go through one kernel, :meth:`Field.dot`, with one
 implementation per field kind.  Over QQ it accumulates a numerator and a
@@ -869,8 +869,8 @@ def _embedding(src, dst):
     cached = dst._embed_cache.get(src)
     if cached is not None:
         return cached
-    from .poly import Polynomial, roots_in_field  # poly imports this module
-    root = roots_in_field(Polynomial(dst, src.modulus))[0][0].value
+    from .poly import _distinct_roots  # poly imports this module
+    root = _distinct_roots(dst, [dst._scalar(c) for c in src.modulus])[0]
     powers = [dst._one.value]
     for _ in range(src.m - 1):
         powers.append(dst._raw_mul(powers[-1], root))
@@ -890,7 +890,7 @@ def embed(e, dst):
 
     Prime fields and QQ embed as constants; GF(p^a) embeds into GF(p^b)
     (a | b) along the root of its modulus with the smallest index, found by
-    :func:`picforms.poly.roots_in_field`.  The choice is cached per field
+    :func:`picforms.poly._distinct_roots`.  The choice is cached per field
     pair, so it is consistent within and across computations in one
     process.
     """

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from .errors import NotFiniteField, NotInAmbient
 from .fields import GF, Field, can_embed
 from .equivalence import _records, _witness_from
-from .quadform import GramForm, _gram_upper
+from .quadform import GramForm, _twice_gram
 from .sampling import random_triple
 from .triples import Triple
 
@@ -91,11 +91,12 @@ def _gram_fixed(field, forms):
     """True iff the Gram invariant of the raw forms is Frobenius-fixed.
 
     An element is fixed iff it lies in the prime field, the constants of
-    the power basis, so only the other coordinates are read.
+    the power basis, so only the other coordinates are read; they vanish
+    for twice the entry exactly when they do for the entry.
     """
     if field.m == 1:
         return True
-    return not any(any(x[1:]) for x in _gram_upper(field, *forms))
+    return not any(any(x[1:]) for x in _twice_gram(field, *forms))
 
 
 def class_rational_mod_conj(t, ctx):

@@ -7,21 +7,20 @@ and ** are overloaded, polynomials are callable (evaluation), and the gcd
 is always returned monic.  Each coefficient of a product is one call of
 the field's sum-of-products kernel, so it is normalised once.
 
-Every polynomial algorithm has one kernel on raw coefficient lists, the
-``_*_coeffs`` functions: sum, difference, product, power (optionally
-modulo a polynomial), division, gcd, extended gcd, inverse modulo a
-polynomial and the Chinese remainder chain.  The operators and ``gcd``
-wrap them; root finding, the sampler (:mod:`picforms.sampling`), Rabin's
-irreducibility test and the inverse in GF(p^m) (:mod:`picforms.fields`,
-over GF(p)), and the squarefree certificate over QQ
-(``_squarefree_prime``, over GF(p)) call them directly.  The extended
-gcd, the inverse modulo a polynomial and the Chinese remainder chain
-have no wrapper: only those callers need them.
+Below the public API there is one representation, raw coefficient
+lists, and one kernel per algorithm on them: sum, difference, product,
+power (optionally modulo a polynomial), division, derivative, gcd,
+extended gcd, inverse modulo a polynomial, the Chinese remainder chain,
+the squarefree test gcd(A, A') = 1, distinct roots and multiplicity.
+``Polynomial``, ``gcd``, ``is_squarefree`` and ``roots_in_field`` wrap
+them; the sampler, :mod:`picforms.fields` (Rabin's test, the inverse in
+GF(p^m), the embedding root) and the squarefree certificate over QQ call
+them directly.
 
 Root finding uses gcd(f, X^q - X) and Cantor-Zassenhaus splitting over
-finite fields, polylogarithmic in q, and the rational-root bound over QQ;
-both return multiplicities.  There is no general factorization into
-irreducibles here.
+finite fields, polylogarithmic in q, and the rational-root bound on the
+cleared integers over QQ; both return multiplicities.  There is no
+general factorization into irreducibles here.
 """
 
 from __future__ import annotations
@@ -102,8 +101,8 @@ class Polynomial:
         return Polynomial(self.field, tuple(c * inv for c in self.coeffs))
 
     def derivative(self):
-        return Polynomial(self.field,
-                          tuple(self.coeffs[i] * i for i in range(1, len(self.coeffs))))
+        field = self.field
+        return Polynomial._trusted(field, field._wrap(_derivative_coeffs(field, self._raw())))
 
     def embedded(self, field):
         if field == self.field:
@@ -351,8 +350,7 @@ def _invert_mod_coeffs(field, a, m):
     """
     d, s = _bezout_coeffs(field, a, m)
     if len(d) != 1:
-        raise DivisionByZero("%r is not invertible mod %r" % (
-            Polynomial(field, field._wrap(a)), Polynomial(field, field._wrap(m))))
+        raise DivisionByZero("%r is not invertible mod %r over %s" % (a, m, field.label()))
     return s
 
 
@@ -376,23 +374,36 @@ def _crt_coeffs(field, residues, moduli):
 _CERTIFICATE_PRIMES = (10007, 10009, 10037, 10039)
 
 
-def is_squarefree(f):
-    """True iff gcd(f, f') is constant.
+def _derivative_coeffs(field, a):
+    """The raw coefficients of A'."""
+    mul, zero = field._raw_mul, field._zero.value
+    out = [mul(field._scalar(i), a[i]) for i in range(1, len(a))]
+    while out and out[-1] == zero:
+        out.pop()  # in characteristic p the top term may vanish
+    return out
 
-    Valid over the perfect fields used here: when f' = 0 the polynomial is
-    a p-th power, and the gcd comes out nonconstant as required.
+
+def _squarefree_coeffs(field, a):
+    """True iff gcd(A, A') = 1 for the nonzero raw A.
+
+    Valid over the perfect fields used here: when A' = 0, A is a p-th
+    power, and the gcd is A itself, nonconstant unless A is.
+    """
+    return len(_gcd_coeffs(field, a, _derivative_coeffs(field, a))) == 1
+
+
+def is_squarefree(f):
+    """True iff gcd(f, f') is constant (:func:`_squarefree_coeffs`).
 
     Over QQ a certificate mod p comes first (:func:`_squarefree_prime`).
-    It only ever proves squarefreeness; when it does not, the exact gcd
+    It only ever proves squarefreeness; when it does not, the exact test
     over QQ decides, as it does over every other field.
     """
     if f.is_zero:
         raise ZeroPolynomial("squarefree test on 0")
-    if f.degree == 0:
-        return True
     if f.field is QQ and _squarefree_prime(f) is not None:
         return True
-    return gcd(f, f.derivative()).degree == 0
+    return _squarefree_coeffs(f.field, f._raw())
 
 
 def _squarefree_prime(f):
@@ -413,23 +424,12 @@ def _squarefree_prime(f):
             break
     else:
         return None
-    a = [x % p for x in a]
-    da = [i * x % p for i, x in enumerate(a)][1:]
-    while da and not da[-1]:
-        da.pop()
-    return p if len(_gcd_coeffs(GF(p), a, da)) == 1 else None
+    return p if _squarefree_coeffs(GF(p), [x % p for x in a]) else None
 
 
 def _divisors(n):
     n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
+    return sorted({d for k in range(1, math.isqrt(n) + 1) if n % k == 0 for d in (k, n // k)})
 
 
 def roots_in_field(f, field=None):
@@ -437,8 +437,8 @@ def roots_in_field(f, field=None):
 
     Returns a list of (root, multiplicity) pairs sorted by the canonical
     element order.  Over a finite field the roots come from
-    :func:`_distinct_roots`; over QQ the candidates come from the
-    rational-root bound.
+    :func:`_distinct_roots`, over QQ from :func:`_rational_roots`; each
+    multiplicity from :func:`_multiplicity`.
     """
     if f.is_zero:
         raise ZeroPolynomial("roots of 0")
@@ -448,53 +448,26 @@ def roots_in_field(f, field=None):
         f = f.embedded(field)
     if field.p is None and field.m > 1:
         raise RationalsUnsupported("root finding inside extensions of QQ is not supported")
-    out = []
-    if field.p is not None:
-        return [(x, _multiplicity(f, x)) for x in _distinct_roots(f)]
-    # QQ: strip powers of X, clear denominators, try p/q candidates
-    k = 0
-    while k <= f.degree and not f.coeffs[k]:
-        k += 1
-    if k:
-        out.append((field.zero(), k))
-        f = Polynomial(field, f.coeffs[k:])
-    if f.degree >= 1:
-        denom = 1
-        for c in f.coeffs:
-            denom = denom * c.value.denominator // math.gcd(denom, c.value.denominator)
-        ints = [int(c.value * denom) for c in f.coeffs]
-        a0, an = ints[0], ints[-1]
-        seen = set()
-        for num in _divisors(a0):
-            for den in _divisors(an):
-                for sign in (1, -1):
-                    cand = Fraction(sign * num, den)
-                    if cand in seen:
-                        continue
-                    seen.add(cand)
-                    x = field.elem(cand)
-                    if not f(x):
-                        out.append((x, _multiplicity(f, x)))
-    out.sort(key=lambda pair: pair[0].sort_key())
-    return out
+    a = f._raw()
+    roots = _distinct_roots(field, a) if field.p is not None else _rational_roots(a)
+    return [(FieldElement(field, r), _multiplicity(field, a, r)) for r in roots]
 
 
-def _distinct_roots(f):
-    """The distinct roots of f in its finite coefficient field GF(q), in
-    canonical order.
+def _distinct_roots(field, a):
+    """The distinct roots of the nonzero raw A in the finite field GF(q),
+    as raw values in canonical (index) order.
 
-    g = gcd(f, X^q - X) is the product of the distinct linear factors of f.
+    g = gcd(A, X^q - X) is the product of the distinct linear factors of A.
     Cantor-Zassenhaus splits g by gcd(g, (X + c)^((q - 1)/2) - 1), which
     keeps the roots r with r + c a nonzero square; about half of all c
     separate any two roots.  The c are drawn from GF(q) by a generator with
     a fixed seed, so the work is reproducible; c from GF(p) alone would
     never separate two roots conjugate over GF(p).
     """
-    if f.degree < 1:
+    if len(a) < 2:
         return []
-    field = f.field
-    zero, one = field._zero.value, field._one.value
-    x, a = [zero, one], f._raw()
+    one = field._one.value
+    x = [field._zero.value, one]
     half = (field.order - 1) // 2
     rng = random.Random(0)
     roots = []
@@ -511,16 +484,38 @@ def _distinct_roots(f):
                 pending += [h, _divmod_coeffs(field, g, h)[0]]
             else:
                 pending.append(g)
-    return sorted(field._wrap(roots), key=lambda r: r.sort_key())
+    # the index c0 + c1 p + ... compares as the reversed coefficient tuple
+    return sorted(roots, key=None if field.m == 1 else lambda r: r[::-1])
 
 
-def _multiplicity(f, x):
-    """The multiplicity of the root x of f."""
-    mult = 0
-    lin = Polynomial(f.field, (-x, f.field.one()))
+def _rational_roots(a):
+    """The distinct roots in QQ of the nonzero raw A over QQ, increasing.
+
+    After the factor X^k, with A cleared to integer coefficients
+    c_0 .. c_n, a root num/den in lowest terms has num | c_0 and
+    den | c_n, and it is one exactly when the integer den^n A(num/den) =
+    sum c_i num^i den^(n - i) vanishes.
+    """
+    k = 0
+    while not a[k]:
+        k += 1
+    roots = [Fraction(0)] if k else []
+    _, (c,) = _cleared((a[k:],))
+    n = len(c) - 1
+    for num in _divisors(c[0]):
+        for den in _divisors(c[-1]):
+            if math.gcd(num, den) == 1:
+                roots += [Fraction(x, den) for x in (num, -num)
+                          if not sum(ci * x ** i * den ** (n - i) for i, ci in enumerate(c))]
+    return sorted(roots)
+
+
+def _multiplicity(field, a, r):
+    """The multiplicity of the root r of the nonzero raw A: how often
+    X - r divides it."""
+    lin, mult = [field._raw_neg(r), field._one.value], 0
     while True:
-        q, r = divmod(f, lin)
-        if not r.is_zero:
+        q, rem = _divmod_coeffs(field, a, lin)
+        if rem:
             return mult
-        mult += 1
-        f = q
+        a, mult = q, mult + 1

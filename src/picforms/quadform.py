@@ -11,23 +11,23 @@ The invariant is complete on orbits of the full orthogonal group; the
 matrix carrying one triple onto another with the same Gram matrix is
 ``equivalence.recover_transform``.
 
-The entries come from one raw kernel, ``_gram_upper``, which returns the
-upper triangle as raw values: ``gram`` wraps and mirrors it into a
-``GramForm``, and the Galois filter reads it unwrapped.
-``recover_transform`` compares twice the entries two or more places off
-the diagonal (``_twice_gram_band``), which decide the rest for triples on
-one curve and need no 1/2, so they are computed on the cleared integer
-forms over QQ too.
-The diagonal split behind ``decompose`` also eliminates on raw values and
-wraps only the pieces it returns; ``decompose`` and ``in_curve_forms``
-split S once, the number of pieces being the rank, and
-``rank_radical`` reduces S once (``linalg._kernel_basis``).  The rank-3
-section runs on raw values as well: S e is one vector-kernel call, since
-S is symmetric, the isotropic vector comes from one reduction of
-augmented rows and the orthogonal complement from ``_kernel_basis``;
-elements are built only where a square root is adjoined and the result
-is embedded.  An isotropic hint of the wrong length raises
-LengthMismatch before any arithmetic.
+The entries come from one raw kernel, ``_twice_gram``: twice the entries
+on and above a diagonal, with no 1/2, so it runs on the cleared integer
+forms over QQ too.  ``gram`` halves and mirrors the upper triangle, the
+Galois filter reads it unwrapped, and ``recover_transform`` compares the
+entries two or more places off the diagonal, which decide the rest for
+triples on one curve.  S maps onto the curve when its antidiagonal sums
+(``_antidiagonal_sums``, wrapped by ``gram_to_poly``) equal the curve's
+raw F.  The diagonal split behind ``decompose`` also eliminates on raw
+values and wraps only the pieces it returns; ``decompose`` and
+``in_curve_forms`` split S once, the number of pieces being the rank,
+and ``rank_radical`` reduces S once (``linalg._kernel_basis``).  The
+rank-3 section runs on raw values as well: S e is one vector-kernel
+call, since S is symmetric, the isotropic vector comes from one
+reduction of augmented rows and the orthogonal complement from
+``_kernel_basis``; elements are built only where a square root is
+adjoined and the result is embedded.  An isotropic hint of the wrong
+length raises LengthMismatch whatever the rank.
 
 ``decompose`` is a computational section of the invariant: it rebuilds
 some triple from a rank-2/3 form, splitting off squares and, in rank 3,
@@ -107,11 +107,12 @@ class GramForm:
 
 
 def gram(t):
-    """Entry (i, j) is w_i w_j - (u_i v_j + u_j v_i)/2; the upper triangle
-    is computed, one vector-kernel call per row, and mirrored."""
+    """Entry (i, j) is w_i w_j - (u_i v_j + u_j v_i)/2: the upper triangle
+    of ``_twice_gram``, halved in one vector-kernel call and mirrored."""
     field = t.field
     n = len(t.u)
-    upper = iter(field._wrap(_gram_upper(field, *t._raw_forms())))
+    twice = _twice_gram(field, *t._raw_forms())
+    upper = iter(field._wrap(field._raw_comb((field._half,), (twice,))))
     rows = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -119,50 +120,40 @@ def gram(t):
     return GramForm._trusted(tuple(map(tuple, rows)), field)
 
 
-def _gram_upper(field, u, v, w):
-    """The upper triangle of the Gram matrix of the raw forms (u, v, w),
-    row by row, as a list of raw values.
-
-    Row i is one vector-kernel call, w_i w - (u_i/2) v - v_i (u/2) on the
-    columns j >= i.
-    """
-    comb = field._raw_comb
-    nh = field._raw_neg(field._half)
-    nhu = comb((nh,), (u,))
-    out = []
-    for i in range(len(v)):
-        out += comb((w[i], nhu[i], v[i]), (w[i:], v[i:], nhu[i:]))
-    return out
-
-
-def _twice_gram_band(field, u, v, w):
-    """Twice the Gram entries (i, j), j >= i + 2, of the raw forms
+def _twice_gram(field, u, v, w, offset=0):
+    """Twice the Gram entries (i, j), j >= i + offset, of the raw forms
     (u, v, w), row by row: 2 w_i w_j - u_i v_j - v_i u_j.  Row i is one
     vector-kernel call, and there is no 1/2, so it runs on the integer
     kernel of :mod:`picforms.fields` as well.
 
-    The band is the whole invariant for triples on one curve.
-    Substituting x_i = X^i gives sum_(i+j=k) S_ij = F_k on every
+    Offset 2 gives the band that is the whole invariant for triples on one
+    curve.  Substituting x_i = X^i gives sum_(i+j=k) S_ij = F_k on every
     antidiagonal k, and the antidiagonal holds one entry, or one pair
     S_(i,i+1) = S_(i+1,i), with |i - j| <= 1; in odd characteristic it is
     fixed by F and the others.
     """
     comb, add, neg = field._raw_comb, field._raw_add, field._raw_neg
     out = []
-    for i in range(len(v) - 2):
-        out += comb((add(w[i], w[i]), neg(u[i]), neg(v[i])), (w[i + 2:], v[i + 2:], u[i + 2:]))
+    for i in range(len(v) - offset):
+        j = i + offset
+        out += comb((add(w[i], w[i]), neg(u[i]), neg(v[i])), (w[j:], v[j:], u[j:]))
     return out
+
+
+def _antidiagonal_sums(field, rows):
+    """The sums sum_(i+j=k) S_ij, k = 0 .. 2n - 2, of the raw rows of an
+    n x n matrix: one vector-kernel call on the rows shifted by their index."""
+    n = len(rows)
+    zero = field._zero.value
+    return field._raw_comb([field._one.value] * n, [
+        [zero] * i + row + [zero] * (n - 1 - i) for i, row in enumerate(rows)])
 
 
 def gram_to_poly(S):
     """Substitute x_i = X^i: the polynomial sum S_ij X^(i+j), degree <= 2(n-1)."""
-    n = S.size
     field = S.field
-    coeffs = [field.zero()] * (2 * n - 1)
-    for i in range(n):
-        for j in range(n):
-            coeffs[i + j] = coeffs[i + j] + S.entries[i][j]
-    return Polynomial(field, coeffs)
+    rows = [field.values(row) for row in S.entries]
+    return Polynomial(field, field._wrap(_antidiagonal_sums(field, rows)))
 
 
 def rank_radical(S):
@@ -180,28 +171,31 @@ def in_curve_forms(S, curve):
 def _curve_pieces(S, curve):
     """The diagonal split of S when S maps onto the curve polynomial and
     has rank 2 or 3 (the number of pieces), else None."""
-    if S.size != curve.genus + 2 or gram_to_poly(S) != curve.embedded_F(S.field):
+    if S.size != curve.genus + 2:
         return None
-    pieces = _split_diagonal(S)
+    field = S.field
+    rows = [field.values(row) for row in S.entries]
+    if _antidiagonal_sums(field, rows) != list(curve._raw_F(field)):
+        return None
+    pieces = _split_diagonal(field, rows)
     return pieces if len(pieces) in (2, 3) else None
 
 
 # ---------------------------------------------------------------------------
 # diagonal split-off
 
-def _split_diagonal(S):
-    """Represent the form as sum alpha_i * ell_i(x)^2.
+def _split_diagonal(field, entries):
+    """Represent the form with the raw rows ``entries`` as
+    sum alpha_i * ell_i(x)^2, reducing the rows to zero in place.
 
     Returns a list of (alpha_i, ell_i) with the ell_i linearly independent
     rows; its length is the rank.  Deterministic: the split vectors are
-    the first basis vectors (or sums of two) with nonzero value.  The
-    elimination runs on raw values; only the pieces are wrapped.
+    the first basis vectors (or sums of two) with nonzero value.  Only the
+    pieces are wrapped.
     """
-    field = S.field
-    n = S.size
+    n = len(entries)
     zero = field._zero.value
     add, sub, mul = field._raw_add, field._raw_sub, field._raw_mul
-    entries = [[x.value for x in row] for row in S.entries]
     pieces = []
     while any(x != zero for row in entries for x in row):
         # the split vector e is e_i, or e_i + e_j when the diagonal vanishes;
@@ -259,6 +253,8 @@ def decompose(S, curve, extension_budget=2, isotropic_hint=None):
     pieces = _curve_pieces(S, curve)
     if pieces is None:
         raise NotCurveForm("not a rank-2/3 form mapping onto this curve")
+    if isotropic_hint is not None:
+        check_form_length(isotropic_hint, curve.genus)
     if len(pieces) == 2:
         u, v, ext = _normal_factors(S.field, pieces)
         if ext != S.field and extension_budget < 2:
@@ -315,7 +311,6 @@ def _decompose_rank3(S, pieces, curve, extension_budget, isotropic_hint):
     rows = [field.values(row) for row in S.entries]
     # S is symmetric, so S e is the combination of its rows with e's entries
     if isotropic_hint is not None:
-        check_form_length(isotropic_hint, curve.genus)
         e1 = field.values(isotropic_hint)
         se1 = comb(e1, rows)
         if dot(e1, se1, (), ()) != zero or all(x == zero for x in se1):

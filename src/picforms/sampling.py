@@ -26,10 +26,9 @@ which keeps searches reproducible from their seed.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 
-from .errors import LiftRejected, RationalsUnsupported
+from .errors import LiftRejected, RationalsUnsupported, SearchExhausted
 from .fields import FieldElement, _embedding
 from .linalg import _row_reduce
 from .ortho import (
@@ -50,12 +49,6 @@ MAX_ATTEMPTS = 400
 CLOSED_POINT_TRIES = 40
 
 
-@functools.lru_cache(maxsize=None)
-def _raw_F(curve, field):
-    """The raw coefficients of the curve polynomial F over `field`."""
-    return tuple(c.value for c in curve.F.embedded(field).coeffs)
-
-
 def _random_closed_point(field, rng, d, curve):
     """(U_i, W_i mod U_i, y_is_zero) for a degree-d closed point, or None.
 
@@ -64,7 +57,7 @@ def _random_closed_point(field, rng, d, curve):
     raw coefficient lists.
     """
     big = field.extension(d)
-    F = _raw_F(curve, big)
+    F = curve._raw_F(big)
     one = big._one.value
     mul = big._raw_mul
     m, p = field.m, field.p
@@ -160,10 +153,11 @@ def _form(field, coeffs, genus):
 
 
 def random_triple(curve, field, rng):
-    """A pseudo-random valid triple over `field` (finite), seeded by `rng`."""
+    """A pseudo-random valid triple over `field` (finite), seeded by `rng`;
+    SearchExhausted when MAX_ATTEMPTS configurations all fail."""
     if field.p is None:
         raise RationalsUnsupported("random triples are sampled over finite fields")
-    F = _raw_F(curve, field)
+    F = curve._raw_F(field)
     genus = curve.genus
     g1 = genus + 1
     zero, one = field._zero.value, field._one.value
@@ -210,7 +204,7 @@ def random_triple(curve, field, rng):
             continue
         return Triple(curve, field, _form(field, U, genus), _form(field, V, genus),
                       _form(field, W, genus))
-    raise RuntimeError("sampler failed to produce a triple; curve has too few points")
+    raise SearchExhausted("sampler failed to produce a triple; curve has too few points")
 
 
 # ---------------------------------------------------------------------------

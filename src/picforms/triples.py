@@ -124,7 +124,7 @@ def make_triple(curve, u, v, w, field=None):
         raise ZeroForm("v = 0 would force F to be a square")
     # coefficient by coefficient: W^2 - U V has degree <= 2g + 2 = deg F
     ur, vr, wr = [c.value for c in u], [c.value for c in v], [c.value for c in w]
-    fr = curve.embedded_F(field)._raw()
+    fr = list(curve._raw_F(field))
     kernel = field
     if field is QQ:
         # times D^2: (DW)^2 - (DU)(DV) = D (DF), all on integers

@@ -1,3 +1,5 @@
+import importlib.util
+import os
 import random
 import sys
 
@@ -9,6 +11,17 @@ from picforms.ortho import scale_matrix, shift_matrix
 from picforms.poly import Polynomial, is_squarefree
 from picforms.sampling import random_orthogonal_word, random_proper_word
 from picforms.triples import act, make_triple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def load_tool(name):
+    """The script tools/<name> loaded as a module, without running its main."""
+    spec = importlib.util.spec_from_file_location(
+        name.removesuffix(".py"), os.path.join(ROOT, "tools", name))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 @pytest.fixture(scope="session")

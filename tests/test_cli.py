@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import os
 import random
@@ -10,12 +11,15 @@ from pathlib import Path
 
 import pytest
 
+from conftest import seeded_curve
+
 from picforms import cli, serialize
 from picforms.cli import (EXIT_BUDGET, EXIT_DOMAIN, EXIT_INPUT, EXIT_OK, MAX_EXT, main,
                           run_command)
+from picforms.equivalence import KIND_BOTH, KIND_EQUAL
 from picforms.fields import GF, QQ, adjoin_sqrt
 from picforms.ortho import scale_matrix
-from picforms.sampling import random_triple
+from picforms.sampling import random_proper_word, random_triple
 from picforms.triples import act, make_triple
 
 
@@ -183,18 +187,42 @@ def test_form_decompose_budget_exhausted(files):
 
 
 def test_form_decompose_rejects_a_hint_of_the_wrong_length(files):
-    # the rank-3 form of (X - 1, -2X^2 - X - 1, X^2 - X) on Y^2 = X^4 - 1,
-    # whose isotropic hint must have its three entries
-    form = {"entries": [["-1", "0", "-1"], ["0", "2", "0"], ["-1", "0", "1"]],
-            "field": {"p": None, "m": 1}}
-    argv = ["form-decompose", "--curve", files("c.json", CURVE_Q),
-            "--form", files("f.json", form)]
-    code, _ = run_command(argv + ["--hint", files("h.json", ["1", "1", "1"])])
-    assert code == EXIT_OK
-    for hint in (["1", "1", "1", "0"], ["1", "1"]):
-        code, payload = run_command(argv + ["--hint", files("h.json", hint)])
-        assert code == EXIT_DOMAIN, hint
-        assert payload["error"]["kind"] == "LengthMismatch"
+    # on Y^2 = X^4 - 1: the rank-3 form of (X - 1, -2X^2 - X - 1, X^2 - X),
+    # whose isotropic hint must have its three entries, and the rank-2 form
+    # diag(-1, 0, 1), which needs no hint but still reads its length
+    for entries in ([["-1", "0", "-1"], ["0", "2", "0"], ["-1", "0", "1"]],
+                    [["-1", "0", "0"], ["0", "0", "0"], ["0", "0", "1"]]):
+        form = {"entries": entries, "field": {"p": None, "m": 1}}
+        argv = ["form-decompose", "--curve", files("c.json", CURVE_Q),
+                "--form", files("f.json", form)]
+        code, _ = run_command(argv + ["--hint", files("h.json", ["1", "1", "1"])])
+        assert code == EXIT_OK
+        for hint in (["1", "1", "1", "0"], ["1", "1"], ["1"] * 5):
+            code, payload = run_command(argv + ["--hint", files("h.json", hint)])
+            assert code == EXIT_DOMAIN, hint
+            assert payload["error"]["kind"] == "LengthMismatch"
+
+
+def test_class_relation_oracle(files):
+    # --oracle adds the exhaustive verdict: the decision's own on a proper
+    # pair over GF(5), and FieldTooLarge above 13 elements
+    for p, seed in ((5, 3), (17, 4)):
+        field = GF(p)
+        curve = seeded_curve(field, 1, seed)
+        rng = random.Random(seed)
+        t1 = random_triple(curve, field, rng)
+        t2 = act(random_proper_word(field, rng), t1)
+        code, payload = run_command([
+            "class-relation", "--oracle", "--ext", "1",
+            "--curve", files("c.json", serialize.curve_to_json(curve)),
+            "--t1", files("t1.json", serialize.triple_to_json(t1)),
+            "--t2", files("t2.json", serialize.triple_to_json(t2))])
+        if p == 5:
+            assert code == EXIT_OK
+            assert payload["oracle"] == payload["kind"] in (KIND_EQUAL, KIND_BOTH)
+        else:
+            assert code == EXIT_DOMAIN
+            assert payload["error"]["kind"] == "FieldTooLarge"
 
 
 def test_galois_rational(files):
@@ -295,6 +323,27 @@ def test_search_caveat(files):
         code, _ = run_command(["triple-validate", "--curve", curve,
                                "--t1", files("t.json", payload["triple"])])
         assert code == 0
+
+
+def test_search_caveat_ends_in_exit_3_when_the_sampler_runs_out(files, capsys):
+    # Y^2 = 2X^4 + X^3 + 2X over GF(3) carries no triple, so the sampler
+    # gives up: a JSON error document and exit 3, not a traceback
+    curve = files("c.json", {"field": {"p": 3, "m": 1}, "coeffs": [[0], [2], [0], [1], [2]]})
+    assert main(["search-caveat", "--curve", curve, "--ext", "1", "--budget", "5"]) == EXIT_BUDGET
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["kind"] == "SearchExhausted" and "too few points" in error["detail"]
+
+
+def test_search_caveat_over_qq_is_an_input_error(files):
+    code, payload = run_command(["search-caveat", "--curve", files("c.json", CURVE_Q)])
+    assert code == EXIT_INPUT
+    assert payload["error"]["kind"] == "InputError"
+
+
+def test_document_read_from_stdin(files, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(CURVE_Q)))
+    assert main(["triple-validate", "--curve", "-", "--t1", files("t.json", TRIPLE_A)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"valid": True}
 
 
 def test_exit_input_error(files):
@@ -441,7 +490,7 @@ _FUZZ_CASES = [
 
 # argv variants for the one subcommand that reads no document; --m above
 # serialize.MAX_FIELD_DEGREE is an input error before the field is built
-# (--m 200 at p = 5 used to start a default-modulus walk that never ended)
+# (at p = 5, --m 200 would otherwise start a default-modulus walk that never ends)
 _ENUMERATE_ARGS = [["--p", p] for p in ("0", "-5", "2", "4", "17")] + [
     ["--p", "3", "--m", m] for m in ("0", "-1", "3")] + [
     ["--p", "5", "--m", str(m)]
@@ -460,14 +509,14 @@ _ARGV_ERRORS = [
 
 # --ext around its cap on every subcommand that reads it: a value in range
 # must answer quickly, one outside it is an input error before any field is
-# built (--ext 200 on a GF(5) curve used to build a degree-200 extension)
+# built (--ext 200 on a GF(5) curve would otherwise build a degree-200 extension)
 _EXT_COMMANDS = ("triple-support", "class-relation", "search-caveat")
 _EXT_VALUES = ("0", "-2", str(MAX_EXT), str(MAX_EXT + 1), "200", "1000")
 _EXT_SECONDS = 10.0
 
 # the field degree of the curve document around its cap: a field of degree
 # above serialize.MAX_FIELD_DEGREE is an input error before it is built
-# ({"p": 5, "m": 200} used to start a default-modulus walk that never ended)
+# ({"p": 5, "m": 200} would otherwise start a default-modulus walk that never ends)
 _DEGREE_VALUES = (serialize.MAX_FIELD_DEGREE, serialize.MAX_FIELD_DEGREE + 1, 200)
 
 _DEEP = "@@deep@@"

@@ -362,10 +362,12 @@ def _monic_polys(p, d):
         yield cand + [1]
 
 
-def _scan_roots(f):
+def _scan_roots(f, candidates=None):
+    """The roots of f among the candidates (every element of a finite
+    field by default), with multiplicities from repeated long division."""
     field = f.field
     out = []
-    for x in field.elements():
+    for x in field.elements() if candidates is None else candidates:
         if not f(x):
             mult, g = 0, f
             while True:
@@ -434,6 +436,18 @@ def test_roots_match_scan(field, degree):
         f = Polynomial(field, [field.random_element(rng) for _ in range(degree)]
                        + [field.element_from_index(rng.randrange(2, field.order))])
         assert roots_in_field(f) == _scan_roots(f), f
+
+
+def test_rational_roots_match_scan():
+    # X^2 (3X - 2)^2 (X + 5) (2X^2 + 1) / 7: a double root at 0, a double
+    # root 2/3 of a non-monic factor, a simple root -5, and no others
+    X = Polynomial.x(QQ)
+    f = X * X * (3 * X - 2) ** 2 * (X + 5) * (2 * X * X + 1) * Fraction(1, 7)
+    candidates = sorted({QQ.elem(Fraction(n, d)) for n in range(-12, 13) for d in range(1, 10)},
+                        key=lambda x: x.sort_key())
+    want = [(QQ.elem(-5), 1), (QQ.zero(), 2), (QQ.elem(Fraction(2, 3)), 2)]
+    assert roots_in_field(f) == _scan_roots(f, candidates) == want
+    assert roots_in_field(f // (X * X)) == want[:1] + want[2:]
 
 
 @pytest.mark.parametrize("src,dst", [(GF(5), F25), (F25, GF(5, 4)), (GF(5, 2), GF(5, 4)),

@@ -1,7 +1,6 @@
-"""The raw-value sampler: pinned draws, closed points, and the Hensel check."""
+"""The raw-value sampler: closed points, exhaustion, and the Hensel check."""
 
-import hashlib
-import importlib.util
+import itertools
 import json
 import os
 import random
@@ -12,25 +11,13 @@ import pytest
 
 from conftest import seeded_curve
 
+from picforms.curves import make_curve
+from picforms.errors import SearchExhausted
 from picforms.fields import GF
-from picforms.poly import Polynomial, gcd
-from picforms.sampling import _random_closed_point
+from picforms.poly import Polynomial, _product_coeffs, gcd
+from picforms.sampling import _random_closed_point, random_triple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def test_sampler_draws_pinned(capsys):
-    # 1000 seeded draws over GF(7^2), GF(101), GF(1000033^2) and
-    # GF(2^61 - 1) in genus 1-3, and the rng state after them, pinned by
-    # the SHA-256 of the tool's output
-    spec = importlib.util.spec_from_file_location(
-        "sampler_digest", os.path.join(ROOT, "tools", "sampler_digest.py"))
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    assert tool.main(["--seed", "1"]) == 0
-    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    with open(os.path.join(ROOT, "tests", "fixtures", "sampler_draws_seed1.sha256")) as fh:
-        assert digest == fh.read().split()[0]
 
 
 def _irreducible(U):
@@ -75,6 +62,18 @@ def test_closed_points_are_closed_points(field, base):
             assert U.degree == d and U.leading() == field.one() and _irreducible(U)
             assert W.degree < d and ((W * W - F) % U).is_zero
             assert y_zero == W.is_zero
+
+
+def test_sampler_exhaustion_is_a_search_error():
+    # Y^2 = 2X^4 + X^3 + 2X over GF(3) carries no triple at all: no forms
+    # (u, v, w) of length 3 have W^2 - U V = F, so every draw fails
+    field = GF(3)
+    F = [0, 2, 0, 1, 2]
+    forms = list(itertools.product(range(3), repeat=3))
+    assert not any(_product_coeffs(field, w, w, u, v) == F
+                   for u in forms for v in forms for w in forms)
+    with pytest.raises(SearchExhausted, match="too few points"):
+        random_triple(make_curve(F, field), field, random.Random(0))
 
 
 _WRONG_LIFT = """
