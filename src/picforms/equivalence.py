@@ -10,7 +10,7 @@ verdict is one of
     equal | equal-and-self-conjugate | conjugate-only | distinct
 
 and each positive verdict carries an explicit proper witness matrix that
-is verified once (orthogonality and exact action) before it is returned.
+is verified once (orthogonality, determinant, action) before it is returned.
 Every class decision, here and in :mod:`picforms.galois`, goes through
 one private entry, :func:`_records`: the match record of t1 onto t2, and
 then, only when asked, that of t1 onto conj(t2).
@@ -41,15 +41,15 @@ and the move is the reduction matrix homogenised by s = c1^2, rows
 the conditions are tested on s (u, w).  A match record holds s, the
 moved c, d = b - s b2 and c2, and :func:`_witness_from` writes the
 witness out in closed form as e R, e = s^2 c c2, only when it is
-returned.  Over a field one inverse of e turns it into R.
+returned.  One inverse of e turns it into R.
 
 Over QQ both triples are first multiplied by one common denominator D.
 The action is linear, so this changes neither the verdict nor the
 witness, and the whole decision runs on the integer kernel
 :data:`picforms.fields.ZZ` (the GF(p) sums without the reduction mod p):
 no ``Fraction`` is built until the returned entries (e R)_ij / e, which
-are checked exactly beforehand, through R^T Omega R = e^2 Omega,
-det R = e^3 and R t1 = e t2.
+are checked exactly beforehand, through (e R)^T Omega (e R) = e^2 Omega,
+det(e R) = e^3 and (e R) t1 = e t2.
 
 ``same_class`` takes two shortcuts.  A match forces equal Gram matrices
 and the records decide completely, so one Gram entry, twice S_02, serves
@@ -62,10 +62,11 @@ after a proper A onto t2 the one matrix onto conj(t2) is flip . A, which
 is improper: the conjugate search is skipped.
 
 Values are raw from start to finish: every decision reads each triple's
-raw coefficient lists once (``Triple._raw_forms``) and runs on one
+raw coefficient lists once (``Triple._raw_forms``) and searches on one
 sum-of-products kernel and its vector form, the field's own or, over QQ,
-the integers'; ``FieldElement`` values are built only for the witness
-matrices that are returned.
+the integers'.  Witnesses are certified in inline int arithmetic on GF(p)
+and the integers, and on the vector kernel over GF(p^m), m >= 2;
+``FieldElement`` values are built only for the witnesses returned.
 
 ``orbit_oracle`` is the independent brute-force check: it exhausts the
 full enumerated proper group over a small field.
@@ -78,7 +79,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GramMismatch, RationalsUnsupported, SearchExhausted, WitnessRejected
-from .fields import QQ, ZZ, Field, _cleared, common_field, embed
+from .fields import QQ, ZZ, Field, FieldElement, _cleared, common_field, embed
 from .linalg import _mat_mul_raw
 from .ortho import (
     OrthogonalMatrix,
@@ -150,37 +151,84 @@ def _witness_from(record, flip=False):
 
         undo = ((s^2 c2^2, 0, 0), (d^2, c^2, -2 d c), (-d s c2, 0, s c c2)),
 
-    three vector-kernel calls on the rows of the move, and no division.
-    Over a field the six undo entries are first multiplied by 1/e, so R
-    itself is checked: R^T Omega R = Omega, det R = 1 and R t1 = t2.  On
-    the integer kernel e R is checked against e^2 Omega, e^3 and e t2, and
-    each returned entry is the rational (e R)_ij / e.
+    with no division.  Int-valued kernels, GF(p) and the integers, take
+    :func:`_certify_int`; GF(p^m), m >= 2, takes :func:`_certify_vector`.
     """
+    if type(record[4]) is int:
+        return _certify_int(record, flip)
+    return _certify_vector(record, flip)
+
+
+def _det3(rows, p):
+    """The determinant of a 3x3 matrix of ints, reduced mod p unless p is None."""
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
+    d = a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
+    return d % p if p else d
+
+
+def _certify_int(record, flip=False):
+    """:func:`_witness_from` on GF(p) or the integer kernel, in inline int
+    arithmetic, reduced mod p over GF(p) and exact over the integers.
+
+    A = e R is checked for e != 0, A^T Omega A = e^2 Omega (six entries,
+    the diagonal ones halved), det A = e^3 and A t1 = e t2, which over
+    GF(p) is the check of R itself.  Each returned entry is A_ij / e: the
+    residue A_ij e^-1 over GF(p), the rational A_ij / e over the integers.
+    """
+    kernel, move, t1, t2, s, c, d, c2 = record
+    p, sc2 = kernel.p, s * c2
+    x0, x1, x2, x3, x4, x5 = sc2 * sc2, d * d, c * c, -2 * d * c, -d * sc2, c * sc2
+    e = x5 * s
+    if p:
+        x0, x1, x2, x3, x4, x5, e = x0 % p, x1 % p, x2 % p, x3 % p, x4 % p, x5 % p, e % p
+    # A = undo . move, for undo = ((x0, 0, 0), (x1, x2, x3), (x4, 0, x5))
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = move
+    rows = ((a0, a1, a2), (b0, b1, b2), (c0, c1, c2)) = (
+        (x0 * m00, x0 * m01, x0 * m02),
+        (x1 * m00 + x2 * m10 + x3 * m20, x1 * m01 + x2 * m11 + x3 * m21,
+         x1 * m02 + x2 * m12 + x3 * m22),
+        (x4 * m00 + x5 * m20, x4 * m01 + x5 * m21, x4 * m02 + x5 * m22))
+    checks = [a0 * b0 - c0 * c0, a1 * b1 - c1 * c1, c2 * c2 - a2 * b2 - e * e,
+              2 * c0 * c1 - a0 * b1 - a1 * b0 + e * e, 2 * c0 * c2 - a0 * b2 - a2 * b0,
+              2 * c1 * c2 - a1 * b2 - a2 * b1, _det3(rows, None) - e * e * e]
+    if not e or any([x % p for x in checks] if p else checks):
+        raise WitnessRejected("the assembled witness is not proper")
+    # the rows of A t1 - e t2, interleaved by column
+    diff = [x for u, v, w, u2, v2, w2 in zip(*t1, *t2) for x in (
+        a0 * u + a1 * v + a2 * w - e * u2, b0 * u + b1 * v + b2 * w - e * v2,
+        c0 * u + c1 * v + c2 * w - e * w2)]
+    if any([x % p for x in diff] if p else diff):
+        raise WitnessRejected("the assembled witness does not carry t1 onto t2")
+    if flip:
+        rows = rows[0], rows[1], (-c0, -c1, -c2)
+    field, ei = (kernel, pow(e, -1, p)) if p else (QQ, None)
+    return OrthogonalMatrix._trusted(tuple([tuple([
+        FieldElement(field, x * ei % p if p else Fraction(x, e)) for x in row]) for row in rows]),
+        field, not flip)
+
+
+def _certify_vector(record, flip=False):
+    """:func:`_witness_from` on a field's vector kernel: with e != 0, R is
+    (undo / e) . move, checked for R^T Omega R = Omega, det R = 1, R t1 = t2."""
     field, move, t1, t2, s, c, d, c2 = record
     mul, neg, comb = field._raw_mul, field._raw_neg, field._raw_comb
     sc2 = mul(s, c2)
-    undo = (mul(sc2, sc2), mul(d, d), mul(c, c), neg(mul(field._raw_add(d, d), c)),
-            neg(mul(d, sc2)), mul(c, sc2))
-    e = mul(undo[5], s)
-    if field is ZZ:
-        t2 = tuple([comb((e,), (f,)) for f in t2])
-    else:
-        ei = field._raw_inv(e)
-        undo = [mul(x, ei) for x in undo]
-        e = None
-    # undo . move, for undo = ((x0, 0, 0), (x1, x2, x3), (x4, 0, x5))
-    x0, x1, x2, x3, x4, x5 = undo
+    e = mul(mul(c, sc2), s)
+    if e == field._zero.value:
+        raise WitnessRejected("the assembled witness is not proper")
+    ei = field._raw_inv(e)
+    x0, x1, x2, x3, x4, x5 = [mul(x, ei) for x in (
+        mul(sc2, sc2), mul(d, d), mul(c, c), neg(mul(field._raw_add(d, d), c)),
+        neg(mul(d, sc2)), mul(c, sc2))]
     m0, _, m2 = move
     rows = (comb((x0,), (m0,)), comb((x1, x2, x3), move), comb((x4, x5), (m0, m2)))
-    if _classify_raw(field, rows, e) != "proper":
+    if _classify_raw(field, rows) != "proper":
         raise WitnessRejected("the assembled witness is not proper")
     if _mat_mul_raw(field, rows, t1) != t2:
         raise WitnessRejected("the assembled witness does not carry t1 onto t2")
     if flip:
         rows = (rows[0], rows[1], [neg(x) for x in rows[2]])
-    if e is None:
-        return _wrap_rows(field, rows, not flip)
-    return _wrap_rows(QQ, [[Fraction(x, e) for x in row] for row in rows], not flip)
+    return _wrap_rows(field, rows, not flip)
 
 
 def _conjugate(field, forms):
@@ -328,8 +376,12 @@ def same_class(t1, t2, extension=2):
     the rationals themselves), which is built only when it is read.
     Verdicts and witnesses do not depend on it: the matching reduction
     parameter always lies in the triples' own field (see
-    :func:`_parameter`), so witnesses come out over that field.
+    :func:`_parameter`), so witnesses come out over that field.  It must
+    be an ``int`` >= 1, not a ``bool``; anything else raises ValueError
+    before any work is done.
     """
+    if type(extension) is not int or extension < 1:
+        raise ValueError("extension degree must be an int >= 1, got %r" % (extension,))
     t1, t2 = _on_common_field(t1, t2)
     field = t1.field
     if field.p is None and field.m > 1:
@@ -345,7 +397,9 @@ def same_class(t1, t2, extension=2):
     record = next(records)
     witness = None if record is None else _witness_from(record)
     # rank 3 leaves no proper matrix onto conj(t2) once one goes onto t2
-    rank3 = witness is not None and _det_raw(kernel, [f[:3] for f in r1]) != kernel._zero.value
+    minor = [f[:3] for f in r1]
+    rank3 = witness is not None and (_det3(minor, kernel.p) != 0 if type(minor[0][0]) is int
+                                     else _det_raw(kernel, minor) != kernel._zero.value)
     record = None if rank3 else next(records)
     conj_witness = None if record is None else _witness_from(record)
     if witness is None:

@@ -741,6 +741,7 @@ class _Integers:
 
     __slots__ = ("_zero", "_one")
 
+    p = None  # no reduction, as over QQ
     _raw_add, _raw_sub, _raw_neg, _raw_mul = add, sub, neg, mul
 
     def __init__(self):

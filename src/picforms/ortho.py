@@ -29,8 +29,8 @@ built without re-running :func:`classify`; ``OrthogonalMatrix(rows)``
 validates matrices that come from outside.  The class decision works on
 raw rows: the reduction and swap moves come from ``_reduction_rows`` and
 ``_swap_rows`` (which ``reduction_matrix`` and ``swap_matrix`` wrap), and
-its witness check calls ``_classify_raw``, the raw entry point of
-:func:`classify`.
+its witness check over GF(p^m), m >= 2, calls ``_classify_raw``, the raw
+entry point of :func:`classify`.
 
 ``enumerate_special_orthogonal`` closes the proper generator families
 under multiplication over a small finite field; it serves as the
@@ -82,13 +82,10 @@ def classify(rows, field=None):
     return _classify_raw(field, list(map(field.values, rows)))
 
 
-def _classify_raw(field, rows, scale=None):
-    """:func:`classify` on the raw values of a 3x3 matrix over ``field``.
-
-    With ``scale`` e, it classifies rows / e without dividing, for a kernel
-    with no inverse: A^T Omega A is compared with e^2 Omega, and det A with
-    +-e^3.
-    """
+def _classify_raw(field, rows):
+    """:func:`classify` on the raw values of a 3x3 matrix over ``field``;
+    the class decision certifies witnesses here only over GF(p^m), m >= 2
+    (over GF(p) and QQ see :func:`picforms.equivalence._certify_int`)."""
     dot = field._raw_dot
     cols = tuple(zip(*rows))
     # twice the six distinct entries of A^T Omega A, (i, j) being
@@ -98,17 +95,13 @@ def _classify_raw(field, rows, scale=None):
         x0, x1, x2 = cols[i]
         y0, y1, y2 = cols[j]
         lhs.append(dot((x2, x2), (y2, y2), (x0, x1), (y1, y0)))
-    zero = field._zero.value
-    e2 = e3 = field._one.value
-    if scale is not None:
-        e2 = field._raw_mul(scale, scale)
-        e3 = field._raw_mul(e2, scale)
-    if lhs != [zero, field._raw_neg(e2), zero, zero, zero, field._raw_add(e2, e2)]:
+    zero, one = field._zero.value, field._one.value
+    if lhs != [zero, field._raw_neg(one), zero, zero, zero, field._raw_add(one, one)]:
         return "not-orthogonal"
     d = _det_raw(field, rows)
-    if d == e3:
+    if d == one:
         return "proper"
-    assert d == field._raw_neg(e3)  # A* Omega A = e^2 Omega forces det = +-e^3
+    assert d == field._raw_neg(one)  # A* Omega A = Omega forces det = +-1
     return "improper"
 
 

@@ -3,15 +3,17 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from conftest import det, rational_triples, seeded_curve
+from conftest import count_calls, det, load_tool, rational_triples, seeded_curve
 
 from picforms import equivalence
 from picforms.curves import make_curve
-from picforms.errors import RationalsUnsupported
-from picforms.fields import GF, QQ, FieldElement
+from picforms.errors import RationalsUnsupported, WitnessRejected
+from picforms.fields import GF, QQ, ZZ, FieldElement
+from picforms.linalg import _mat_mul_raw
 from picforms.poly import Polynomial, gcd as poly_gcd, is_squarefree
 from picforms.quadform import _twice_gram, gram, rank_radical
 from picforms.sampling import random_orthogonal_word, random_proper_word, random_triple
@@ -256,6 +258,19 @@ def test_same_class_rejects_qq_extension_inputs(curve_q, triple_a):
         same_class(lifted, lifted)
 
 
+@pytest.mark.parametrize("extension", [0, -1, 2.5, "2", True, None])
+def test_same_class_checks_extension_first(monkeypatch, curve_q, triple_a, curve_f5b, extension):
+    # rejected before any work, over GF(5) and over QQ, where the search
+    # domain is QQ itself and never looks at the degree
+    t = random_triple(curve_f5b, F5, random.Random(60))
+    forms = count_calls(monkeypatch, equivalence, "_decision_forms")
+    for t1 in (t, triple_a):
+        with pytest.raises(ValueError, match="extension degree must be an int >= 1"):
+            same_class(t1, t1, extension=extension)
+    assert forms == []
+    assert same_class(t, t, extension=1).extension == 1
+
+
 def test_witness_deterministic(curve_f5b):
     rng = random.Random(40)
     t1 = random_triple(curve_f5b, F5, rng)
@@ -362,12 +377,11 @@ import json, random, sys
 sys.path.insert(0, %r)
 from picforms import equivalence
 from picforms.errors import WitnessRejected
-from picforms.fields import GF
+from picforms.fields import GF, QQ, ZZ
 from picforms.curves import make_curve
 from picforms.galois import class_rational, find_caveat_example, galois_context
-from picforms.ortho import flip_matrix, scale_matrix
 from picforms.sampling import random_proper_word, random_triple
-from picforms.triples import act
+from picforms.triples import act, make_triple
 
 field = GF(7)
 curve = make_curve([3, 1, 0, 2, 0, 1, 1], field)
@@ -378,32 +392,40 @@ ctx = galois_context(GF(7, 2))
 rational = t1.embedded(ctx.ambient)
 ctx3 = galois_context(GF(3, 2))
 curve3 = make_curve([2, 0, 0, 0, 1], GF(3))
+curve_q = make_curve([-1, 0, 0, 0, 1], QQ)
+q1 = make_triple(curve_q, (-1, 1, 0), (-1, -1, -2), (0, -1, 1))
+q2 = act(random_proper_word(QQ, rng), q1)
 checks = [
     lambda: equivalence.same_class(t1, t2),
     lambda: class_rational(rational, ctx),
     lambda: find_caveat_example(curve3, ctx3, 10000, 20260810),
     lambda: equivalence.recover_transform(t1, t2),
+    # over QQ both run on the integer kernel
+    lambda: equivalence.same_class(q1, q2),
+    lambda: equivalence.recover_transform(q1, q2),
 ]
+# integer matrices, valid on every kernel: scale(-1) (proper, but not the
+# move that matched), the flip (improper) and diag(1, 2, 1) (not orthogonal)
+WRONG = (((-1, 0, 0), (0, -1, 0), (0, 0, 1)),
+         ((1, 0, 0), (0, 1, 0), (0, 0, -1)),
+         ((1, 0, 0), (0, 2, 0), (0, 0, 1)))
 
 
-def raw_rows(matrix):
-    return tuple(matrix.field.values(row) for row in matrix.rows)
-
-
-def wrong_move(make):
+def wrong_move(matrix):
     # a wrong move in the convention of the real ones: s times a matrix over
-    # the kernel, with s = c1^2 for the reduction (field, c0, c1) and s = 1
-    # for the swap (field)
-    def rows(field, c0=None, c1=None):
-        s = field._one.value if c1 is None else field._raw_mul(c1, c1)
-        return tuple([field._raw_mul(s, x) for x in row] for row in raw_rows(make(field)))
+    # the kernel, with s = c1^2 for the reduction (kernel, c0, c1) and s = 1
+    # for the swap (kernel)
+    def rows(kernel, c0=None, c1=None):
+        lift = (lambda n: n) if kernel is ZZ else (lambda n: kernel.elem(n).value)
+        s = kernel._one.value if c1 is None else kernel._raw_mul(c1, c1)
+        return tuple([kernel._raw_mul(s, lift(x)) for x in row] for row in matrix)
     return rows
 
 
 out = [__debug__]
 for check in checks:
-    for make in (lambda field: scale_matrix(field.elem(2)), flip_matrix):
-        equivalence._reduction_rows = equivalence._swap_rows = wrong_move(make)
+    for matrix in WRONG:
+        equivalence._reduction_rows = equivalence._swap_rows = wrong_move(matrix)
         try:
             check()
             out.append("accepted")
@@ -415,7 +437,8 @@ print(json.dumps(out))
 
 def test_witness_check_survives_optimize():
     # under python -O every assert vanishes; the witness check must not, on
-    # same_class, on a rational class, on a found caveat and on recovery
+    # same_class, on a rational class, on a found caveat and on recovery over
+    # GF(7), GF(7^2) and GF(3^2), and on same_class and recovery over QQ
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     done = subprocess.run([sys.executable, "-O", "-c", _WRONG_MOVE % os.path.join(root, "src")],
                           capture_output=True, text=True, timeout=60)
@@ -423,7 +446,8 @@ def test_witness_check_survives_optimize():
     assert json.loads(done.stdout) == [False] + [
         "the assembled witness does not carry t1 onto t2",
         "the assembled witness is not proper",
-    ] * 4
+        "the assembled witness is not proper",
+    ] * 6
 
 
 _WRONG_DECOMPOSITION = """
@@ -475,3 +499,108 @@ def test_decompose_check_survives_optimize():
         False, "the decomposed triple does not have the given Gram matrix",
         2, "DecompositionRejected"]
 
+
+
+# -- the two witness certificates against each other ------------------------------
+
+def _certified(certify, record, flip):
+    """(rows, proper) of the certified witness, or the rejection's message."""
+    try:
+        wit = certify(record, flip)
+    except WitnessRejected as exc:
+        return str(exc)
+    return wit.rows, wit.proper
+
+
+def _tampered(record):
+    """The record with d + 1, with c2 + 1, and with move entry (1, 1) + 1."""
+    kernel, move, d, c2 = record[0], record[1], record[6], record[7]
+    one = kernel._one.value
+    bumped = tuple(tuple(kernel._raw_add(x, one) if (i, j) == (1, 1) else x
+                         for j, x in enumerate(row)) for i, row in enumerate(move))
+    return [record[:6] + (kernel._raw_add(d, one), c2),
+            record[:7] + (kernel._raw_add(c2, one),),
+            (kernel, bumped) + record[2:]]
+
+
+def _over_rationals(record):
+    """A record of the integer kernel as the same record over QQ."""
+    _, move, t1, t2, *scalars = record
+    lists = lambda rows: tuple([Fraction(x) for x in row] for row in rows)
+    return (QQ, lists(move), lists(t1), lists(t2)) + tuple(map(Fraction, scalars))
+
+
+def _differential_pairs():
+    """The (t1, t2) pairs: over GF(7), GF(13), GF(10007) and GF(2^61 - 1)
+    in genus 1-3, seeded triples moved by proper and improper words, then
+    the 240 pairs of the QQ sweep."""
+    rng = random.Random(2028)
+    out = []
+    for p in (7, 13, 10007, 2 ** 61 - 1):
+        field = GF(p)
+        for genus in (1, 2, 3):
+            curve = seeded_curve(field, genus, 2028 + genus)
+            for _ in range(6):
+                t1 = random_triple(curve, field, rng)
+                out += [(t1, act(random_orthogonal_word(field, rng, improper=i % 2 == 1), t1))
+                        for i in range(28)]
+    out += [(t1, t2) for _, _, t1, t2 in load_tool("qq_sweep.py").pairs(1)]
+    return out
+
+
+def test_integer_and_vector_certificates_agree():
+    # the integer path against the vector path on every match record, the
+    # vector path running over the field itself, or over QQ for the integer
+    # kernel; then on each record tampered three ways, where both reject
+    pairs = _differential_pairs()
+    assert len(pairs) >= 2000 + 240
+    counts = {"direct": 0, "conjugate": 0, "both": 0, "zz": 0}
+    for t1, t2 in pairs:
+        kernel, r1, r2 = equivalence._decision_forms(t1, t2)
+        records = list(equivalence._records(kernel, r1, r2))
+        for flip, record in enumerate(records):
+            if record is None:
+                continue
+            counts["conjugate" if flip else "direct"] += 1
+            counts["zz"] += kernel is ZZ
+            for i, rec in enumerate([record] + _tampered(record)):
+                field, vec = (QQ, _over_rationals(rec)) if kernel is ZZ else (kernel, rec)
+                got = _certified(equivalence._certify_int, rec, bool(flip))
+                assert got == _certified(equivalence._certify_vector, vec, bool(flip))
+                if i == 0:
+                    assert got[0][0][0].field is field and got[1] is not bool(flip)
+                else:
+                    assert got in ("the assembled witness is not proper",
+                                   "the assembled witness does not carry t1 onto t2")
+        counts["both"] += None not in records
+    assert min(counts.values()) > 0, counts
+
+
+# the identity with one column changed so that exactly one check fails: with
+# b = 2, column 0 set to (1, b, 0), column 1 to (b, 1, 0), column 0 to
+# (1, b^2, b) and column 1 to (b^2, 1, b) break the entries (0, 0), (1, 1),
+# (0, 2) and (1, 2) of A^T Omega A, and the flip breaks the determinant
+_ONE_CHECK_BROKEN = (((1, 0, 0), (2, 1, 0), (0, 0, 1)),
+                     ((1, 2, 0), (0, 1, 0), (0, 0, 1)),
+                     ((1, 0, 0), (4, 1, 0), (2, 0, 1)),
+                     ((1, 4, 0), (0, 1, 0), (0, 2, 1)),
+                     ((1, 0, 0), (0, 1, 0), (0, 0, -1)))
+
+
+@pytest.mark.parametrize("kernel", [GF(7), ZZ], ids=["GF7", "ZZ"])
+def test_certificates_reject_each_broken_check(kernel):
+    # with s = c = c2 = 1 and d = 0, undo is the identity and e = 1, so the
+    # certificate checks the move itself; t2 is its image of t1
+    lift = (lambda n: n) if kernel is ZZ else (lambda n: kernel.elem(n).value)
+    t1 = tuple([lift(x) for x in f] for f in ((1, 0, 0), (1, 0, 0), (0, 0, 1)))
+    identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    for matrix in (identity,) + _ONE_CHECK_BROKEN:
+        move = tuple([lift(x) for x in row] for row in matrix)
+        record = (kernel, move, t1, _mat_mul_raw(kernel, move, t1), 1, 1, 0, 1)
+        vec = _over_rationals(record) if kernel is ZZ else record
+        got = [_certified(certify, rec, False) for certify, rec in
+               ((equivalence._certify_int, record), (equivalence._certify_vector, vec))]
+        if matrix is identity:
+            assert got[0] == got[1] and got[0][1] is True
+        else:
+            assert got == ["the assembled witness is not proper"] * 2

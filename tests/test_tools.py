@@ -1,4 +1,5 @@
-"""The seeded tool runs of ``tools/check_interpreters.py``, pinned in one table.
+"""The seeded tool runs of ``tools/check_interpreters.py``, pinned in one
+table, and a tiny run of ``tools/ab_time.py``.
 
 Each entry of its ``CHECKS`` names a tool, its arguments and the fixture
 holding the SHA-256 of its output: every verdict and witness of the class
@@ -7,7 +8,10 @@ sweep, and every rank, radical and decomposed triple of the section sweep.
 """
 
 import hashlib
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -23,3 +27,20 @@ def test_tool_output_pinned(capsys, tool, args, fixture):
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     with open(os.path.join(ROOT, "tests", "fixtures", fixture)) as fh:
         assert digest == fh.read().split()[0]
+
+
+def test_ab_time_reports_throughput_and_percentiles():
+    # one round of the decide pool, this checkout against itself, in its own
+    # process: the tool swaps the package in and out of sys.modules
+    done = subprocess.run([sys.executable, os.path.join(ROOT, "tools", "ab_time.py"), ROOT, ROOT,
+                           "--workload", "decide", "--seed", "1", "--rounds", "1"],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    assert out["rounds"] == 1 and out["pool"] > 0
+    for side in "ab":
+        assert 0 < out[side + "_p50_ms"] <= out[side + "_p90_ms"]
+        assert out[side + "_ops_per_s"] > 0
+    for name in ("p50", "p90"):
+        ratio = out["b_%s_ms" % name] / out["a_%s_ms" % name]
+        assert out["b_over_a_" + name] == pytest.approx(ratio, rel=1e-2)

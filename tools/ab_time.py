@@ -11,7 +11,10 @@ op's minimum time over the rounds.  Before each op, outside the timer,
 that checkout's modules are put back into ``sys.modules``, so imports made
 inside functions resolve to its own package.  The output is one JSON
 line with both throughputs (pool size over the sum of per-op minima) and
-their ratio B/A.
+their ratio B/A, and each side's median and 90th percentile of the per-op
+minima in ms (``statistics.median`` and the inclusive deciles, as
+``bench/worker.py`` takes them) with their ratios B/A, so that an effect
+on ``op_p50_ms`` or ``op_p90_ms`` can be checked on interleaved runs too.
 
 Sequential benchmark runs of two trees on a busy machine can differ by
 more than the change being measured; interleaving the ops puts both trees
@@ -26,6 +29,7 @@ import argparse
 import importlib
 import json
 import os
+import statistics
 import sys
 import tempfile
 import time
@@ -52,6 +56,13 @@ def load(root, workload, seed, workdir):
     finally:
         del sys.path[:len(paths)]
     return wl, _own_modules()
+
+
+def _p90(times):
+    """The 90th percentile of ``times``: the ninth inclusive decile."""
+    if len(times) < 2:
+        return times[0]
+    return statistics.quantiles(times, n=10, method="inclusive")[8]
 
 
 def main(argv=None):
@@ -88,9 +99,14 @@ def main(argv=None):
             for wl in pair:
                 wl.close()
     a_ops, b_ops = (n / sum(times) for times in best)
-    print(json.dumps({"workload": args.workload, "seed": args.seed, "rounds": args.rounds,
-                      "pool": n, "a_ops_per_s": round(a_ops, 1),
-                      "b_ops_per_s": round(b_ops, 1), "b_over_a": round(b_ops / a_ops, 3)}))
+    out = {"workload": args.workload, "seed": args.seed, "rounds": args.rounds,
+           "pool": n, "a_ops_per_s": round(a_ops, 1),
+           "b_ops_per_s": round(b_ops, 1), "b_over_a": round(b_ops / a_ops, 3)}
+    for name, stat in (("p50", statistics.median), ("p90", _p90)):
+        a, b = (stat(times) * 1e3 for times in best)
+        out.update({"a_%s_ms" % name: round(a, 4), "b_%s_ms" % name: round(b, 4),
+                    "b_over_a_%s" % name: round(b / a, 3)})
+    print(json.dumps(out))
     return 0
 
 
