@@ -39,10 +39,11 @@ class Curve:
         self._F_values = {}
 
     def __eq__(self, other):
-        return isinstance(other, Curve) and self.field == other.field and self.F == other.F
+        return self is other or (isinstance(other, Curve) and self.field == other.field
+                                 and self._raw_F(self.field) == other._raw_F(other.field))
 
     def __hash__(self):
-        return hash((self.field, self.F))
+        return hash((self.field, self._raw_F(self.field)))
 
     def __repr__(self):
         return "Curve(genus %d, Y^2 = %r over %s)" % (self.genus, self.F, self.field.label())

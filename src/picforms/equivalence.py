@@ -12,8 +12,8 @@ verdict is one of
 and each positive verdict carries an explicit proper witness matrix that
 is verified once (orthogonality, determinant, action) before it is returned.
 Every class decision, here and in :mod:`picforms.galois`, goes through
-one private entry, :func:`_records`: the match record of t1 onto t2, and
-then, only when asked, that of t1 onto conj(t2).
+one private entry, :func:`_records`: the match record of t1 onto t2 and
+that of t1 onto conj(t2), each searched only when asked for.
 
 ``recover_transform`` builds the constructive orbit statement for the
 full orthogonal group from the same two records: equal Gram matrices put
@@ -25,8 +25,8 @@ A moved triple (u, v, w) matches t2 = (u2, v2, w2) when their
 scale-and-shift normal forms agree: with k the top index of u2, c = u_k,
 b = w_k, c2 = u2_k and b2 = w2_k, iff c != 0, c2 u - c u2 = 0 and
 c2 (w - w2) - (b - b2) u2 = 0, since on one curve u and w fix
-v = (w^2 - F) / u.  Each condition is one vector-kernel call on the
-forms of t1 and t2 with the move written out, and the second runs only
+v = (w^2 - F) / u.  Each condition is one pass over the forms of t1 and
+t2 with the move written out, and the second runs only
 when the first holds; no moved triple or normal form is computed.  The
 reduction parameter is the root a = -c0 / c1 of the first non-constant
 minor c0 + c1 a of these conditions, all of degree <= 1 in it (the lemma
@@ -56,17 +56,24 @@ and the records decide completely, so one Gram entry, twice S_02, serves
 only to turn most unrelated pairs away early (``recover_transform``,
 which reports a mismatch, compares twice the entries with j >= i + 2,
 the whole invariant on one curve; see
-:func:`picforms.quadform._twice_gram`).  And when the first three
-columns of t1 have a nonzero determinant, only the identity fixes t1, so
-after a proper A onto t2 the one matrix onto conj(t2) is flip . A, which
-is improper: the conjugate search is skipped.
+:func:`picforms.quadform._twice_gram`).  And the sign rule picks the
+searches before any runs.  Let delta be the determinant of the first
+three columns of a triple's coefficient matrix T; act(R, t) has matrix
+R T, so delta(R t) = det R delta(t).  A proper witness onto t2 needs
+delta2 = delta1, and one onto conj(t2), whose delta is -delta2, needs
+delta2 = -delta1.  If delta1 != 0 the two exclude each other: delta2 =
+delta1 runs only the direct search, delta2 = -delta1 only the conjugate
+one, and any other delta2 neither ("distinct"); delta1 = 0 runs both.
+Over QQ one D clears both triples, so both minors scale by D^3.
+``recover_transform`` does the same.
 
 Values are raw from start to finish: every decision reads each triple's
-raw coefficient lists once (``Triple._raw_forms``) and searches on one
-sum-of-products kernel and its vector form, the field's own or, over QQ,
-the integers'.  Witnesses are certified in inline int arithmetic on GF(p)
-and the integers, and on the vector kernel over GF(p^m), m >= 2;
-``FieldElement`` values are built only for the witnesses returned.
+raw coefficient lists once (``Triple._raw_forms``).  On GF(p) and the
+integers the search (:func:`_match_int`, :func:`_parameter_int`) and
+the certificate (:func:`_certify_int`) run in inline int arithmetic,
+reduced mod p over GF(p) and exact over the integers; over GF(p^m),
+m >= 2, they run on the field's sum-of-products kernel and its vector
+form.  ``FieldElement`` values are built only for the witnesses returned.
 
 ``orbit_oracle`` is the independent brute-force check: it exhausts the
 full enumerated proper group over a small field.
@@ -251,8 +258,17 @@ def _match(field, t1, t2, k):
     docstring at k, the top index of U2, written out on the forms: for the
     moved (u', w') = s (u, w), with c' = u'_k and d = w'_k - s b2, they
     read c2 u' - c' U2 = 0 and c2 (w' - s W2) - d U2 = 0.  The swap's
-    (u', w') is (V1, -W1), and its w-condition is negated.
+    (u', w') is (V1, -W1), and its w-condition is negated.  Int-valued
+    kernels, GF(p) and the integers, search in :func:`_match_int`, and
+    GF(p^m), m >= 2, in :func:`_match_vector`; both give the same record.
     """
+    if type(t2[0][k]) is int:
+        return _match_int(field, t1, t2, k)
+    return _match_vector(field, t1, t2, k)
+
+
+def _match_vector(field, t1, t2, k):
+    """:func:`_match` on a field's vector kernel."""
     zero, one = field._zero.value, field._one.value
     dot, mul, neg, comb = field._raw_dot, field._raw_mul, field._raw_neg, field._raw_comb
     U1, V1, W1 = t1
@@ -278,16 +294,54 @@ def _match(field, t1, t2, k):
     return None
 
 
-def _records(field, r1, r2):
-    """The match records (or None) of the raw forms r1 onto r2 and then,
-    computed only when asked for, onto conj(r2), which has the same U2."""
+def _match_int(kernel, t1, t2, k):
+    """:func:`_match_vector` in inline int arithmetic: each condition reduced
+    mod p over GF(p), and exact over the integer kernel (p None)."""
+    p, (U1, V1, W1), (U2, _, W2) = kernel.p, t1, t2
+    c2, b2 = U2[k], W2[k]
+    pair = _parameter_int(p, t1, t2)
+    if pair is not None:
+        c0, c1 = pair
+        s, c0c0, c0c1, c0c1x2 = c1 * c1, c0 * c0, c0 * c1, 2 * c0 * c1
+        c = s * U1[k] + c0c0 * V1[k] + c0c1x2 * W1[k]
+        d = c0c1 * V1[k] + s * (W1[k] - b2)
+        if p:
+            s, c, d = s % p, c % p, d % p
+        if c:
+            c2s, x1, x2, x3 = c2 * s, c2 * c0c0, c2 * c0c1x2, c2 * c0c1
+            conds = [c2s * u + x1 * v + x2 * w - c * u2 for u, v, w, u2 in zip(U1, V1, W1, U2)]
+            if not any([x % p for x in conds] if p else conds):
+                conds = [x3 * v + c2s * (w - w2) - d * u2 for v, w, w2, u2 in zip(V1, W1, W2, U2)]
+                if not any([x % p for x in conds] if p else conds):
+                    return kernel, _reduction_rows(kernel, c0, c1), t1, t2, s, c, d, c2
+    c, d = V1[k], -(W1[k] + b2) % p if p else -(W1[k] + b2)
+    if c:
+        conds = [c2 * v - c * u2 for v, u2 in zip(V1, U2)]
+        if not any([x % p for x in conds] if p else conds):
+            conds = [c2 * (w + w2) + d * u2 for w, w2, u2 in zip(W1, W2, U2)]
+            if not any([x % p for x in conds] if p else conds):
+                return kernel, _swap_rows(kernel), t1, t2, 1, c, d, c2
+    return None
+
+
+def _records(field, r1, r2, direct=True, conj=True):
+    """The match records (or None) of the raw forms r1 onto r2 and then onto
+    conj(r2), which has the same U2; each search runs only when asked for."""
     zero = field._zero.value
     U2 = r2[0]
     k = len(U2) - 1
     while U2[k] == zero:
         k -= 1
-    yield _match(field, r1, r2, k)
-    yield _match(field, r1, _conjugate(field, r2), k)
+    yield _match(field, r1, r2, k) if direct else None
+    yield _match(field, r1, _conjugate(field, r2), k) if conj else None
+
+
+def _searches(kernel, r1, r2):
+    """(direct, conj): whether the searches of :func:`_records` onto t2
+    and onto conj(t2) can match, by the sign rule of the module docstring."""
+    d1, d2 = [_det3([f[:3] for f in r], kernel.p) if type(r[0][0]) is int
+              else _det_raw(kernel, [f[:3] for f in r]) for r in (r1, r2)]
+    return (True, True) if d1 == kernel._zero.value else (d2 == d1, d2 == kernel._raw_neg(d1))
 
 
 def _parameter(field, t1, t2):
@@ -317,6 +371,9 @@ def _parameter(field, t1, t2):
     g has degree 1, since every minor is a multiple of g.  When g has
     degree 0 the candidate fails the normal-form comparison, because
     equal normal forms make every minor vanish.
+
+    This is the body on a field's vector kernel; :func:`_parameter_int`
+    computes the same pair on GF(p) and the integer kernel.
     """
     dot = field._raw_dot
     zero = field._zero.value
@@ -341,6 +398,34 @@ def _parameter(field, t1, t2):
         if c0 != zero:
             return None
     # excluded by the lemma; reported rather than guessed
+    raise SearchExhausted("constraint minors vanished identically")
+
+
+def _parameter_int(p, t1, t2):
+    """:func:`_parameter` in inline int arithmetic: each minor reduced mod
+    p over GF(p), and exact over the integer kernel (p None)."""
+    (U1, V1, W1), (U2, _, W2) = t1, t2
+    k = 0
+    while not U2[k]:
+        k += 1
+    uk, dk = U2[k], W1[k] - W2[k]
+    others = [i for i in range(len(U2)) if i != k]
+    for i in others:
+        c0, c1 = (W1[i] - W2[i]) * uk - dk * U2[i], V1[k] * U2[i] - V1[i] * uk
+        if p:
+            c0, c1 = c0 % p, c1 % p
+        if c1:
+            return c0, c1
+        if c0:
+            return None
+    for i in others:
+        c0, c1 = U1[i] * uk - U1[k] * U2[i], 2 * (W1[k] * U2[i] - W1[i] * uk)
+        if p:
+            c0, c1 = c0 % p, c1 % p
+        if c1:
+            return c0, c1
+        if c0:
+            return None
     raise SearchExhausted("constraint minors vanished identically")
 
 
@@ -393,15 +478,8 @@ def same_class(t1, t2, extension=2):
               for u, v, w in (r1, r2))
     if s1 != s2:
         return ClassRelation(KIND_DISTINCT, field=field, extension=extension)
-    records = _records(kernel, r1, r2)
-    record = next(records)
-    witness = None if record is None else _witness_from(record)
-    # rank 3 leaves no proper matrix onto conj(t2) once one goes onto t2
-    minor = [f[:3] for f in r1]
-    rank3 = witness is not None and (_det3(minor, kernel.p) != 0 if type(minor[0][0]) is int
-                                     else _det_raw(kernel, minor) != kernel._zero.value)
-    record = None if rank3 else next(records)
-    conj_witness = None if record is None else _witness_from(record)
+    witness, conj_witness = [None if record is None else _witness_from(record)
+                             for record in _records(kernel, r1, r2, *_searches(kernel, r1, r2))]
     if witness is None:
         kind = KIND_DISTINCT if conj_witness is None else KIND_CONJ
     else:
@@ -421,7 +499,7 @@ def recover_transform(t1, t2):
     kernel, r1, r2 = _decision_forms(t1, t2)
     if _twice_gram(kernel, *r1, 2) != _twice_gram(kernel, *r2, 2):
         raise GramMismatch("the triples have different Gram matrices")
-    records = _records(kernel, r1, r2)
+    records = _records(kernel, r1, r2, *_searches(kernel, r1, r2))
     record = next(records)
     if record is not None:
         return _witness_from(record)

@@ -1,5 +1,5 @@
 """The seeded tool runs of ``tools/check_interpreters.py``, pinned in one
-table, and a tiny run of ``tools/ab_time.py``.
+table, tiny runs of ``tools/ab_time.py`` and ``tools/pool_digest.py``.
 
 Each entry of its ``CHECKS`` names a tool, its arguments and the fixture
 holding the SHA-256 of its output: every verdict and witness of the class
@@ -44,3 +44,20 @@ def test_ab_time_reports_throughput_and_percentiles():
     for name in ("p50", "p90"):
         ratio = out["b_%s_ms" % name] / out["a_%s_ms" % name]
         assert out["b_over_a_" + name] == pytest.approx(ratio, rel=1e-2)
+
+
+def test_pool_digest_compares_a_checkout_with_itself():
+    # one decide seed, this checkout on both sides: equal digests, exit 0
+    done = subprocess.run([sys.executable, os.path.join(ROOT, "tools", "pool_digest.py"),
+                           ROOT, ROOT, "--workload", "decide", "--seeds", "1"],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    assert out["seeds"] == [1] and out["equal"] is True
+    assert out["a"] == out["b"] and len(out["a"]) == 64
+
+
+def test_pool_digest_reads_seed_ranges_and_lists():
+    seeds = load_tool("pool_digest.py").seeds
+    assert seeds("1-3") == [1, 2, 3] and seeds("1,3,5") == [1, 3, 5] and seeds("7") == [7]
+    assert seeds("1-2,9") == [1, 2, 9]
