@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 
 from . import serialize
@@ -398,11 +400,41 @@ def main(argv=None):
     code, payload = _dispatch(args)
     text = serialize.dumps(payload)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        try:
+            _write_out(args.out, text)
+            return code
+        except OSError as exc:
+            code = EXIT_INPUT
+            text = serialize.dumps(_error("InputError", "cannot write %s: %s" % (args.out, exc)))
+    sys.stdout.write(text)
     return code
+
+
+def _write_out(path, text):
+    """Overwrite the file at path in place with the bytes of text: open it
+    without truncating, write every byte, then cut a regular file to the
+    length written.  (Opening with truncation makes ext4, under its default
+    auto_da_alloc, start writeback of a file cut from non-empty to zero
+    when it is closed; neither way promises durability, there is no fsync.)
+    If the write fails, a regular file is cut to zero before the error is
+    raised, so no new prefix is left over an old tail.  A device or pipe,
+    such as /dev/null, is written and never truncated."""
+    data = text.encode()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            if regular:
+                os.ftruncate(fd, len(data))
+        except BaseException:
+            if regular:
+                os.ftruncate(fd, 0)
+            raise
+    finally:
+        os.close(fd)
 
 
 if __name__ == "__main__":

@@ -61,9 +61,11 @@ searches before any runs.  Let delta be the determinant of the first
 three columns of a triple's coefficient matrix T; act(R, t) has matrix
 R T, so delta(R t) = det R delta(t).  A proper witness onto t2 needs
 delta2 = delta1, and one onto conj(t2), whose delta is -delta2, needs
-delta2 = -delta1.  If delta1 != 0 the two exclude each other: delta2 =
-delta1 runs only the direct search, delta2 = -delta1 only the conjugate
-one, and any other delta2 neither ("distinct"); delta1 = 0 runs both.
+delta2 = -delta1.  So the direct search runs only when delta2 = delta1,
+and the conjugate one only when delta2 = -delta1.  If delta1 != 0 the
+two exclude each other; delta1 = delta2 = 0 runs both, and any other
+delta2 neither ("distinct": with delta1 = 0 != delta2 no witness can
+exist, since delta(R t1) = det R * 0).
 Over QQ one D clears both triples, so both minors scale by D^3.
 ``recover_transform`` does the same.
 
@@ -341,7 +343,7 @@ def _searches(kernel, r1, r2):
     and onto conj(t2) can match, by the sign rule of the module docstring."""
     d1, d2 = [_det3([f[:3] for f in r], kernel.p) if type(r[0][0]) is int
               else _det_raw(kernel, [f[:3] for f in r]) for r in (r1, r2)]
-    return (True, True) if d1 == kernel._zero.value else (d2 == d1, d2 == kernel._raw_neg(d1))
+    return d2 == d1, d2 == kernel._raw_neg(d1)
 
 
 def _parameter(field, t1, t2):

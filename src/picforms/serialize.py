@@ -12,8 +12,16 @@ Readers accept only JSON integers (not booleans) and strings as scalars,
 and only arrays and objects where the formats above name them; anything
 else, a zero denominator, or a field degree m above ``MAX_FIELD_DEGREE``
 raises ValueError.  Every document emitted
-here is accepted unchanged by the matching reader, and ``dumps`` is
-byte-stable (sorted keys, fixed layout).
+here is accepted unchanged by the matching reader.
+
+``dumps`` renders a payload as canonical JSON: keys sorted, two-space
+indent, ASCII only, one final newline, byte for byte what
+``json.dumps(payload, sort_keys=True, indent=2) + "\n"`` gives.  Its own
+recursive renderer does this, because ``json.dumps`` falls back to the
+pure-Python encoder whenever ``indent`` is set.  It handles exactly the
+types the package emits (dicts with str keys, lists and tuples, str,
+int, bool and None) and quotes strings with ``json``'s own C quoting
+function; anything else, floats included, raises TypeError.
 
 ``_parse_rational`` reads a JSON integer, or an ASCII string of the form
 -?[0-9]+(/[0-9]+)?, as an integer pair with ``int`` alone, and builds
@@ -25,8 +33,8 @@ and rejects exactly the strings its own ``Fraction`` does.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .curves import make_curve
 from .fields import GF, QQ, FieldElement, rational_extension
@@ -213,5 +221,50 @@ def gram_from_json(obj, default_field=None):
 
 
 def dumps(payload):
-    """Canonical byte-stable rendering of a JSON payload."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """The canonical rendering of a JSON payload, as the module docstring
+    describes: sorted keys, two-space indent, ASCII, a final newline."""
+    out = []
+    _render(payload, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _render(x, newline, emit):
+    """Emit the JSON text of x, whose nested lines start with `newline`
+    plus two more spaces per level."""
+    if isinstance(x, str):
+        emit(_quote(x))
+    elif x is None:
+        emit("null")
+    elif x is True:
+        emit("true")
+    elif x is False:
+        emit("false")
+    elif isinstance(x, int):
+        emit(int.__repr__(x))
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            emit("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in x:
+            emit(sep)
+            _render(item, inner, emit)
+            sep = "," + inner
+        emit(newline + "]")
+    elif isinstance(x, dict):
+        if not x:
+            emit("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(x):
+            if not isinstance(key, str):
+                raise TypeError("JSON object keys must be str, not %s" % type(key).__name__)
+            emit(sep + _quote(key) + ": ")
+            _render(x[key], inner, emit)
+            sep = "," + inner
+        emit(newline + "}")
+    else:
+        raise TypeError("cannot render %s as JSON" % type(x).__name__)

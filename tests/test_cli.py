@@ -369,6 +369,83 @@ def test_main_byte_stable(files, tmp_path, capsys):
     assert out.read_text() == first
 
 
+def _class_relation_argv(files):
+    return ["class-relation", "--curve", files("c.json", CURVE_Q),
+            "--t1", files("t1.json", TRIPLE_A), "--t2", files("t2.json", TRIPLE_B)]
+
+
+@pytest.mark.parametrize("before", ["x" * 5000, "{}", "symlink"])
+def test_out_is_overwritten_in_place_with_the_stdout_bytes(files, tmp_path, capsys, before):
+    # a longer file (no stale tail may survive), a shorter one, and a
+    # symlink, whose target is rewritten while the link stays; a new file
+    # is test_main_byte_stable's case
+    argv = _class_relation_argv(files)
+    assert main(argv) == 0
+    expected = capsys.readouterr().out.encode()
+    out = tmp_path / "out.json"
+    target = tmp_path / "target.json"
+    if before == "symlink":
+        target.write_text("y" * 3000)
+        out.symlink_to(target)
+    else:
+        out.write_text(before)
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == expected
+    if before == "symlink":
+        assert out.is_symlink() and target.read_bytes() == expected
+
+
+def test_out_to_dev_null(files, capsys):
+    # a character device is written but never truncated
+    assert main(_class_relation_argv(files) + ["--out", os.devnull]) == 0
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("case", ["missing-dir", "directory", "read-only", "device-full",
+                                  "write-fails"])
+def test_unwritable_out_is_an_input_error(files, tmp_path, monkeypatch, capsys, case):
+    argv = _class_relation_argv(files)
+    path = tmp_path / "out.json"
+    old = "x" * 5000
+    if case == "missing-dir":
+        path = tmp_path / "missing" / "out.json"
+    elif case == "directory":
+        path = tmp_path
+    elif case == "device-full":
+        path = Path("/dev/full")  # every write fails with ENOSPC
+    else:
+        path.write_text(old)
+    if case == "read-only":
+        path.chmod(0o444)
+        if os.access(path, os.W_OK):
+            # mode bits do not bind a privileged user: open fails as it
+            # would for anyone else
+            real_open = os.open
+
+            def read_only_open(name, flags, *rest):
+                if name == str(path) and flags & (os.O_WRONLY | os.O_RDWR):
+                    raise PermissionError(13, "Permission denied", name)
+                return real_open(name, flags, *rest)
+            monkeypatch.setattr(os, "open", read_only_open)
+    if case == "write-fails":
+        real_write = os.write
+
+        def half_write(fd, data):
+            real_write(fd, data[:len(data) // 2])
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(os, "write", half_write)
+    assert main(argv + ["--out", str(path)]) == EXIT_INPUT
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["kind"] == "InputError"
+    assert error["detail"].startswith("cannot write %s: " % path)
+    if case == "read-only":
+        assert path.read_text() == old
+    if case == "write-fails":
+        # no new prefix is left over the old tail
+        assert path.read_bytes() == b""
+
+
 def test_main_bad_args(capsys):
     for argv in (["no-such-command"], ["group-enumerate", "--p", "1.5"], []):
         assert main(argv) == EXIT_INPUT

@@ -169,7 +169,8 @@ def test_first_three_column_minor_picks_the_searches(monkeypatch, curve_q, tripl
                                                      curve_f5b, curve_f7):
     # R t1 = t2 multiplies the minor of the first three columns by det R, so
     # with d1 = minor(t1) != 0 only the direct search runs when d2 = d1, only
-    # the conjugate one when d2 = -d1, and neither otherwise; d1 = 0 runs both
+    # the conjugate one when d2 = -d1, and neither otherwise; d1 = d2 = 0
+    # runs both
     calls = count_calls(monkeypatch, equivalence, "_match")
     t3 = make_triple(curve_q, (-1, 1, 0), (-1, -1, -2), (0, -1, 1))
     rng = random.Random(44)
@@ -202,6 +203,24 @@ def test_first_three_column_minor_picks_the_searches(monkeypatch, curve_q, tripl
             assert len(calls) == (1 if _minor(t1) else 2)
             single += len(calls) == 1
         assert 0 < single
+
+
+def test_zero_minor_on_one_side_runs_no_search(monkeypatch, curve_f7):
+    # d(R t1) = det R * d1, so with d1 = 0 != d2, or d1 != 0 = d2, neither
+    # t2 nor conj(t2) (whose minor is -d2) can be an image of t1
+    calls = count_calls(monkeypatch, equivalence, "_match")
+    rng = random.Random(46)
+    field = curve_f7.field
+    pair = None
+    while pair is None:
+        t1, t2 = random_triple(curve_f7, field, rng), random_triple(curve_f7, field, rng)
+        if (not _minor(t1)) != (not _minor(t2)) and \
+                gram(t1).entries[0][2] == gram(t2).entries[0][2]:
+            pair = t1, t2
+    for t1, t2 in (pair, pair[::-1]):
+        del calls[:]
+        assert same_class(t1, t2).kind == orbit_oracle(t1, t2) == KIND_DISTINCT
+        assert len(calls) == 0
 
 
 def test_equal_s02_and_different_gram_is_distinct(curve_f7):

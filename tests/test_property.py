@@ -1,11 +1,13 @@
 """Property tests of the polylog finite-field primitives on large fields, of
 the triples that the sampler, the Frobenius image and embedding build
-without re-validation, and of the class decision on moved triples.
+without re-validation, of the class decision on moved triples, and of the
+JSON renderer against ``json.dumps``.
 
 ``hypothesis`` is a test-only dependency: without it this module is
 skipped.
 """
 
+import json
 import random
 
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from conftest import rational_triples, seeded_curve  # noqa: E402
 
+from picforms import serialize  # noqa: E402
 from picforms.curves import make_curve  # noqa: E402
 from picforms.equivalence import KIND_BOTH, KIND_CONJ, KIND_EQUAL, same_class  # noqa: E402
 from picforms.errors import DescriptorMismatch  # noqa: E402
@@ -135,3 +138,21 @@ def test_same_class_on_moved_triples(case, seed, improper):
         assert witness.field is t.field
         assert OrthogonalMatrix(witness.rows).proper
         assert act(witness, t) == target
+
+
+# strings with quotes, backslashes, control characters, non-ASCII and
+# astral characters and lone surrogates; ints up to 200 digits
+_CHARS = st.one_of(st.characters(), st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f'),
+                   st.integers(0xD800, 0xDFFF).map(chr))
+_TEXT = st.lists(_CHARS, max_size=12).map("".join)
+_LEAVES = st.one_of(_TEXT, st.none(), st.booleans(), st.integers(),
+                    st.integers(-10 ** 200, 10 ** 200), st.sampled_from([10 ** 199, 1 - 10 ** 200]))
+_PAYLOADS = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=5), st.lists(inner, max_size=5).map(tuple),
+    st.dictionaries(_TEXT, inner, max_size=5)), max_leaves=40)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_PAYLOADS)
+def test_dumps_equals_the_json_reference(payload):
+    assert serialize.dumps(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -76,6 +76,16 @@ def test_dumps_stable():
     assert serialize.dumps(payload).index('"a"') < serialize.dumps(payload).index('"b"')
 
 
+@pytest.mark.parametrize("payload", [1.5, [0, {"a": -0.0}], {1: "a"}, {"a": {None: 1}},
+                                     Fraction(1, 2), {"a": {1, 2}}])
+def test_dumps_rejects_what_the_package_never_emits(payload):
+    # json.dumps would write the floats and turn the keys 1 and None into
+    # strings; the renderer takes only dicts with str keys, lists, tuples,
+    # str, int, bool and None
+    with pytest.raises(TypeError):
+        serialize.dumps(payload)
+
+
 @pytest.mark.parametrize("field, blob", [
     (F5, [1.9]),  # int() would truncate it to 1
     (F5, [True]),

@@ -1,5 +1,6 @@
 """The seeded tool runs of ``tools/check_interpreters.py``, pinned in one
-table, tiny runs of ``tools/ab_time.py`` and ``tools/pool_digest.py``.
+table, its worked class-relation runs under this interpreter, and tiny
+runs of ``tools/ab_time.py`` and ``tools/pool_digest.py``.
 
 Each entry of its ``CHECKS`` names a tool, its arguments and the fixture
 holding the SHA-256 of its output: every verdict and witness of the class
@@ -17,7 +18,8 @@ import pytest
 
 from conftest import ROOT, load_tool
 
-CHECKS = load_tool("check_interpreters.py").CHECKS
+CHECK_INTERPRETERS = load_tool("check_interpreters.py")
+CHECKS = CHECK_INTERPRETERS.CHECKS
 
 
 @pytest.mark.parametrize("tool,args,fixture", CHECKS,
@@ -27,6 +29,14 @@ def test_tool_output_pinned(capsys, tool, args, fixture):
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     with open(os.path.join(ROOT, "tests", "fixtures", fixture)) as fh:
         assert digest == fh.read().split()[0]
+
+
+def test_worked_class_relation_matches_on_stdout_and_with_out(tmp_path):
+    # the two runs that are not in CHECKS: stdout, and --out over a longer file
+    runs = CHECK_INTERPRETERS.checks(str(tmp_path))[len(CHECKS):]
+    assert [out is None for _, _, _, out in runs] == [True, False]
+    for _, argv, pinned, out in runs:
+        assert CHECK_INTERPRETERS.output_digest(sys.executable, argv, out) == pinned
 
 
 def test_ab_time_reports_throughput_and_percentiles():

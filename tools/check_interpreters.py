@@ -16,7 +16,10 @@ Those tools write JSON but never read it.  So each interpreter also runs
 and triples, written as JSON files, and its standard output must equal
 ``tests/fixtures/class_relation_worked.json`` byte for byte; that check
 goes through the JSON readers, whose rational parser defers to the
-interpreter's own ``Fraction`` for every string outside -?[0-9]+(/[0-9]+)?.
+interpreter's own ``Fraction`` for every string outside -?[0-9]+(/[0-9]+)?,
+and through ``serialize.dumps``, which quotes strings itself.  It runs
+a second time with ``--out`` into a file first filled with longer
+content, and the file must then equal the fixture too (no stale tail).
 The tools need nothing beyond the standard library, so no test dependency
 has to be installed.
 
@@ -92,25 +95,34 @@ def interpreters():
     return sorted(found)
 
 
-def output_digest(path, argv):
+def output_digest(path, argv, out=None):
     """The SHA-256 of the standard output of the interpreter at path run
-    with the arguments argv."""
+    with the arguments argv, or, when out is a path, of the file there,
+    which is filled with longer content before the run."""
+    if out:
+        with open(out, "w") as fh:
+            fh.write("stale\n" * 1000)
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     done = subprocess.run([path] + argv, capture_output=True, env=env, timeout=TIMEOUT_S)
     if done.returncode != 0:
         raise RuntimeError(done.stderr.decode(errors="replace").strip().splitlines()[-1:])
+    if out:
+        with open(out, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
     return hashlib.sha256(done.stdout).hexdigest()
 
 
 def checks(workdir):
-    """[(label, argv, pinned SHA-256)]: the tool runs, then class-relation
-    on the worked example's inputs, written into workdir."""
+    """[(label, argv, pinned SHA-256, --out path or None)]: the tool runs,
+    then class-relation on the worked example's inputs, written into
+    workdir, to stdout and with --out."""
     fixtures = os.path.join(ROOT, "tests", "fixtures")
     out = []
     for tool, args, fixture in CHECKS:
         with open(os.path.join(fixtures, fixture)) as fh:
             pinned = fh.read().split()[0]
-        out.append((" ".join([tool] + args), [os.path.join(ROOT, "tools", tool)] + args, pinned))
+        out.append((" ".join([tool] + args), [os.path.join(ROOT, "tools", tool)] + args,
+                    pinned, None))
     argv = ["-m", "picforms.cli", "class-relation"]
     for name, doc in WORKED_INPUTS.items():
         doc_path = os.path.join(workdir, name + ".json")
@@ -119,7 +131,10 @@ def checks(workdir):
         argv += ["--" + name, doc_path]
     with open(os.path.join(fixtures, WORKED_FIXTURE), "rb") as fh:
         pinned = hashlib.sha256(fh.read()).hexdigest()
-    out.append(("picforms.cli class-relation (worked example)", argv, pinned))
+    out.append(("picforms.cli class-relation (worked example)", argv, pinned, None))
+    out_path = os.path.join(workdir, "out.json")
+    out.append(("picforms.cli class-relation --out (worked example, over a longer file)",
+                argv + ["--out", out_path], pinned, out_path))
     return out
 
 
@@ -132,10 +147,10 @@ def main():
     with tempfile.TemporaryDirectory() as workdir:
         runs = checks(workdir)
         for version, path in found:
-            for what, argv, pinned in runs:
+            for what, argv, pinned, out in runs:
                 label = "%d.%d.%d %s %s" % (version + (path, what))
                 try:
-                    digest = output_digest(path, argv)
+                    digest = output_digest(path, argv, out)
                 except (OSError, RuntimeError, subprocess.TimeoutExpired) as exc:
                     print("%s failed: %s" % (label, exc))
                     status = 1
