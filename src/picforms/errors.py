@@ -79,10 +79,6 @@ class ZeroScale(AlgebraError):
     """A scaling generator needs a nonzero parameter."""
 
 
-class WitnessRejected(AlgebraError):
-    """An assembled witness failed its final check: it is not proper, or it does not carry one triple onto the other."""
-
-
 class SearchExhausted(AlgebraError):
     """A search ran out without an answer: one the theory says must succeed
     found nothing (reported rather than guessed), or the sampler's bounded

@@ -14,14 +14,19 @@ class to its distinct conjugate.  Absence within a budget is a report,
 not an error, and the seeded search is reproducible.
 
 Both the class predicate and the search filter on the Gram test and then
-take the match records of t onto its Frobenius image from the equivalence
-module's one entry, the search asking for the conjugate record only when
-the direct one fails; the witness behind a True or a returned hit is
-assembled and verified once, and no other witness is built.  One helper
-checks the fields at every entry: the curve lies over the base, and a
-triple's entries lie in the ambient; the search checks the curve once,
-before it samples.  Like the class decision they read each triple's raw
-values once: the Gram filter, the Frobenius image and the match all run
+decide on the frame of t that the equivalence module picks, against its
+Frobenius image phi(t).  In rank 3 the sign rule decides alone: with
+delta the frame's minor, phi(delta) = delta admits only a witness onto
+phi(t) and phi(delta) = -delta only one onto conj(phi(t)), so a sample
+with any other image is "not rational" and "not a hit" without a
+witness.  In rank 2 a sample is never a hit: the reflection in the
+frame's normal n fixes T and is improper, so a proper witness onto
+conj(phi(t)) times it is one onto phi(t).  The witness behind a True or a
+returned hit is built and checked once, and no other witness is built.
+One helper checks the fields at every entry: the curve lies over the
+base, and a triple's entries lie in the ambient; the search checks the
+curve once, before it samples.  Like the class decision they read each triple's raw
+values once: the Gram filter, the Frobenius image and the frame all run
 on raw values, and an invariant entry is Frobenius-fixed exactly when it
 lies in the prime field, the constants of the power basis.
 """
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 
 from .errors import NotFiniteField, NotInAmbient
 from .fields import GF, Field, can_embed
-from .equivalence import _records, _witness_from
+from .equivalence import _conjugate, _frame, _signs, _witness, _witnesses
 from .quadform import GramForm, _twice_gram
 from .sampling import random_triple
 from .triples import Triple
@@ -111,17 +116,16 @@ def class_rational(t, ctx):
     One generator check suffices: the Galois group of the ambient over the
     base is cyclic, and a class fixed by the generator is fixed by all of
     it.  The Gram test filters first (gram(phi t) = phi(gram t), so equal
-    classes need a Frobenius-fixed invariant); then the class decision
-    runs over the ambient field itself, and the witness behind a True is
-    verified once.
+    classes need a Frobenius-fixed invariant); then the witness onto phi(t)
+    is built over the ambient field itself, only when the sign rule admits
+    it, and checked once.
     """
     _check_fields(ctx, t.curve, t.field)
     field = t.field
     forms = t._raw_forms()
     if not _gram_fixed(field, forms):
         return False
-    record = next(_records(field, forms, _frobenius_forms(field, forms)))
-    return record is not None and _witness_from(record) is not None
+    return next(_witnesses(field, forms, _frobenius_forms(field, forms))) is not None
 
 
 @dataclass(frozen=True)
@@ -141,9 +145,11 @@ def find_caveat_example(curve, ctx, budget, seed):
     Samples up to `budget` random triples over the ambient field with the
     seeded generator; the first hit (in enumeration order) is returned, so
     the outcome is a deterministic function of (curve, ambient, budget,
-    seed).  A sample is a hit when its Frobenius image matches its
-    conjugate and not itself; only the witness behind the returned hit is
-    built and verified.  A miss is reported with the searched count.  The
+    seed).  A sample is a hit when its Frobenius image is the image of a
+    proper witness onto its conjugate and of none onto itself: in rank 3
+    the sign rule picks the candidates, and a rank-2 sample is never a hit
+    (module docstring).  Only the witness behind the returned hit is built
+    and checked.  A miss is reported with the searched count.  The
     budget must be at least 1, and the curve must lie over the base field
     (``NotInAmbient`` otherwise, whatever the budget).
     """
@@ -158,8 +164,13 @@ def find_caveat_example(curve, ctx, budget, seed):
         forms = t._raw_forms()
         if not _gram_fixed(field, forms):
             continue
-        records = _records(field, forms, _frobenius_forms(field, forms))
-        if next(records) is None and (record := next(records)) is not None:
-            _witness_from(record)
+        frame = _frame(field, forms)
+        if len(frame[0]) == 2:
+            # the reflection in n fixes T and is improper, so a witness onto
+            # conj(phi t) gives one onto phi t: never a hit
+            continue
+        image = _frobenius_forms(field, forms)
+        if _signs(field, frame, image) == (False, True) and \
+                _witness(field, frame, forms, _conjugate(field, image)) is not None:
             return CaveatResult(True, t, i + 1, budget, seed)
     return CaveatResult(False, None, budget, budget, seed)

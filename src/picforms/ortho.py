@@ -26,11 +26,10 @@ Generator families
 The generators and the inverse (Omega^-1 A^T Omega, written out as
 entries of A times 1, -2 or -1/2) are orthogonal by construction and are
 built without re-running :func:`classify`; ``OrthogonalMatrix(rows)``
-validates matrices that come from outside.  The class decision works on
-raw rows: the reduction and swap moves come from ``_reduction_rows`` and
-``_swap_rows`` (which ``reduction_matrix`` and ``swap_matrix`` wrap), and
-its witness check over GF(p^m), m >= 2, calls ``_classify_raw``, the raw
-entry point of :func:`classify`.
+validates matrices that come from outside.  The class decision builds its
+witnesses in closed form and uses none of the generators; over GF(p^m),
+m >= 2, it takes its frame minors with ``_det_raw`` and checks witnesses
+with ``_classify_raw``, the raw entry point of :func:`classify`.
 
 ``enumerate_special_orthogonal`` closes the proper generator families
 under multiplication over a small finite field; it serves as the
@@ -84,8 +83,8 @@ def classify(rows, field=None):
 
 def _classify_raw(field, rows):
     """:func:`classify` on the raw values of a 3x3 matrix over ``field``;
-    the class decision certifies witnesses here only over GF(p^m), m >= 2
-    (over GF(p) and QQ see :func:`picforms.equivalence._certify_int`)."""
+    the class decision checks witnesses here only over GF(p^m), m >= 2
+    (over GF(p) and QQ see :func:`picforms.equivalence._witness_int`)."""
     dot = field._raw_dot
     cols = tuple(zip(*rows))
     # twice the six distinct entries of A^T Omega A, (i, j) being
@@ -221,31 +220,14 @@ def swap_shift_matrix(b):
 def reduction_matrix(a):
     """(u, v, w) -> (u + a^2 v - 2 a w, v, w - a v); proper."""
     field = a.field
-    return _wrap_rows(field, _reduction_rows(field, field._raw_neg(a.value), field._one.value),
-                      True)
-
-
-def _reduction_rows(field, c0, c1):
-    """The raw rows of s reduction_matrix(-c0 / c1), s = c1^2: (s, c0^2,
-    2 c0 c1), (0, s, 0) and (0, c0 c1, s), with no division; c1 = 1 gives
-    reduction_matrix(-c0) itself."""
-    mul = field._raw_mul
-    s, c0c1 = mul(c1, c1), mul(c0, c1)
-    zero = field._zero.value
-    return ((s, mul(c0, c0), field._raw_add(c0c1, c0c1)),
-            (zero, s, zero),
-            (zero, c0c1, s))
+    zero, one = field.zero(), field.one()
+    return OrthogonalMatrix._trusted(
+        ((one, a * a, -(a + a)), (zero, one, zero), (zero, -a, one)), field, True)
 
 
 def swap_matrix(field):
     """(u, v, w) -> (v, u, -w); proper."""
-    return _wrap_rows(field, _swap_rows(field), True)
-
-
-def _swap_rows(field):
-    """The raw rows of swap_matrix(field)."""
-    zero, one = field._zero.value, field._one.value
-    return ((zero, one, zero), (one, zero, zero), (zero, zero, field._raw_neg(one)))
+    return _build(field, ((0, 1, 0), (1, 0, 0), (0, 0, -1)))
 
 
 def _wrap_rows(field, rows, proper):

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -11,8 +12,8 @@ from conftest import count_calls, det, load_tool, rational_triples, seeded_curve
 
 from picforms import equivalence
 from picforms.curves import make_curve
-from picforms.errors import RationalsUnsupported, WitnessRejected
-from picforms.fields import GF, QQ, ZZ, FieldElement
+from picforms.errors import RationalsUnsupported
+from picforms.fields import GF, QQ, ZZ
 from picforms.linalg import _mat_mul_raw
 from picforms.poly import Polynomial, gcd as poly_gcd, is_squarefree
 from picforms.quadform import _twice_gram, gram, rank_radical
@@ -22,7 +23,6 @@ from picforms.equivalence import (
     KIND_CONJ,
     KIND_DISTINCT,
     KIND_EQUAL,
-    _parameter,
     orbit_oracle,
     reduction_step,
     same_class,
@@ -160,18 +160,39 @@ def test_oracle_distinct_gram(curve_f5a):
     assert same_class(t1, t2).kind == KIND_DISTINCT
 
 
-def _minor(t):
-    """The determinant of t's first three columns, as an element."""
-    return det([f[:3] for f in (t.u, t.v, t.w)], t.field)
+def _minor(t, index=(0, 1, 2)):
+    """The determinant of t's columns ``index``, as an element."""
+    return det([[f[i] for i in index] for f in (t.u, t.v, t.w)], t.field)
+
+
+def _frame_index(t):
+    """The frame rule on elements: the first index triple with a nonzero
+    minor, else the first column pair (i, j) with n(a, b) != 0, that is
+    a x b != 0."""
+    cols = list(zip(t.u, t.v, t.w))
+    for index in combinations(range(len(cols)), 3):
+        if _minor(t, index):
+            return index
+    for i, j in combinations(range(len(cols)), 2):
+        (a0, a1, a2), (b0, b1, b2) = cols[i], cols[j]
+        if any((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)):
+            return i, j
+
+
+def _built_frame(t1, t2):
+    """The columns of the frame that the decision builds on t1."""
+    kernel, r1, _ = equivalence._decision_forms(t1, t2)
+    return equivalence._frame(kernel, r1)[0]
 
 
 def test_first_three_column_minor_picks_the_searches(monkeypatch, curve_q, triple_a, triple_b,
                                                      curve_f5b, curve_f7):
-    # R t1 = t2 multiplies the minor of the first three columns by det R, so
-    # with d1 = minor(t1) != 0 only the direct search runs when d2 = d1, only
-    # the conjugate one when d2 = -d1, and neither otherwise; d1 = d2 = 0
-    # runs both
-    calls = count_calls(monkeypatch, equivalence, "_match")
+    # the frame is the first index triple I with d1 = minor(t1, I) != 0, the
+    # first three columns whenever their minor is nonzero; R t1 = t2
+    # multiplies it by det R, so only the witness onto t2 is built when
+    # d2 = d1, only the one onto conj(t2) when d2 = -d1, and neither
+    # otherwise; rank 2 (every minor 0) builds both
+    calls = count_calls(monkeypatch, equivalence, "_witness")
     t3 = make_triple(curve_q, (-1, 1, 0), (-1, -1, -2), (0, -1, 1))
     rng = random.Random(44)
     field = curve_f7.field
@@ -184,43 +205,81 @@ def test_first_three_column_minor_picks_the_searches(monkeypatch, curve_q, tripl
         if not d1 and flat is None:
             flat = t1, act(random_proper_word(field, rng), t1)
     assert not _minor(flat[1]) and rank_radical(gram(flat[0]))[0] == 3
-    # d1 = 0 for the worked triples (rank 2) and for flat (rank 3)
-    for (t1, t2), kind, searches in (((triple_a, triple_b), KIND_BOTH, 2), (flat, KIND_EQUAL, 2),
-                                     ((t3, t3), KIND_EQUAL, 1), (distinct, KIND_DISTINCT, 0),
-                                     ((t3, conjugate(t3)), KIND_CONJ, 1)):
+    # d1 = 0 on the first three columns for the worked triples (rank 2) and
+    # for flat (rank 3, so its frame is another index triple)
+    assert _built_frame(*flat) == _frame_index(flat[0]) != (0, 1, 2)
+    assert len(_built_frame(triple_a, triple_b)) == 2
+    for (t1, t2), kind, built in (((triple_a, triple_b), KIND_BOTH, 2), (flat, KIND_EQUAL, 1),
+                                  ((t3, t3), KIND_EQUAL, 1), (distinct, KIND_DISTINCT, 0),
+                                  ((t3, conjugate(t3)), KIND_CONJ, 1)):
         del calls[:]
         assert same_class(t1, t2).kind == kind
-        assert len(calls) == searches
+        assert len(calls) == built
     assert orbit_oracle(*distinct) == KIND_DISTINCT and orbit_oracle(*flat) == KIND_EQUAL
+    counts = set()
     for curve in (curve_f5b, curve_f7):
         field = curve.field
-        single = 0
         for k in range(12):
             t1 = random_triple(curve, field, rng)
             t2 = act(random_orthogonal_word(field, rng, improper=k % 2 == 1), t1)
             del calls[:]
             assert same_class(t1, t2).kind == orbit_oracle(t1, t2)
-            assert len(calls) == (1 if _minor(t1) else 2)
-            single += len(calls) == 1
-        assert 0 < single
+            index = _frame_index(t1)
+            assert _built_frame(t1, t2) == index
+            assert len(calls) == (1 if len(index) == 3 else 2)
+            counts.add(len(calls))
+    assert counts == {1, 2}
 
 
 def test_zero_minor_on_one_side_runs_no_search(monkeypatch, curve_f7):
-    # d(R t1) = det R * d1, so with d1 = 0 != d2, or d1 != 0 = d2, neither
-    # t2 nor conj(t2) (whose minor is -d2) can be an image of t1
-    calls = count_calls(monkeypatch, equivalence, "_match")
+    # d(R t1) = det R * d1 on t1's frame columns I, so with d1 != 0 and
+    # t2's minor on I zero, neither t2 nor conj(t2) (whose minor is -0) can
+    # be an image of t1, and no witness is built; pairs whose two triples
+    # have one zero and one nonzero first-three-column minor, in the order
+    # with the nonzero one first
+    calls = count_calls(monkeypatch, equivalence, "_witness")
     rng = random.Random(46)
     field = curve_f7.field
-    pair = None
-    while pair is None:
+    pairs = []
+    while len(pairs) < 3:
         t1, t2 = random_triple(curve_f7, field, rng), random_triple(curve_f7, field, rng)
         if (not _minor(t1)) != (not _minor(t2)) and \
                 gram(t1).entries[0][2] == gram(t2).entries[0][2]:
-            pair = t1, t2
-    for t1, t2 in (pair, pair[::-1]):
+            pairs.append((t1, t2) if _minor(t1) else (t2, t1))
+    for t1, t2 in pairs:
         del calls[:]
+        assert _built_frame(t1, t2) == (0, 1, 2) and not _minor(t2)
         assert same_class(t1, t2).kind == orbit_oracle(t1, t2) == KIND_DISTINCT
         assert len(calls) == 0
+
+
+@pytest.mark.parametrize("p", [7, 13])
+def test_rank3_with_zero_first_minor_agrees_with_the_oracle(p):
+    # a rank-3 triple whose first three columns have a zero minor builds its
+    # frame on a later index triple; its images under proper and improper
+    # words, and independent partners with equal S_02, decide as the oracle
+    field = GF(p)
+    curve = seeded_curve(field, 2, 2032)
+    rng = random.Random(2034)
+    flat = []
+    while len(flat) < 4:
+        t = random_triple(curve, field, rng)
+        if not _minor(t) and len(_frame_index(t)) == 3:
+            flat.append(t)
+    kinds = set()
+    for t1 in flat:
+        pairs = [(t1, act(random_orthogonal_word(field, rng, improper=improper), t1))
+                 for improper in (False, True)]
+        while len(pairs) < 5:
+            t2 = random_triple(curve, field, rng)
+            if gram(t1).entries[0][2] == gram(t2).entries[0][2]:
+                pairs.append((t1, t2))
+        for t1, t2 in pairs:
+            assert _built_frame(t1, t2) == _frame_index(t1) != (0, 1, 2)
+            kind = same_class(t1, t2).kind
+            assert kind == orbit_oracle(t1, t2)
+            kinds.add(kind)
+    assert {KIND_EQUAL, KIND_CONJ, KIND_DISTINCT} <= kinds
 
 
 def test_equal_s02_and_different_gram_is_distinct(curve_f7):
@@ -353,6 +412,11 @@ def _constraint_gcd(t1, t2):
 
 
 def test_constraint_gcd_degree_at_most_one(curve_q):
+    # the paper's constructive route against the frame formula: the gcd of
+    # the constraints on the reduction parameter has degree <= 1, and t1
+    # has a proper witness onto the target exactly when the reduction at
+    # its root, or the plain swap, gives the target's normal form (the
+    # moved triple is then carried onto the target by a scale and a shift)
     rng = random.Random(41)
     pairs = []
     for base, field, genus in ((GF(7), GF(7), 2), (GF(13), GF(13), 1),
@@ -361,21 +425,19 @@ def test_constraint_gcd_degree_at_most_one(curve_q):
         pairs += _seeded_pairs(curve, field, rng, 24)
     ts = rational_triples(curve_q, rng, 12)
     pairs += [(ts[i], ts[j]) for i in range(len(ts)) for j in range(i, len(ts))]
+    found = {False: 0, True: 0}
     for t1, t2 in pairs:
-        for target in (t2, conjugate(t2)):
+        rel = same_class(t1, t2)
+        for target, witness in ((t2, rel.witness), (conjugate(t2), rel.conjugate_witness)):
             g = _constraint_gcd(t1, target)
             assert g.degree <= 1
-            field = t1.field
-            pair = _parameter(field, t1._raw_forms(), target._raw_forms())
-            a = None
-            if pair is not None:
-                c0, c1 = (FieldElement(field, c) for c in pair)
-                a = -c0 / c1
+            moved = [swap_step(t1)]
             if g.degree == 1:
-                assert a == -g[0] / g[1]
-            else:
-                assert a is None or \
-                    canonicalize(reduction_step(t1, a)) != canonicalize(target)
+                moved.append(reduction_step(t1, -g[0] / g[1]))
+            key = canonicalize(target)
+            assert any(canonicalize(m) == key for m in moved) == (witness is not None)
+            found[witness is not None] += 1
+    assert min(found.values()) > 0, found
 
 
 def test_verdict_independent_of_extension_and_oracle_gf13():
@@ -401,82 +463,94 @@ def test_witness_over_triples_field(curve_f5b):
             assert wit is None or wit.field is F5
 
 
-_WRONG_MOVE = """
+_WRONG_FRAME = """
 import json, random, sys
 sys.path.insert(0, %r)
 from picforms import equivalence
-from picforms.errors import WitnessRejected
-from picforms.fields import GF, QQ, ZZ
 from picforms.curves import make_curve
+from picforms.errors import SearchExhausted
+from picforms.fields import GF, QQ
 from picforms.galois import class_rational, find_caveat_example, galois_context
 from picforms.sampling import random_proper_word, random_triple
 from picforms.triples import act, make_triple
 
-field = GF(7)
-curve = make_curve([3, 1, 0, 2, 0, 1, 1], field)
-rng = random.Random(5)
-t1 = random_triple(curve, field, rng)
-t2 = act(random_proper_word(field, rng), t1)
+rng = random.Random(6)
+# rank-2 triples (every 3x3 minor 0) over GF(7), GF(3) and QQ, and the
+# rank-3 pair of a genus-2 curve over GF(7)
+curve1 = make_curve([3, 1, 0, 3, 5], GF(7))
+flat = make_triple(curve1, (4, 3, 1), (5, 2, 6), (4, 3, 5))
+moved = act(random_proper_word(GF(7), rng), flat)
 ctx = galois_context(GF(7, 2))
-rational = t1.embedded(ctx.ambient)
-ctx3 = galois_context(GF(3, 2))
+flat49 = act(random_proper_word(ctx.ambient, rng), flat.embedded(ctx.ambient))
 curve3 = make_curve([2, 0, 0, 0, 1], GF(3))
+ctx3 = galois_context(GF(3, 2))
+flat9 = act(random_proper_word(ctx3.ambient, rng),
+            make_triple(curve3, (1, 0, 0), (2, 0, 1), (1, 0, 2)).embedded(ctx3.ambient))
 curve_q = make_curve([-1, 0, 0, 0, 1], QQ)
-q1 = make_triple(curve_q, (-1, 1, 0), (-1, -1, -2), (0, -1, 1))
-q2 = act(random_proper_word(QQ, rng), q1)
-checks = [
-    lambda: equivalence.same_class(t1, t2),
-    lambda: class_rational(rational, ctx),
-    lambda: find_caveat_example(curve3, ctx3, 10000, 20260810),
-    lambda: equivalence.recover_transform(t1, t2),
-    # over QQ both run on the integer kernel
-    lambda: equivalence.same_class(q1, q2),
-    lambda: equivalence.recover_transform(q1, q2),
+qa = make_triple(curve_q, (1, 0, 0), (1, 0, 0), (0, 0, 1))
+qb = make_triple(curve_q, (-1, 0, 1), (-1, 0, -1), (0, 0, 0))
+curve2 = make_curve([3, 1, 0, 2, 0, 1, 1], GF(7))
+t1 = random_triple(curve2, GF(7), rng)
+t2 = act(random_proper_word(GF(7), rng), t1)
+
+
+def found(relation):
+    return relation.witness is not None or relation.conjugate_witness is not None
+
+
+def recovered(a, b):
+    try:
+        return equivalence.recover_transform(a, b) is not None
+    except SearchExhausted:
+        return False
+
+
+# whether each call gives a positive verdict or a witness; the first six
+# decide on rank-2 frames
+CHECKS = [
+    lambda: found(equivalence.same_class(flat, moved)),
+    lambda: recovered(flat, moved),
+    lambda: class_rational(flat49, ctx),
+    lambda: class_rational(flat9, ctx3),
+    lambda: found(equivalence.same_class(qa, qb)),
+    lambda: recovered(qa, qb),
+    lambda: found(equivalence.same_class(t1, t2)),
+    lambda: find_caveat_example(curve3, ctx3, 20, 20260810).found,
 ]
-# integer matrices, valid on every kernel: scale(-1) (proper, but not the
-# move that matched), the flip (improper) and diag(1, 2, 1) (not orthogonal)
-WRONG = (((-1, 0, 0), (0, -1, 0), (0, 0, 1)),
-         ((1, 0, 0), (0, 1, 0), (0, 0, -1)),
-         ((1, 0, 0), (0, 2, 0), (0, 0, 1)))
-
-
-def wrong_move(matrix):
-    # a wrong move in the convention of the real ones: s times a matrix over
-    # the kernel, with s = c1^2 for the reduction (kernel, c0, c1) and s = 1
-    # for the swap (kernel)
-    def rows(kernel, c0=None, c1=None):
-        lift = (lambda n: n) if kernel is ZZ else (lambda n: kernel.elem(n).value)
-        s = kernel._one.value if c1 is None else kernel._raw_mul(c1, c1)
-        return tuple([kernel._raw_mul(s, lift(x)) for x in row] for row in matrix)
-    return rows
-
-
-out = [__debug__]
-for check in checks:
-    for matrix in WRONG:
-        equivalence._reduction_rows = equivalence._swap_rows = wrong_move(matrix)
-        try:
-            check()
-            out.append("accepted")
-        except WitnessRejected as exc:
-            out.append(str(exc))
+adjugate = equivalence._adjugate
+# (patched name, wrong frame, the checks it reaches)
+MUTANTS = {
+    "no Omega^-1": ("_normal", lambda kernel, a, b: equivalence._cross(kernel, a, b), 6),
+    "adj transposed": ("_adjugate", lambda kernel, cols: list(zip(*adjugate(kernel, cols))), 8),
+}
+out = {"debug": __debug__, "plain": [check() for check in CHECKS]}
+for name, (attr, mutant, n) in MUTANTS.items():
+    original = getattr(equivalence, attr)
+    setattr(equivalence, attr, mutant)
+    out[name] = [check() for check in CHECKS[:n]]
+    setattr(equivalence, attr, original)
 print(json.dumps(out))
 """
 
 
 def test_witness_check_survives_optimize():
-    # under python -O every assert vanishes; the witness check must not, on
-    # same_class, on a rational class, on a found caveat and on recovery over
-    # GF(7), GF(7^2) and GF(3^2), and on same_class and recovery over QQ
+    # under python -O every assert vanishes; the witness check must not.
+    # Two wrong frames: n(a, b) taken without Omega^-1, which changes only
+    # rank-2 frames, and adj(M1) replaced by its transpose, which changes
+    # every frame.  Unpatched, each call gives a positive verdict or a
+    # witness; with either wrong frame none does, on same_class,
+    # recover_transform, class_rational and the caveat search over GF(7),
+    # GF(7^2), GF(3^2) and QQ.  The caveat search builds no rank-2 witness,
+    # so only the transposed adjugate reaches it.  Over GF(3^2), where
+    # -2 = 1, the first wrong frame can coincide with the right one; the
+    # seeded word is one where it does not.
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    done = subprocess.run([sys.executable, "-O", "-c", _WRONG_MOVE % os.path.join(root, "src")],
+    done = subprocess.run([sys.executable, "-O", "-c", _WRONG_FRAME % os.path.join(root, "src")],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [False] + [
-        "the assembled witness does not carry t1 onto t2",
-        "the assembled witness is not proper",
-        "the assembled witness is not proper",
-    ] * 6
+    assert json.loads(done.stdout) == {"debug": False, "plain": [True] * 8,
+                                       "no Omega^-1": [False] * 6,
+                                       "adj transposed": [False] * 8}
 
 
 _WRONG_DECOMPOSITION = """
@@ -530,33 +604,25 @@ def test_decompose_check_survives_optimize():
 
 
 
-# -- the two witness certificates against each other ------------------------------
+# -- the two witness bodies against each other ------------------------------------
 
-def _certified(certify, record, flip):
-    """(rows, proper) of the certified witness, or the rejection's message."""
-    try:
-        wit = certify(record, flip)
-    except WitnessRejected as exc:
-        return str(exc)
-    return wit.rows, wit.proper
-
-
-def _tampered(record):
-    """The record with d + 1, with c2 + 1, and with move entry (1, 1) + 1."""
-    kernel, move, d, c2 = record[0], record[1], record[6], record[7]
-    one = kernel._one.value
-    bumped = tuple(tuple(kernel._raw_add(x, one) if (i, j) == (1, 1) else x
-                         for j, x in enumerate(row)) for i, row in enumerate(move))
-    return [record[:6] + (kernel._raw_add(d, one), c2),
-            record[:7] + (kernel._raw_add(c2, one),),
-            (kernel, bumped) + record[2:]]
+def _vector_twin(kernel, t1, t2, r1, r2):
+    """(field, v1, v2, lift): the same decision on a vector kernel, and the
+    map of the int body's witnesses into it.  For GF(p) that is the triples
+    over GF(p^2); for the integer kernel, the cleared forms as Fractions
+    over QQ, whose witnesses are the int body's."""
+    if kernel is ZZ:
+        lists = lambda forms: tuple([Fraction(x) for x in f] for f in forms)
+        return QQ, lists(r1), lists(r2), lambda w: w
+    field = GF(kernel.p, 2)
+    return (field, t1.embedded(field)._raw_forms(), t2.embedded(field)._raw_forms(),
+            lambda w: w.embedded(field))
 
 
-def _over_rationals(record):
-    """A record of the integer kernel as the same record over QQ."""
-    _, move, t1, t2, *scalars = record
-    lists = lambda rows: tuple([Fraction(x) for x in row] for row in rows)
-    return (QQ, lists(move), lists(t1), lists(t2)) + tuple(map(Fraction, scalars))
+def _bumped(kernel, forms):
+    """The raw forms with u_0 + 1: off the curve, so no witness reaches them."""
+    u, v, w = forms
+    return [kernel._raw_add(u[0], kernel._one.value)] + list(u[1:]), v, w
 
 
 def _differential_pairs():
@@ -577,70 +643,10 @@ def _differential_pairs():
     return out
 
 
-def test_integer_and_vector_certificates_agree():
-    # the integer path against the vector path on every match record, the
-    # vector path running over the field itself, or over QQ for the integer
-    # kernel; then on each record tampered three ways, where both reject
-    pairs = _differential_pairs()
-    assert len(pairs) >= 2000 + 240
-    counts = {"direct": 0, "conjugate": 0, "both": 0, "zz": 0}
-    for t1, t2 in pairs:
-        kernel, r1, r2 = equivalence._decision_forms(t1, t2)
-        records = list(equivalence._records(kernel, r1, r2))
-        for flip, record in enumerate(records):
-            if record is None:
-                continue
-            counts["conjugate" if flip else "direct"] += 1
-            counts["zz"] += kernel is ZZ
-            for i, rec in enumerate([record] + _tampered(record)):
-                field, vec = (QQ, _over_rationals(rec)) if kernel is ZZ else (kernel, rec)
-                got = _certified(equivalence._certify_int, rec, bool(flip))
-                assert got == _certified(equivalence._certify_vector, vec, bool(flip))
-                if i == 0:
-                    assert got[0][0][0].field is field and got[1] is not bool(flip)
-                else:
-                    assert got in ("the assembled witness is not proper",
-                                   "the assembled witness does not carry t1 onto t2")
-        counts["both"] += None not in records
-    assert min(counts.values()) > 0, counts
-
-
-# the identity with one column changed so that exactly one check fails: with
-# b = 2, column 0 set to (1, b, 0), column 1 to (b, 1, 0), column 0 to
-# (1, b^2, b) and column 1 to (b^2, 1, b) break the entries (0, 0), (1, 1),
-# (0, 2) and (1, 2) of A^T Omega A, and the flip breaks the determinant
-_ONE_CHECK_BROKEN = (((1, 0, 0), (2, 1, 0), (0, 0, 1)),
-                     ((1, 2, 0), (0, 1, 0), (0, 0, 1)),
-                     ((1, 0, 0), (4, 1, 0), (2, 0, 1)),
-                     ((1, 4, 0), (0, 1, 0), (0, 2, 1)),
-                     ((1, 0, 0), (0, 1, 0), (0, 0, -1)))
-
-
-@pytest.mark.parametrize("kernel", [GF(7), ZZ], ids=["GF7", "ZZ"])
-def test_certificates_reject_each_broken_check(kernel):
-    # with s = c = c2 = 1 and d = 0, undo is the identity and e = 1, so the
-    # certificate checks the move itself; t2 is its image of t1
-    lift = (lambda n: n) if kernel is ZZ else (lambda n: kernel.elem(n).value)
-    t1 = tuple([lift(x) for x in f] for f in ((1, 0, 0), (1, 0, 0), (0, 0, 1)))
-    identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    for matrix in (identity,) + _ONE_CHECK_BROKEN:
-        move = tuple([lift(x) for x in row] for row in matrix)
-        record = (kernel, move, t1, _mat_mul_raw(kernel, move, t1), 1, 1, 0, 1)
-        vec = _over_rationals(record) if kernel is ZZ else record
-        got = [_certified(certify, rec, False) for certify, rec in
-               ((equivalence._certify_int, record), (equivalence._certify_vector, vec))]
-        if matrix is identity:
-            assert got[0] == got[1] and got[0][1] is True
-        else:
-            assert got == ["the assembled witness is not proper"] * 2
-
-
-# -- the two search bodies against each other ----------------------------------
-
 def _independent_pairs():
     """Independent draws over the fields of :func:`_differential_pairs`,
     genus 1-3; over GF(7) and GF(13) only those with equal S_02, the pairs
-    that same_class searches."""
+    that same_class builds witnesses for."""
     rng = random.Random(2029)
     out = []
     for p in (7, 13, 10007, 2 ** 61 - 1):
@@ -656,25 +662,96 @@ def _independent_pairs():
     return out
 
 
-def test_integer_and_vector_searches_agree():
-    # for t2 and conj(t2), the int body and the vector body give the same
-    # parameter pair and the same match record, None included; the vector
-    # body runs on the integer kernel itself for the QQ-sweep pairs
+def test_integer_and_vector_certificates_agree():
+    # the int body against the vector body on every witness of the
+    # decision, None included, the vector body running over GF(p^2) for
+    # GF(p) and over QQ for the integer kernel; then on each target that
+    # has a witness, with u_0 bumped, where both reject
     pairs = _differential_pairs() + _independent_pairs()
     assert len(pairs) >= 2000 + 240
-    counts = {"direct": 0, "conjugate": 0, "none": 0, "no-parameter": 0, "zz": 0}
+    counts = {"direct": 0, "conjugate": 0, "both": 0, "none": 0, "zz": 0}
     for t1, t2 in pairs:
         kernel, r1, r2 = equivalence._decision_forms(t1, t2)
-        k = max(i for i, x in enumerate(r2[0]) if x)
-        for flip, target in enumerate((r2, equivalence._conjugate(kernel, r2))):
-            pair = equivalence._parameter_int(kernel.p, r1, target)
-            assert pair == _parameter(kernel, r1, target)
-            record = equivalence._match_int(kernel, r1, target, k)
-            assert record == equivalence._match_vector(kernel, r1, target, k)
-            assert record == equivalence._match(kernel, r1, target, k)
-            counts["none" if record is None else "conjugate" if flip else "direct"] += 1
-            counts["no-parameter"] += pair is None
-            counts["zz"] += kernel is ZZ and record is not None
+        field, v1, v2, lift = _vector_twin(kernel, t1, t2, r1, r2)
+        got = list(equivalence._witnesses(kernel, r1, r2))
+        assert [None if w is None else lift(w) for w in got] == \
+            list(equivalence._witnesses(field, v1, v2))
+        frame, vframe = equivalence._frame(kernel, r1), equivalence._frame(field, v1)
+        for flip, witness in enumerate(got):
+            if witness is None:
+                continue
+            counts["conjugate" if flip else "direct"] += 1
+            counts["zz"] += kernel is ZZ
+            assert witness.proper and witness.field is (QQ if kernel is ZZ else kernel)
+            target, vtarget = (r2, v2) if not flip else (
+                equivalence._conjugate(kernel, r2), equivalence._conjugate(field, v2))
+            assert equivalence._witness_int(kernel, frame, r1, _bumped(kernel, target)) is None
+            assert equivalence._witness_vector(field, vframe, v1, _bumped(field, vtarget)) is None
+        counts["both"] += None not in got
+        counts["none"] += got == [None, None]
+    assert min(counts.values()) > 0, counts
+
+
+# matrices that fail exactly one check: with b = 2, the identity with column
+# 0 set to (1, b, 0), column 1 to (b, 1, 0), column 0 to (1, b^2, b) and
+# column 1 to (b^2, 1, b) breaks the entries (0, 0), (1, 1), (0, 2) and
+# (1, 2) of A^T Omega A, diag(1, -1, -1) breaks (0, 1), and the flip breaks
+# the determinant.  The entry (2, 2) follows from the other five and
+# det A = e^3, so no matrix breaks it alone.
+_ONE_CHECK_BROKEN = (((1, 0, 0), (2, 1, 0), (0, 0, 1)),
+                     ((1, 2, 0), (0, 1, 0), (0, 0, 1)),
+                     ((1, 0, 0), (4, 1, 0), (2, 0, 1)),
+                     ((1, 4, 0), (0, 1, 0), (0, 2, 1)),
+                     ((1, 0, 0), (0, -1, 0), (0, 0, -1)),
+                     ((1, 0, 0), (0, 1, 0), (0, 0, -1)))
+
+
+@pytest.mark.parametrize("kernel", [GF(7), ZZ], ids=["GF7", "ZZ"])
+def test_certificates_reject_each_broken_check(kernel):
+    # t1 has the columns e0, e1, e2, e2, so its frame is the first three
+    # columns with M1 = 1 and e = 1, and A = M2 is the matrix itself when t2
+    # is its image of t1: each broken matrix fails one check of A^T Omega A
+    # or det A.  The identity's image with the last column bumped fails
+    # only A t1 = e t2.  Both bodies, the vector one over GF(7^2) or QQ.
+    field = QQ if kernel is ZZ else GF(7, 2)
+    lift = (lambda n: n) if kernel is ZZ else (lambda n: kernel.elem(n).value)
+    forms = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1))
+    identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    cases = [(matrix, _mat_mul_raw(ZZ, matrix, forms)) for matrix in (identity,) + _ONE_CHECK_BROKEN]
+    cases.append((None, (forms[0], forms[1], (0, 0, 1, 2))))
+    for matrix, image in cases:
+        got = []
+        for kern, value in ((kernel, lift), (field, lambda n: field.elem(n).value)):
+            t1, t2 = (tuple([value(x) for x in f] for f in fs) for fs in (forms, image))
+            frame = equivalence._frame(kern, t1)
+            assert frame == ((0, 1, 2), kern._one.value)
+            body = equivalence._witness_int if kern is kernel else equivalence._witness_vector
+            got.append(body(kern, frame, t1, t2))
+        if matrix is identity:
+            assert got[0].proper and got[0].embedded(field) == got[1]
+        else:
+            assert got == [None, None]
+
+
+# -- the two frame pickers against each other -------------------------------------
+
+def test_integer_and_vector_searches_agree():
+    # the int and vector bodies pick the same frame columns with the same
+    # minor e, and the sign rule admits the same witnesses, on the pairs of
+    # the certificate test; the counts cover every rank and every sign
+    pairs = _differential_pairs() + _independent_pairs()
+    counts = {"rank 2": 0, "direct": 0, "conjugate": 0, "neither": 0, "zz": 0}
+    for t1, t2 in pairs:
+        kernel, r1, r2 = equivalence._decision_forms(t1, t2)
+        field, v1, v2, _ = _vector_twin(kernel, t1, t2, r1, r2)
+        frame, vframe = equivalence._frame(kernel, r1), equivalence._frame(field, v1)
+        e = Fraction(frame[1]) if kernel is ZZ else field.elem(frame[1]).value
+        assert vframe == (frame[0], e)
+        signs = equivalence._signs(kernel, frame, r2)
+        assert equivalence._signs(field, vframe, v2) == signs
+        counts["rank 2" if len(frame[0]) == 2 else
+               {(True, False): "direct", (False, True): "conjugate"}.get(signs, "neither")] += 1
+        counts["zz"] += kernel is ZZ
     assert min(counts.values()) > 0, counts
 
 

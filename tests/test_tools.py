@@ -71,3 +71,30 @@ def test_pool_digest_reads_seed_ranges_and_lists():
     seeds = load_tool("pool_digest.py").seeds
     assert seeds("1-3") == [1, 2, 3] and seeds("1,3,5") == [1, 3, 5] and seeds("7") == [7]
     assert seeds("1-2,9") == [1, 2, 9]
+
+
+class _StubCli:
+    """A cli-like workload whose one op writes fixed bytes to its out file."""
+
+    def __init__(self, out, text):
+        self.out, self.text, self.pool = out, text, [None]
+
+    def op(self, i):
+        with open(self.out, "w") as fh:
+            fh.write(self.text)
+        return 0
+
+    def record(self, i, code):
+        with open(self.out) as fh:
+            return {"exit": code, "out": json.load(fh)}
+
+
+def test_pool_digest_hashes_raw_out_bytes(tmp_path):
+    # two outputs that parse equal but differ in bytes: the parsed records
+    # agree, the bytes the digest reads do not
+    op_bytes = load_tool("pool_digest.py").op_bytes
+    out = str(tmp_path / "out.json")
+    a, b = _StubCli(out, '{"a": 1, "b": [2]}\n'), _StubCli(out, '{\n  "b": [2],\n  "a": 1\n}\n')
+    assert a.record(0, a.op(0)) == b.record(0, b.op(0))
+    assert op_bytes(a, 0) != op_bytes(b, 0)
+    assert op_bytes(a, 0) == b'0\n{"a": 1, "b": [2]}\n'

@@ -4,12 +4,15 @@
 
 A and B are checkout roots.  For each seed, each checkout's
 ``bench/workloads.py`` builds its seeded pool, loaded as
-``tools/ab_time.py`` loads it, and runs every op once; each op's output
-is turned into the workload's JSON record.  The output is one JSON line
-with, for each side, the SHA-256 of the sorted-key JSON of the list of
-all records, seed by seed.  The exit status is 0 when the two digests are
-equal and 1 when they differ.  ``--seeds`` takes a range "1-10", a list
-"1,3,5" or one seed.  Nothing under ``bench/`` is changed.
+``tools/ab_time.py`` loads it, and runs every op once.  A ``decide`` op
+stands for the sorted-key JSON of its record.  A ``cli`` op stands for its
+exit code and the raw bytes of its ``--out`` file, read right after it
+returns, so a change in whitespace, key order or escaping of the output
+changes the digest.  The output is one JSON line with, for each side, the
+SHA-256 of every op's bytes, seed by seed and op by op.  The exit status
+is 0 when the two digests are equal and 1 when they differ.  ``--seeds``
+takes a range "1-10", a list "1,3,5" or one seed.  Nothing under
+``bench/`` is changed.
 """
 
 from __future__ import annotations
@@ -36,18 +39,33 @@ def seeds(text):
     return out
 
 
+def op_bytes(wl, i):
+    """The bytes that stand for op i of the workload ``wl``: for one with an
+    ``out`` file (``cli``), the exit code and the file's raw bytes; for any
+    other, the sorted-key JSON of its record."""
+    result = wl.op(i)
+    out = getattr(wl, "out", None)
+    if out is None:
+        return json.dumps(wl.record(i, result), sort_keys=True).encode()
+    with open(out, "rb") as fh:
+        return b"%d\n" % result + fh.read()
+
+
 def digest(root, workload, seed_list, workdir):
-    """The SHA-256 of the records of every op of the checkout at ``root``."""
-    records = []
+    """The SHA-256 of the bytes of every op of the checkout at ``root``,
+    each op's bytes preceded by their length."""
+    h = hashlib.sha256()
     for seed in seed_list:
         wl, modules = ab_time.load(root, workload, seed, os.path.join(workdir, str(seed)))
         sys.modules.update(modules)
         try:
-            records.append([wl.record(i, wl.op(i)) for i in range(len(wl.pool))])
+            for i in range(len(wl.pool)):
+                data = op_bytes(wl, i)
+                h.update(b"%d\n" % len(data) + data)
         finally:
             wl.close()
             ab_time._own_modules()
-    return hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    return h.hexdigest()
 
 
 def main(argv=None):
